@@ -11,7 +11,9 @@
 //     The harness itself owns ~2 allocations per packet (QueuePacketSource
 //     copy-in, CollectingPacketSink copy-out); the per-hop cost on top of
 //     that is what util::BufferPool is meant to hold at zero.
-//   * pool_hit_rate        — util::default_pool() acquire hit rate.
+//   * pool_hit_rate        — acquire hit rate of the pool the chain
+//                            recycles through (chain->recycle_pool(): the
+//                            worker's arena when event-hosted).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -80,7 +82,9 @@ Result run_once(std::size_t chain_len, std::size_t packet_bytes,
   }
 
   const util::Bytes packet(packet_bytes, 0x77);
-  const util::BufferPool::Stats pool0 = util::default_pool().stats();
+  // Resolved while the chain runs: the worker arena outlives shutdown().
+  util::BufferPool& pool = chain->recycle_pool();
+  const util::BufferPool::Stats pool0 = pool.stats();
   const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   std::thread producer([&] {
@@ -94,7 +98,7 @@ Result run_once(std::size_t chain_len, std::size_t packet_bytes,
           .count();
   const std::uint64_t allocs =
       g_allocs.load(std::memory_order_relaxed) - allocs0;
-  const util::BufferPool::Stats pool1 = util::default_pool().stats();
+  const util::BufferPool::Stats pool1 = pool.stats();
   const std::uint64_t pool_hits = pool1.hits - pool0.hits;
   const std::uint64_t pool_total =
       pool_hits + (pool1.misses - pool0.misses);

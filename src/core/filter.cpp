@@ -281,7 +281,7 @@ Filter::Drive ByteFilter::on_ready() {
       if (!end) return Drive::kIdle;  // readable watcher armed
       if (!ev_tail_done_) {
         ev_tail_done_ = true;
-        util::Bytes tail = flush_tail();
+        util::Bytes tail = flush_tail();  // rw-lint: allow(RW006) once at stream end, not per chunk
         if (!tail.empty()) ev_out_.push_back(std::move(tail));
       }
       return flush_ev_out() ? Drive::kDone : Drive::kIdle;
@@ -295,7 +295,7 @@ Filter::Drive ByteFilter::on_ready() {
         // reading input until the writable callback drains it.
         ev_out_.push_back(std::move(out));
         ev_out_off_ = w;
-        ev_buf_ = util::Bytes();
+        ev_buf_ = util::BufferPool::local().acquire(kChunk);
         return Drive::kIdle;
       }
     }

@@ -1,8 +1,11 @@
 #include "fec/fec_group.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstring>
 
+#include "fec/gf256.h"
 #include "util/buffer_pool.h"
 #include "util/serial.h"
 
@@ -24,12 +27,24 @@ const ReedSolomonCode& cached_code(std::size_t n, std::size_t k) {
 }  // namespace
 
 void GroupHeader::encode_to(util::Writer& w) const {
-  w.u16(kFecMagic);
-  w.u32(group_id);
-  w.u8(index);
-  w.u8(k);
-  w.u8(n);
-  w.u16(symbol_len);
+  std::array<std::uint8_t, kWireSize> header;
+  encode_to(header);
+  w.raw(header);
+}
+
+void GroupHeader::encode_to(util::MutableByteSpan out) const {
+  assert(out.size() >= kWireSize);
+  // Little-endian, the byte order of util::Writer.
+  out[0] = static_cast<std::uint8_t>(kFecMagic);
+  out[1] = static_cast<std::uint8_t>(kFecMagic >> 8);
+  for (int i = 0; i < 4; ++i) {
+    out[2 + i] = static_cast<std::uint8_t>(group_id >> (8 * i));
+  }
+  out[6] = index;
+  out[7] = k;
+  out[8] = n;
+  out[9] = static_cast<std::uint8_t>(symbol_len);
+  out[10] = static_cast<std::uint8_t>(symbol_len >> 8);
 }
 
 bool looks_like_fec_packet(util::ByteSpan wire) {
@@ -83,19 +98,20 @@ GroupEncoder::GroupEncoder(std::size_t n, std::size_t k) : n_(n), k_(k) {
   if (k == 0 || k > n || n >= gf::kFieldSize) {
     throw CodingError("GroupEncoder: need 0 < k <= n < 256");
   }
+  held_.reserve(k);
 }
 
 std::vector<util::Bytes> GroupEncoder::add(util::ByteSpan payload) {
+  util::Bytes held = util::BufferPool::local().acquire(payload.size());
+  std::copy(payload.begin(), payload.end(), held.begin());
+  return add(std::move(held));
+}
+
+std::vector<util::Bytes> GroupEncoder::add(util::Bytes&& payload) {
   if (payload.size() > 0xffff - 2) {
     throw CodingError("GroupEncoder: payload too large for one symbol");
   }
-  // Hold a pooled copy: encode_group() releases it back, so steady-state
-  // group assembly does not grow the heap.
-  util::Bytes held = util::BufferPool::local().acquire(payload.size());
-  if (!payload.empty()) {
-    std::memcpy(held.data(), payload.data(), payload.size());
-  }
-  held_.push_back(std::move(held));
+  held_.push_back(std::move(payload));
   if (held_.size() < k_) return {};
   return encode_group();
 }
@@ -109,39 +125,48 @@ std::vector<util::Bytes> GroupEncoder::encode_group() {
   // A partial group (flush) becomes a short (m + parity, m) code so the
   // stream tail keeps the same parity protection.
   const std::size_t m = held_.size();
-  const std::size_t n = m + (n_ - k_);
+  const std::size_t parity = n_ - k_;
+  const std::size_t n = m + parity;
+  constexpr std::size_t kHdr = GroupHeader::kWireSize;
 
   std::size_t max_payload = 0;
   for (const auto& p : held_) max_payload = std::max(max_payload, p.size());
   const auto symbol_len = static_cast<std::uint16_t>(max_payload + 2);
-
-  std::vector<util::Bytes> symbols;
-  symbols.reserve(m);
-  for (const auto& p : held_) symbols.push_back(make_symbol(p, symbol_len));
-
-  const std::vector<util::Bytes> parity = cached_code(n, m).encode(symbols);
-
-  std::vector<util::Bytes> wire;
-  wire.reserve(n);
   const std::uint32_t gid = next_group_id_++;
-  for (std::size_t i = 0; i < m; ++i) {
-    util::Writer w(GroupHeader::kWireSize + held_[i].size());
+
+  util::BufferPool& pool = util::BufferPool::local();
+  std::vector<util::Bytes> wire(n);
+  for (std::size_t p = 0; p < parity; ++p) {
+    wire[m + p] = pool.acquire(kHdr + symbol_len);
+    std::memset(wire[m + p].data() + kHdr, 0, symbol_len);
+  }
+  // An (n = k) group has no parity and so no code: its packets are just
+  // headed payloads.
+  const ReedSolomonCode* code = parity > 0 ? &cached_code(n, m) : nullptr;
+  for (std::size_t j = 0; j < m; ++j) {
+    util::Bytes& payload = held_[j];
+    wire[j] = pool.acquire(kHdr + payload.size());
+    std::copy(payload.begin(), payload.end(), wire[j].begin() + kHdr);
+    // Symbol j is [u16 length | payload | zero padding to symbol_len]; the
+    // padding adds nothing to a GF sum, so each parity body accumulates
+    // just the prefix and the payload, source-major while j is hot.
+    const std::uint8_t prefix[2] = {
+        static_cast<std::uint8_t>(payload.size()),
+        static_cast<std::uint8_t>(payload.size() >> 8)};
+    for (std::size_t p = 0; p < parity; ++p) {
+      const std::uint8_t c = code->coefficient(m + p, j);
+      const util::MutableByteSpan body =
+          util::MutableByteSpan(wire[m + p]).subspan(kHdr);
+      gf::mul_add(body.first(2), prefix, c);
+      gf::mul_add(body.subspan(2, payload.size()), payload, c);
+    }
+    pool.release(std::move(payload));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
     GroupHeader{gid, static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(m),
                 static_cast<std::uint8_t>(n), symbol_len}
-        .encode_to(w);
-    w.raw(held_[i]);
-    wire.push_back(w.take());
+        .encode_to(wire[i]);
   }
-  for (std::size_t p = 0; p < parity.size(); ++p) {
-    util::Writer w(GroupHeader::kWireSize + parity[p].size());
-    GroupHeader{gid, static_cast<std::uint8_t>(m + p),
-                static_cast<std::uint8_t>(m), static_cast<std::uint8_t>(n),
-                symbol_len}
-        .encode_to(w);
-    w.raw(parity[p]);
-    wire.push_back(w.take());
-  }
-  for (auto& p : held_) util::BufferPool::local().release(std::move(p));
   held_.clear();
   ++groups_emitted_;
   return wire;

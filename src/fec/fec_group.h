@@ -10,6 +10,9 @@
 // Source packets travel unpadded (systematic code); the RS symbol for
 // packet i is [u16 payload_len | payload | zero padding to symbol_len], so
 // the decoder can recover exact payload boundaries for rebuilt packets.
+// The encoder never materializes that symbol: zero padding contributes
+// nothing to a GF(2^8) sum, so parity is accumulated from the length prefix
+// and the payload alone, straight into pooled wire buffers.
 //
 // The decoder buffers per-group state, reconstructs as soon as ANY k of the
 // n symbols arrive, and releases payloads in order. Incomplete groups are
@@ -45,6 +48,8 @@ struct GroupHeader {
   static constexpr std::size_t kWireSize = 2 + 4 + 1 + 1 + 1 + 2;
 
   void encode_to(util::Writer& w) const;
+  /// Writes the header into the first kWireSize bytes of `out`.
+  void encode_to(util::MutableByteSpan out) const;
   static GroupHeader decode_from(util::Reader& r);
 
   bool is_parity() const noexcept { return index >= k; }
@@ -61,8 +66,13 @@ class GroupEncoder {
   std::size_t n() const noexcept { return n_; }
   std::size_t k() const noexcept { return k_; }
 
-  /// Adds one source packet. Returns the wire packets to transmit: empty
-  /// until the group fills, then all n packets of the completed group.
+  /// Adds one source packet, taking ownership of its buffer (released to
+  /// util::BufferPool::local() once its group is encoded). Returns the wire
+  /// packets to transmit: empty until the group fills, then all n packets
+  /// of the completed group, each in a buffer from BufferPool::local().
+  std::vector<util::Bytes> add(util::Bytes&& payload);
+
+  /// Copying form: holds a pooled copy of `payload`, then as above.
   std::vector<util::Bytes> add(util::ByteSpan payload);
 
   /// Encodes and returns any partially filled group as a short (m + n - k,
@@ -85,7 +95,7 @@ class GroupEncoder {
 
   std::size_t n_, k_;
   std::uint32_t next_group_id_ = 0;
-  std::vector<util::Bytes> held_;  // raw payloads of the current group
+  std::vector<util::Bytes> held_;  // owned payloads of the current group
   std::uint64_t groups_emitted_ = 0;
 };
 

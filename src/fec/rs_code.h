@@ -47,6 +47,13 @@ class ReedSolomonCode {
     return static_cast<double>(n_) / static_cast<double>(k_);
   }
 
+  /// Generator-matrix entry: codeword symbol `row` (0..n-1) is the sum
+  /// over j of coefficient(row, j) * source[j]. Lets a caller accumulate
+  /// parity from views of its symbols instead of whole symbol vectors.
+  std::uint8_t coefficient(std::size_t row, std::size_t col) const {
+    return generator_.at(row, col);
+  }
+
   /// Computes the n-k parity symbols for k equal-length source symbols.
   std::vector<util::Bytes> encode(
       const std::vector<util::Bytes>& source) const;

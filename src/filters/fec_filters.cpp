@@ -63,9 +63,8 @@ void FecEncodeFilter::on_packet(util::Bytes packet) {
   const std::uint64_t before = encoder_->groups_emitted();
   // Count the finished group before its packets hit the wire: a STATS read
   // triggered by the parity's arrival must not see the counter lagging.
-  auto wire = encoder_->add(packet);
+  auto wire = encoder_->add(std::move(packet));
   m_groups_encoded_->add(encoder_->groups_emitted() - before);
-  util::BufferPool::local().release(std::move(packet));
   for (auto& w : wire) emit(std::move(w));
 }
 
@@ -190,20 +189,16 @@ void UepFecEncodeFilter::register_metrics(obs::Scope scope) {
 }
 
 void UepFecEncodeFilter::on_packet(util::Bytes packet) {
-  fec::FrameClass cls = fec::FrameClass::kOther;
-  try {
-    cls = media::MediaPacket::parse(packet).frame_class;
-  } catch (const util::SerialError&) {
-    // Not a media packet; protect at the default class level.
-  }
+  // Not a media packet: protect at the default class level.
+  const fec::FrameClass cls = media::MediaPacket::peek_frame_class(packet)
+                                  .value_or(fec::FrameClass::kOther);
   fec::GroupEncoder& encoder = encoder_for(cls);
   // Group ids are issued at completion time across all classes, keeping the
   // merged stream's ids monotonic for the decoder.
   encoder.set_next_group_id(next_group_id_);
   const std::uint64_t before = encoder.groups_emitted();
-  auto wire = encoder.add(packet);
+  auto wire = encoder.add(std::move(packet));
   if (encoder.groups_emitted() > before) ++next_group_id_;
-  util::BufferPool::local().release(std::move(packet));
   emit_wire(std::move(wire), encoder.k());
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "fec/uep.h"
 #include "util/bytes.h"
@@ -22,6 +23,12 @@ struct MediaPacket {
 
   util::Bytes serialize() const;
   static MediaPacket parse(util::ByteSpan wire);
+
+  /// The frame class of a serialized packet, read in place from its header;
+  /// nullopt exactly where parse() throws. What per-packet classifiers (the
+  /// UEP FEC filter) use instead of parse(), which copies the payload.
+  static std::optional<fec::FrameClass> peek_frame_class(
+      util::ByteSpan wire) noexcept;
 
   bool operator==(const MediaPacket&) const = default;
 };

@@ -145,49 +145,60 @@ std::uint64_t SimNetwork::datagrams_routed() const {
 
 void SimNetwork::route(const SimSocket& from, const Address& dst,
                        util::ByteSpan payload) {
-  Datagram d;
-  d.src = from.local();
-  d.dst = dst;
-  d.payload.assign(payload.begin(), payload.end());
-  d.sent_at = clock_->now();
+  const util::Micros sent_at = clock_->now();
+  // Runs `channel` (if any) and enqueues at `socket` what it keeps. The
+  // payload is copied once, into the receiver's datagram, and only then:
+  // a dropped packet costs no copy.
+  const auto deliver = [&](SimSocket& socket, Channel* channel) {
+    util::Micros at = sent_at;
+    if (channel != nullptr) {
+      const auto t = channel->transit(payload.size(), sent_at);
+      if (!t) return;  // dropped
+      at = *t;
+    }
+    socket.enqueue(Datagram{from.local(), dst,
+                            util::Bytes(payload.begin(), payload.end()),
+                            sent_at, at});
+  };
+  const auto channel_to = [this](NodeId src, NodeId to) {
+    mu_.assert_held();
+    auto ch = channels_.find({src, to});
+    return ch == channels_.end() ? nullptr : ch->second.get();
+  };
 
-  // Snapshot receivers under the lock (pinned via shared_ptr); run channel
-  // models and enqueue outside it so slow receivers never serialize the
-  // whole fabric and a concurrently destroyed socket is simply skipped.
+  // Receivers are pinned (shared_ptr) under the lock; channel models run
+  // and receivers enqueue outside it, so slow receivers never serialize
+  // the whole fabric and a concurrently destroyed socket is simply skipped.
+  if (!dst.is_multicast()) {
+    std::shared_ptr<SimSocket> socket;
+    Channel* channel = nullptr;
+    {
+      rw::MutexLock lk(mu_);
+      ++routed_;
+      if (auto it = bound_.find(dst); it != bound_.end()) {
+        socket = it->second.lock();
+        if (socket) channel = channel_to(from.local().node, dst.node);
+      }
+    }
+    if (socket) deliver(*socket, channel);
+    return;
+  }
+
   std::vector<std::pair<std::shared_ptr<SimSocket>, Channel*>> targets;
   {
     rw::MutexLock lk(mu_);
     ++routed_;
-    if (dst.is_multicast()) {
-      if (auto it = groups_.find(dst); it != groups_.end()) {
-        for (auto& [raw, weak] : it->second) {
-          if (raw == &from) continue;  // no loopback to the sender
-          auto s = weak.lock();
-          if (!s) continue;
-          auto ch = channels_.find({d.src.node, s->local().node});
-          targets.emplace_back(
-              std::move(s), ch == channels_.end() ? nullptr : ch->second.get());
-        }
-      }
-    } else if (auto it = bound_.find(dst); it != bound_.end()) {
-      if (auto s = it->second.lock()) {
-        auto ch = channels_.find({d.src.node, dst.node});
-        targets.emplace_back(
-            std::move(s), ch == channels_.end() ? nullptr : ch->second.get());
+    if (auto it = groups_.find(dst); it != groups_.end()) {
+      for (auto& [raw, weak] : it->second) {
+        if (raw == &from) continue;  // no loopback to the sender
+        auto s = weak.lock();
+        if (!s) continue;
+        Channel* ch = channel_to(from.local().node, s->local().node);
+        targets.emplace_back(std::move(s), ch);
       }
     }
   }
-
-  for (auto& [socket, channel] : targets) {
-    Datagram copy = d;
-    copy.deliver_at = d.sent_at;
-    if (channel != nullptr) {
-      const auto at = channel->transit(payload.size(), d.sent_at);
-      if (!at) continue;  // dropped
-      copy.deliver_at = *at;
-    }
-    socket->enqueue(std::move(copy));
-  }
+  for (auto& [socket, channel] : targets) deliver(*socket, channel);
 }
 
 void SimNetwork::join_group(const Address& group, SimSocket* socket) {

@@ -122,7 +122,6 @@ class SimNetwork {
   friend class SimSocket;
   void route(const SimSocket& from, const Address& dst,
              util::ByteSpan payload);
-  void deliver(const Datagram& d, NodeId dst_node, SimSocket* socket);
   void join_group(const Address& group, SimSocket* socket);
   void leave_group(const Address& group, SimSocket* socket);
   void unbind(SimSocket* socket);

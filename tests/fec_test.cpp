@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <cstdlib>
 #include <numeric>
 
@@ -16,6 +17,7 @@
 #include "fec/rs_code.h"
 #include "fec/uep.h"
 #include "obs/metrics.h"
+#include "util/buffer_pool.h"
 #include "util/rng.h"
 
 namespace rapidware::fec {
@@ -968,6 +970,98 @@ TEST(GroupCoding, VariableLengthPayloadsRoundTrip) {
   }
   for (auto& out : dec.flush()) delivered.push_back(std::move(out));
   EXPECT_EQ(delivered, sent);
+}
+
+// The encoder's wire packets as they were first built: explicit zero-padded
+// symbols, the RS code's parity vectors, and a header-then-body Writer copy
+// per packet. Oracle for the view-based encoder, which must match it byte
+// for byte.
+std::vector<Bytes> reference_group(const std::vector<Bytes>& payloads,
+                                   std::size_t n, std::size_t k,
+                                   std::uint32_t group_id) {
+  const std::size_t m = payloads.size();
+  const std::size_t total = m + (n - k);
+  std::size_t max_payload = 0;
+  for (const auto& p : payloads) max_payload = std::max(max_payload, p.size());
+  const auto symbol_len = static_cast<std::uint16_t>(max_payload + 2);
+  std::vector<Bytes> symbols;
+  for (const auto& p : payloads) symbols.push_back(make_symbol(p, symbol_len));
+  const std::vector<Bytes> parity = ReedSolomonCode(total, m).encode(symbols);
+  std::vector<Bytes> wire;
+  for (std::size_t i = 0; i < total; ++i) {
+    util::Writer w;
+    GroupHeader{group_id, static_cast<std::uint8_t>(i),
+                static_cast<std::uint8_t>(m), static_cast<std::uint8_t>(total),
+                symbol_len}
+        .encode_to(w);
+    w.raw(i < m ? payloads[i] : parity[i - m]);
+    wire.push_back(w.take());
+  }
+  return wire;
+}
+
+TEST(GroupCoding, WireBytesMatchReferenceConstruction) {
+  // Lengths 0, 1, odd and the largest a symbol can carry, mixed in groups.
+  const std::size_t lengths[] = {0, 1, 333, 0xffff - 2, 20, 1001};
+  const std::pair<std::size_t, std::size_t> codes[] = {
+      {1, 1}, {2, 1}, {4, 4}, {4, 2}, {6, 4}, {8, 4}, {12, 8}, {255, 223}};
+  Rng rng(40);
+  std::size_t next_length = 0;
+  for (const auto& [n, k] : codes) {
+    SCOPED_TRACE("(" + std::to_string(n) + "," + std::to_string(k) + ")");
+    GroupEncoder enc(n, k);
+    std::uint32_t group_id = 0;
+    // Two full groups, then short groups of k - 1 and of 1 sealed by flush().
+    std::vector<std::size_t> sizes = {k, k};
+    if (k > 1) sizes.push_back(k - 1);
+    if (k > 2) sizes.push_back(1);
+    for (const std::size_t m : sizes) {
+      std::vector<Bytes> payloads;
+      std::vector<Bytes> wire;
+      for (std::size_t i = 0; i < m; ++i) {
+        Bytes payload =
+            random_payload(rng, lengths[next_length++ % std::size(lengths)]);
+        payloads.push_back(payload);
+        // Alternate the copying and the owning overload.
+        wire = i % 2 == 0 ? enc.add(util::ByteSpan(payload))
+                          : enc.add(std::move(payload));
+        if (i + 1 < k) {
+          EXPECT_TRUE(wire.empty());
+        }
+      }
+      if (m < k) wire = enc.flush();
+      EXPECT_EQ(wire, reference_group(payloads, n, k, group_id++));
+    }
+    EXPECT_EQ(enc.groups_emitted(), sizes.size());
+    EXPECT_EQ(enc.held_count(), 0u);
+  }
+}
+
+TEST(GroupCoding, SteadyStateEncodeTakesNoPoolMisses) {
+  // A private arena stands in for a worker's: payloads come from it the way
+  // a filter's FrameReader draws them, and every wire packet goes back to
+  // it the way PacketFilter::emit(Bytes&&) releases it after the write.
+  util::BufferPool arena;
+  util::BufferPool* const previous = util::BufferPool::install_local(&arena);
+  GroupEncoder enc(6, 4);
+  const std::size_t lengths[] = {0, 1, 333, 1400, 90};
+  std::size_t next_length = 0;
+  const auto encode_groups = [&](int groups) {
+    for (int g = 0; g < groups * 4; ++g) {
+      Bytes payload =
+          arena.acquire(lengths[next_length++ % std::size(lengths)]);
+      for (auto& w : enc.add(std::move(payload))) arena.release(std::move(w));
+    }
+  };
+  encode_groups(20);  // warm-up: every length pattern has cycled through
+  const util::BufferPool::Stats before = arena.stats();
+  encode_groups(1000);
+  const util::BufferPool::Stats after = arena.stats();
+  util::BufferPool::install_local(previous);
+  EXPECT_EQ(after.misses - before.misses, 0u);
+  // 4 payloads and 6 wire packets per group, all served from the arena.
+  EXPECT_EQ(after.hits - before.hits, 1000u * 10u);
+  EXPECT_EQ(enc.groups_emitted(), 1020u);
 }
 
 // Property sweep: random loss at rate p, (n,k) from the design space; the

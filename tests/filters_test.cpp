@@ -206,6 +206,42 @@ TEST(UepFilter, OverheadMatchesPolicyRates) {
   EXPECT_EQ(uep->parity_packets_emitted(), 4u);
 }
 
+TEST(UepFilter, UnparseablePacketsAreProtectedAtTheOtherClass) {
+  // Every class but kOther gets (3, 2), so a packet read as any real class
+  // would land in a 3-packet group instead of kOther's (6, 4).
+  fec::UepPolicy policy = fec::UepPolicy::uniform({3, 2});
+  policy.set(fec::FrameClass::kOther, {6, 4});
+  Harness h;
+  h.chain->insert(std::make_shared<UepFecEncodeFilter>(policy), 0);
+
+  media::MediaPacket key;
+  key.frame_class = fec::FrameClass::kKey;
+  key.payload = Bytes(40, 1);
+  Bytes bad_class = key.serialize();
+  bad_class[media::MediaPacket::kHeaderSize - 1] =
+      static_cast<std::uint8_t>(fec::FrameClass::kOther) + 1;
+  Bytes no_class = key.serialize();
+  no_class[media::MediaPacket::kHeaderSize - 1] = 0xff;
+  const std::vector<Bytes> other = {
+      Bytes(media::MediaPacket::kHeaderSize - 1, 7),  // header cut short
+      bad_class, Bytes(1, 9), no_class};
+  for (const auto& p : other) h.source->push(p);
+  h.run_to_completion();
+
+  // One full (6, 4) group: the four packets, verbatim, plus two parity.
+  const auto wire = h.sink->packets();
+  ASSERT_EQ(wire.size(), 6u);
+  std::vector<Bytes> data;
+  for (const auto& w : wire) {
+    util::Reader r(w);
+    const fec::GroupHeader hdr = fec::GroupHeader::decode_from(r);
+    EXPECT_EQ(hdr.n, 6);
+    EXPECT_EQ(hdr.k, 4);
+    if (!hdr.is_parity()) data.push_back(r.raw(r.remaining()));
+  }
+  EXPECT_EQ(data, other);
+}
+
 TEST(UepFilter, StreamDecodableByStandardDecoder) {
   Harness h;
   h.chain->insert(std::make_shared<UepFecEncodeFilter>(), 0);

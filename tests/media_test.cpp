@@ -46,6 +46,29 @@ TEST(MediaPacket, TruncatedHeaderThrows) {
   EXPECT_THROW(MediaPacket::parse(Bytes{1, 2, 3}), util::SerialError);
 }
 
+TEST(MediaPacket, PeekFrameClassAcceptsExactlyWhatParseAccepts) {
+  MediaPacket p;
+  p.seq = 9;
+  p.payload = {4, 5, 6};
+  const Bytes full = p.serialize();
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    for (int cls = 0; cls < 256; ++cls) {
+      Bytes wire(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
+      if (len >= MediaPacket::kHeaderSize) {
+        wire[MediaPacket::kHeaderSize - 1] = static_cast<std::uint8_t>(cls);
+      }
+      const auto peeked = MediaPacket::peek_frame_class(wire);
+      try {
+        const MediaPacket parsed = MediaPacket::parse(wire);
+        ASSERT_TRUE(peeked.has_value()) << "len " << len << " class " << cls;
+        EXPECT_EQ(*peeked, parsed.frame_class);
+      } catch (const util::SerialError&) {
+        EXPECT_FALSE(peeked.has_value()) << "len " << len << " class " << cls;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AudioSource
 

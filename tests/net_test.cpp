@@ -2,6 +2,7 @@
 // SimNetwork datagram fabric (unicast, multicast, blocking receive).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "net/link.h"
@@ -177,6 +178,40 @@ TEST(SimNetwork, UnicastDelivery) {
   EXPECT_EQ(to_string(d->payload), "hello");
   EXPECT_EQ(d->src, (Address{f.a, 100}));
   EXPECT_EQ(sb->packets_received(), 1u);
+}
+
+TEST(SimNetwork, UnicastPayloadIsACopyOfTheSendersBuffer) {
+  NetFixture f;
+  auto sa = f.net.open(f.a, 100);
+  auto sb = f.net.open(f.b, 200);
+  Bytes buf = to_bytes("original");
+  sa->send_to({f.b, 200}, buf);
+  std::fill(buf.begin(), buf.end(), std::uint8_t{'x'});  // sender reuses it
+  const auto d = sb->recv(1000);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(to_string(d->payload), "original");
+}
+
+TEST(SimNetwork, MulticastPayloadIsACopyOfTheSendersBuffer) {
+  NetFixture f;
+  const Address group = multicast_group(4, 500);
+  auto sa = f.net.open(f.a);
+  auto sb = f.net.open(f.b);
+  auto sc = f.net.open(f.c);
+  sb->join(group);
+  sc->join(group);
+  Bytes buf = to_bytes("original");
+  sa->send_to(group, buf);
+  std::fill(buf.begin(), buf.end(), std::uint8_t{'x'});
+  auto db = sb->recv(1000);
+  auto dc = sc->recv(1000);
+  ASSERT_TRUE(db.has_value());
+  ASSERT_TRUE(dc.has_value());
+  EXPECT_EQ(to_string(db->payload), "original");
+  EXPECT_EQ(to_string(dc->payload), "original");
+  // Each member owns its copy: one receiver's edits never reach the other.
+  db->payload[0] = 'y';
+  EXPECT_EQ(to_string(dc->payload), "original");
 }
 
 TEST(SimNetwork, UnknownDestinationIsDropped) {

@@ -26,11 +26,12 @@ Rules
          the op table in docs/control_protocol.md.
   RW005  Every bench/bench_*.cpp emits the BENCH json summary line.
   RW006  No fresh util::Bytes construction inside the per-packet hot paths
-         (PacketFilter run()/on_packet() bodies). Steady-state pass-through
-         must be allocation-free (tests/filter_chain_test.cpp asserts it):
-         acquire scratch from util::default_pool() or move an existing
-         buffer through. Transform filters that genuinely need a fresh
-         output buffer carry a reasoned waiver.
+         (run()/on_packet() bodies, and the on_ready() drives that
+         event-hosted chains execute instead of run()). Steady-state
+         pass-through must be allocation-free (tests/filter_chain_test.cpp
+         asserts it): acquire scratch from util::BufferPool::local() or move
+         an existing buffer through. Transform filters that genuinely need a
+         fresh output buffer carry a reasoned waiver.
   RW007  No wall-clock time in the simulated layers: src/net/, src/wireless/
          and src/sim/ must not call std::chrono::steady_clock::now() or
          sleep_for. Those layers run under sim::VirtualClock in tests and
@@ -293,7 +294,8 @@ def check_rw005() -> None:
 # ---------------------------------------------------------------------------
 # RW006: per-packet util::Bytes construction in data-plane hot loops
 
-HOT_DEF_RE = re.compile(r"\b(?:[A-Za-z_]\w*::)*(run|on_packet)\s*\(")
+HOT_DEF_RE = re.compile(
+    r"\b(?:[A-Za-z_]\w*::)*(run|on_packet|on_ready)\s*\(")
 # A Bytes object being created: declaration (`util::Bytes body = ...`,
 # `Bytes out;`) or a ctor expression (`emit(util::Bytes(...))`).
 BYTES_CTOR_RE = re.compile(r"\b(?:util::)?Bytes\b\s*(?:[a-z_]\w*\s*)?[({=;]")
@@ -352,9 +354,9 @@ def check_rw006() -> None:
                 if BYTES_CTOR_RE.search(code):
                     report(path, lineno, "RW006",
                            "fresh util::Bytes in a per-packet hot path "
-                           "(run()/on_packet()); acquire from "
-                           "util::default_pool() or move the input buffer "
-                           "through", raw_lines[lineno - 1])
+                           "(run()/on_packet()/on_ready()); acquire from "
+                           "util::BufferPool::local() or move the input "
+                           "buffer through", raw_lines[lineno - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +460,12 @@ SELF_CHECK_DIRTY = {
         "  util::Bytes fresh(16);\n"
         "}\n"
     ),
+    "src/dirty/hot_event.cpp": (
+        "Filter::Drive Filt::on_ready() {\n"
+        "  buf_ = util::Bytes();\n"
+        "  return Drive::kIdle;\n"
+        "}\n"
+    ),
     "src/net/dirty_clock.cpp": (
         "void nap() { std::this_thread::sleep_for(t); }\n"
     ),
@@ -472,6 +480,7 @@ SELF_CHECK_EXPECTED = sorted([
     ("src/core/control.h", "RW004"), ("docs/control_protocol.md", "RW004"),
     ("bench/bench_dirty.cpp", "RW005"),
     ("src/dirty/hot.cpp", "RW006"),
+    ("src/dirty/hot_event.cpp", "RW006"),
     ("src/net/dirty_clock.cpp", "RW007"),
     ("src/sim/dirty_block.cpp", "RW008"),
 ])
@@ -507,6 +516,13 @@ SELF_CHECK_CLEAN = {
         "void Filt::run(core::PacketContext& ctx) {\n"
         "  out = std::move(ctx.packet);\n"
         "  util::Bytes w(4);  // rw-lint: allow(RW006) self-check fixture\n"
+        "}\n"
+    ),
+    "src/clean/hot_event.cpp": (
+        "Filter::Drive Filt::on_ready() {\n"
+        "  buf_ = util::BufferPool::local().acquire(kChunk);\n"
+        "  util::Bytes t = tail();  // rw-lint: allow(RW006) self-check fixture\n"
+        "  return Drive::kIdle;\n"
         "}\n"
     ),
     "src/net/clean_clock.cpp": (
