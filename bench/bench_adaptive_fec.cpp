@@ -142,7 +142,7 @@ Outcome run(Strategy strategy) {
       onset_s = util::micros_to_seconds(clock->now());
     }
     wlan.set_distance(mobile_node, distance);
-    const auto wire = packetizer.next_packet().serialize();
+    const auto wire = packetizer.next().serialize();
     media_bytes += wire.size();
     tx->send_to({proxy_node, 4000}, wire);
     clock->advance(20'000);

@@ -1,7 +1,12 @@
 // Chain-length overhead: throughput of a proxy chain as null filters are
-// added. Each filter adds one thread and one detachable-stream hop, so this
-// measures the cost of composability itself — the framework must stay
-// "lightweight" (Section 6's contrast with cluster-based proxies).
+// added. Each filter adds one drive and one detachable-stream hop on the
+// chain's worker, so this measures the cost of composability itself — the
+// framework must stay "lightweight" (Section 6's contrast with
+// cluster-based proxies).
+//
+// Every row first checks packet conservation: the sink must receive
+// exactly the packets pushed, or the bench reports the row and exits
+// non-zero (a chain that drops data must never print a throughput).
 //
 // Besides raw packets/s the bench reports:
 //   * vs_memcpy            — MB/s normalized by a same-run memcpy baseline,
@@ -60,6 +65,7 @@ struct Result {
   double mbytes_per_sec;
   double allocs_per_10k;
   double pool_hit_rate;
+  std::size_t delivered;  // fewest packets the sink received over the reps
 };
 
 Result run_once(std::size_t chain_len, std::size_t packet_bytes,
@@ -110,6 +116,7 @@ Result run_once(std::size_t chain_len, std::size_t packet_bytes,
   r.pool_hit_rate = pool_total == 0
                         ? 0.0
                         : static_cast<double>(pool_hits) / pool_total;
+  r.delivered = sink->count();
   return r;
 }
 
@@ -125,6 +132,7 @@ Result run(std::size_t chain_len, std::size_t packet_bytes, int packets,
     Result r = run_once(chain_len, packet_bytes, packets);
     r.packets_per_sec = std::max(r.packets_per_sec, best.packets_per_sec);
     r.mbytes_per_sec = std::max(r.mbytes_per_sec, best.mbytes_per_sec);
+    if (i > 0) r.delivered = std::min(r.delivered, best.delivered);
     best = r;
   }
   return best;
@@ -169,8 +177,15 @@ int main(int argc, char** argv) {
   std::printf("%10s %10s %16s %14s %11s %12s %9s\n", "filters", "pkt B",
               "packets/s", "MB/s", "vs_memcpy", "allocs/10k", "pool hit");
   const int reps = quick ? 1 : 3;
+  bool conserved = true;
   const auto bench = [&](std::size_t len, std::size_t bytes, int packets) {
     const Result r = run(len, bytes, packets, reps);
+    if (r.delivered != static_cast<std::size_t>(packets)) {
+      std::printf("CONSERVATION FAILED: %zu filters, %zu B: delivered %zu of "
+                  "%d packets\n",
+                  len, bytes, r.delivered, packets);
+      conserved = false;
+    }
     const double ratio = r.mbytes_per_sec / memcpy_ref;
     std::printf("%10zu %10zu %16.0f %14.1f %10.4fx %12.0f %8.2f%%\n", len,
                 bytes, r.packets_per_sec, r.mbytes_per_sec, ratio,
@@ -203,12 +218,16 @@ int main(int argc, char** argv) {
   }
   json.write();
   std::printf(
-      "\nshape check: per-filter cost is one buffer copy plus one thread\n"
-      "hand-off, so throughput stays within the same order of magnitude\n"
-      "even at 16 filters (pipeline parallelism can even help with large\n"
-      "packets) — orders of magnitude above the 2 Mbps WaveLAN the proxy\n"
-      "actually feeds. allocs/10k counts the whole process including the\n"
-      "bench harness (~2 allocs/packet of copy-in/copy-out); the pool keeps\n"
-      "the per-hop contribution near zero.\n");
+      "\nshape check: per-filter cost is one buffer copy plus one stream\n"
+      "hop on the chain's worker, so throughput stays within the same order\n"
+      "of magnitude even at 16 filters — orders of magnitude above the\n"
+      "2 Mbps WaveLAN the proxy actually feeds. allocs/10k counts the whole\n"
+      "process including the bench harness (~2 allocs/packet of\n"
+      "copy-in/copy-out); the pool keeps the per-hop contribution near\n"
+      "zero.\n");
+  if (!conserved) {
+    std::printf("\nFAILED: a row lost packets (see above)\n");
+    return 1;
+  }
   return 0;
 }

@@ -61,16 +61,9 @@ class SyntheticPacketSource final : public core::PacketSource {
   SyntheticPacketSource(std::uint64_t total, std::size_t payload)
       : total_(total), payload_(payload) {}
 
-  std::optional<util::Bytes> next_packet() override {
-    bool finished = false;
-    return poll_packet(&finished);
-  }
-
   void interrupt() override {
     interrupted_.store(true, std::memory_order_release);
   }
-
-  bool pollable() const override { return true; }
 
   std::optional<util::Bytes> poll_packet(bool* finished) override {
     if (produced_ >= total_ || interrupted_.load(std::memory_order_acquire)) {
@@ -81,8 +74,6 @@ class SyntheticPacketSource final : public core::PacketSource {
     ++produced_;
     return util::BufferPool::local().acquire(payload_);
   }
-
-  void set_scheduler(core::Scheduler*) override {}  // never would-blocks
 
  private:
   const std::uint64_t total_;

@@ -121,7 +121,7 @@ int main() {
     const util::Micros now = clock->now();
     const double distance = walk.distance_at(now);
     wlan.set_distance(mobile_node, distance);
-    tx->send_to({proxy_node, 4000}, packetizer.next_packet().serialize());
+    tx->send_to({proxy_node, 4000}, packetizer.next().serialize());
     clock->advance(20'000);
     if (i % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (i % 250 == 0) {  // report every 5 media seconds

@@ -121,7 +121,7 @@ int main() {
   media::AudioPacketizer packetizer(audio);
   constexpr int kPackets = 5400;  // ~ the Figure 7 trace length
   for (int i = 0; i < kPackets; ++i) {
-    tx->send_to({proxy_node, 4000}, packetizer.next_packet().serialize());
+    tx->send_to({proxy_node, 4000}, packetizer.next().serialize());
     clock->advance(packetizer.packet_duration_us());
     if (i % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -93,7 +93,7 @@ struct Deployment {
       media::AudioSource audio;
       media::AudioPacketizer packetizer(audio);
       while (!stop.load()) {
-        tx->send_to({proxy_node, 4000}, packetizer.next_packet().serialize());
+        tx->send_to({proxy_node, 4000}, packetizer.next().serialize());
         clock->advance(20'000);
         std::this_thread::sleep_for(std::chrono::microseconds(500));
       }

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/metrics.h"  // for the RW_OBS_ENABLED compile-out switch
+#include "util/framing.h"
 
 namespace rapidware::core {
 
@@ -164,7 +165,7 @@ void DetachableInputStream::mark_soft_eof() {
   rw::MutexLock lk(st_->mu);
   st_->soft_eof = true;
   st_->readable.notify_all();
-  st_->fire_readable();  // event-hosted owner must drain and observe EOF
+  st_->fire_readable();  // a polling owner must drain and observe EOF
 }
 
 std::uint64_t DetachableInputStream::bytes_received() const {
@@ -320,9 +321,13 @@ bool DetachableOutputStream::try_write_vec(
     throw BrokenPipe("DOS::try_write: stream closed during write");
   }
   if (total > st->ring.capacity()) {
-    // All-or-nothing can never succeed: waiting for space that cannot
-    // exist would park the chain forever.
-    throw StreamError("DOS::try_write_vec: write larger than ring capacity");
+    // A frame larger than the ring can never fit beside other bytes: wait
+    // for the reader to drain the ring, then grow it once to the frame's
+    // size so the frame still lands whole (never torn across a splice).
+    if (total > util::kMaxFrameSize + util::kFrameHeaderSize) {
+      throw StreamError("DOS::try_write_vec: write larger than a frame");
+    }
+    if (st->ring.empty()) st->ring.grow(total);
   }
   if (st->ring.free_space() < total) {
     if (st->write_sched != nullptr) st->write_armed = true;
@@ -394,7 +399,7 @@ void DetachableOutputStream::pause() {
       st->swflag = true;
       st->writable.notify_all();
       st->readable.notify_all();
-      // An event-hosted reader must drain the ring so this pause can
+      // A polling reader must drain the ring so this pause can
       // complete; a hosted writer re-polls, sees swflag, and re-arms at
       // the DOS level where reconnect() will fire it.
       st->fire_readable();

@@ -16,10 +16,13 @@
 // proxy filters on a running data stream. As in the paper, pause() and
 // reconnect() invoked on a DIS are reference calls forwarded to the peer DOS.
 //
-// Concurrency contract: one reader thread per DIS, one writer thread per
-// DOS; any thread may invoke control operations (pause/reconnect/close),
-// but concurrent control operations on the same stream must be serialized
-// by the caller (FilterChain does this).
+// Concurrency contract: one consumer per DIS and one producer per DOS.
+// Inside a chain that is a filter's non-blocking drive on its worker
+// (poll_read_borrow / try_write_*); outside one it may be an external
+// thread using the blocking read_some()/write() calls the paper defines.
+// Any thread may invoke control operations (pause/reconnect/close), but
+// concurrent control operations on the same stream must be serialized by
+// the caller (FilterChain does this).
 #pragma once
 
 #include <atomic>
@@ -100,7 +103,7 @@ struct InputState {
     }
   }
 
-  /// Same for the armed writable watcher of the connected event-mode DOS.
+  /// Same for the armed writable watcher of the connected DOS.
   void fire_writable() RW_REQUIRES(mu) {
     if (write_sched != nullptr && write_armed) {
       write_armed = false;
@@ -301,8 +304,10 @@ class DetachableOutputStream final : public util::ByteSink {
   /// arms at this DOS; a full ring arms at the sink). Because mu_ is held
   /// across the whole transaction, a concurrent pause() can never splice
   /// between segments — the no-torn-frames contract without the in-flight
-  /// writer window. Throws BrokenPipe like write(); throws StreamError if
-  /// the segments can never fit (total exceeds the sink ring's capacity).
+  /// writer window. A write larger than the sink ring (a big frame) waits
+  /// for the ring to drain, which then grows once to the write's size.
+  /// Throws BrokenPipe like write(); throws StreamError for a write larger
+  /// than the largest frame (util::kMaxFrameSize plus its header).
   bool try_write_vec(std::span<const util::ByteSpan> segments) override;
 
   /// Non-blocking partial write: accepts what fits now, returns the count,
@@ -379,10 +384,11 @@ class DetachableOutputStream final : public util::ByteSink {
   int active_writers_ RW_GUARDED_BY(mu_) = 0;
   int pause_waiters_ RW_GUARDED_BY(mu_) = 0;  // pauses parked in writers_cv_
 
-  // Event-mode writable watcher. Armed here when a try_write_* found the
-  // stream paused or disconnected (no sink to arm); reconnect() and
-  // close() fire it. While connected the same watcher is mirrored into the
-  // sink's InputState so a full-ring arm is fired by the draining reader.
+  // Writable watcher of a polling producer. Armed here when a try_write_*
+  // found the stream paused or disconnected (no sink to arm); reconnect()
+  // and close() fire it. While connected the same watcher is mirrored into
+  // the sink's InputState so a full-ring arm is fired by the draining
+  // reader.
   Scheduler* write_sched_ RW_GUARDED_BY(mu_) = nullptr;
   bool write_armed_ RW_GUARDED_BY(mu_) = false;
 

@@ -10,28 +10,10 @@
 
 namespace rapidware::core {
 
-std::optional<util::Bytes> PacketSource::poll_packet(bool* /*finished*/) {
-  throw std::logic_error("packet source is not pollable");
-}
-
 PacketReaderEndpoint::PacketReaderEndpoint(std::string name,
                                            std::shared_ptr<PacketSource> source,
                                            std::size_t buffer_capacity)
     : Filter(std::move(name), buffer_capacity), source_(std::move(source)) {}
-
-void PacketReaderEndpoint::run() {
-  for (;;) {
-    auto packet = source_->next_packet();
-    if (!packet) break;
-    // Count before the frame becomes observable downstream: anyone who saw
-    // the packet must also see it in the metric (STATS is a faithful view).
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    util::write_frame(dos(), *packet);
-    // The source's buffer is dead here; recycle it so pool-aware producers
-    // (and downstream FrameReaders) stop hitting the allocator.
-    util::BufferPool::local().release(std::move(*packet));
-  }
-}
 
 void PacketReaderEndpoint::event_start() {
   ev_parked_.reset();
@@ -57,14 +39,18 @@ Filter::Drive PacketReaderEndpoint::on_ready() {
   for (int budget = 0; budget < kDriveBudget; ++budget) {
     bool finished = false;
     auto packet = source_->poll_packet(&finished);
-    // Exhausted means run() would have returned: kDone without closing the
-    // DOS, so downstream stays connected (removal protocol).
+    // Exhausted: kDone without closing the DOS, so downstream stays
+    // connected (removal protocol).
     if (!packet) return finished ? Drive::kDone : Drive::kIdle;
+    // Count before the frame becomes observable downstream: anyone who saw
+    // the packet must also see it in the metric (STATS is a faithful view).
     packets_.fetch_add(1, std::memory_order_relaxed);
     if (!util::try_write_frame(dos(), *packet)) {
       ev_parked_ = std::move(packet);
       return Drive::kIdle;
     }
+    // The source's buffer is dead here; recycle it so pool-aware producers
+    // (and downstream FrameReaders) stop hitting the allocator.
     util::BufferPool::local().release(std::move(*packet));
   }
   return Drive::kMore;
@@ -80,20 +66,6 @@ PacketWriterEndpoint::PacketWriterEndpoint(std::string name,
                                            std::shared_ptr<PacketSink> sink,
                                            std::size_t buffer_capacity)
     : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {}
-
-void PacketWriterEndpoint::run() {
-  util::FrameReader frames(dis());
-  for (;;) {
-    auto packet = frames.next();
-    if (!packet) break;
-    // Count before delivery: a caller woken by the sink (e.g. wait_for(n))
-    // must never read a metric that lags what the sink already handed out.
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    sink_->deliver(*packet);
-    util::BufferPool::local().release(std::move(*packet));
-  }
-  sink_->on_end();
-}
 
 void PacketWriterEndpoint::event_start() {
   ev_frames_ = std::make_unique<util::FrameReader>(dis());
@@ -114,7 +86,8 @@ Filter::Drive PacketWriterEndpoint::on_ready() {
       }
       return Drive::kDone;
     }
-    // Same ordering contract as run(): count before delivery.
+    // Count before delivery: a caller woken by the sink (e.g. wait_for(n))
+    // must never read a metric that lags what the sink already handed out.
     packets_.fetch_add(1, std::memory_order_relaxed);
     sink_->deliver(*packet);
     util::BufferPool::local().release(std::move(*packet));
@@ -134,17 +107,12 @@ ByteReaderEndpoint::ByteReaderEndpoint(std::string name,
                                        std::size_t buffer_capacity)
     : Filter(std::move(name), buffer_capacity),
       source_(std::move(source)),
-      chunk_(chunk) {}
-
-void ByteReaderEndpoint::run() {
-  util::Bytes buf = util::BufferPool::local().acquire(chunk_);
-  for (;;) {
-    buf.resize(chunk_);
-    const std::size_t n = source_->read_some(buf);
-    if (n == 0) break;
-    dos().write(util::ByteSpan(buf.data(), n));
+      chunk_(chunk) {
+  if (!source_->pollable()) {
+    throw std::invalid_argument("ByteReaderEndpoint " + this->name() +
+                                ": source is not pollable (a worker drive "
+                                "cannot block in read_some)");
   }
-  util::BufferPool::local().release(std::move(buf));
 }
 
 void ByteReaderEndpoint::event_start() {
@@ -197,8 +165,8 @@ Filter::Drive ByteReaderEndpoint::on_ready() {
         &end);
     if (n == 0) {
       ev_buf_.clear();
-      // Exhausted means run() would have returned: kDone without closing
-      // the DOS (removal protocol); empty-and-open armed the watcher.
+      // Exhausted: kDone without closing the DOS (removal protocol);
+      // empty-and-open armed the watcher.
       return end ? Drive::kDone : Drive::kIdle;
     }
     ev_buf_.resize(n);
@@ -215,23 +183,17 @@ Filter::Drive ByteReaderEndpoint::on_ready() {
 ByteWriterEndpoint::ByteWriterEndpoint(std::string name,
                                        std::shared_ptr<util::ByteSink> sink,
                                        std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {}
+    : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {
+  if (!sink_->pollable()) {
+    throw std::invalid_argument("ByteWriterEndpoint " + this->name() +
+                                ": sink is not pollable (a worker drive "
+                                "cannot block in write)");
+  }
+}
 
 namespace {
 constexpr std::size_t kWriterChunk = 4096;
 }  // namespace
-
-void ByteWriterEndpoint::run() {
-  util::Bytes buf = util::BufferPool::local().acquire(kWriterChunk);
-  for (;;) {
-    buf.resize(kWriterChunk);
-    const std::size_t n = dis().read_some(buf);
-    if (n == 0) break;
-    sink_->write(util::ByteSpan(buf.data(), n));
-  }
-  sink_->flush();
-  util::BufferPool::local().release(std::move(buf));
-}
 
 void ByteWriterEndpoint::event_start() {
   ev_watch_.bind(event_scheduler());
@@ -294,24 +256,6 @@ Filter::Drive ByteWriterEndpoint::on_ready() {
   return Drive::kMore;
 }
 
-std::optional<util::Bytes> QueuePacketSource::next_packet() {
-  rw::MutexLock lk(mu_);
-  if (queue_.empty() && !finished_) {
-    ++waiters_;
-    cv_.wait(mu_, [this] {
-      mu_.assert_held();
-      return finished_ || !queue_.empty();
-    });
-    --waiters_;
-  }
-  if (queue_.empty()) return std::nullopt;
-  util::Bytes packet = std::move(queue_.front());
-  queue_.pop_front();
-  return packet;
-}
-
-void QueuePacketSource::interrupt() { finish(); }
-
 std::optional<util::Bytes> QueuePacketSource::poll_packet(bool* finished) {
   rw::MutexLock lk(mu_);
   *finished = false;
@@ -349,18 +293,13 @@ void QueuePacketSource::fire_readable_locked() {
 void QueuePacketSource::push(util::Bytes packet) {
   rw::MutexLock lk(mu_);
   queue_.push_back(std::move(packet));
-  // Single consumer; skip the notify syscall when it is not parked.
-  if (waiters_ > 0) cv_.notify_one();
   fire_readable_locked();
 }
 
 void QueuePacketSource::finish() {
-  {
-    rw::MutexLock lk(mu_);
-    finished_ = true;
-    fire_readable_locked();
-  }
-  cv_.notify_all();
+  rw::MutexLock lk(mu_);
+  finished_ = true;
+  fire_readable_locked();
 }
 
 void CollectingPacketSink::deliver(util::ByteSpan packet) {

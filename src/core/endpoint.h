@@ -21,38 +21,29 @@
 
 namespace rapidware::core {
 
-/// Blocking packet producer for reader endpoints.
+/// Packet producer for reader endpoints, consumed without blocking: a poll
+/// that finds nothing arms the registered scheduler, whose on_readable()
+/// fires exactly once when a packet (or the end) arrives — the same
+/// one-shot contract the detachable streams use.
 class PacketSource {
  public:
   virtual ~PacketSource() = default;
 
-  /// Blocks for the next packet; nullopt means the source is exhausted or
-  /// was interrupted.
-  virtual std::optional<util::Bytes> next_packet() = 0;
-
-  /// Unblocks a pending or future next_packet() call, making it return
-  /// nullopt. Called from another thread to stop the endpoint.
-  virtual void interrupt() {}
-
-  // Optional non-blocking surface (event-hosted reader endpoints). A source
-  // that returns true from pollable() must implement poll_packet() and
-  // set_scheduler(): a poll that finds the queue empty arms the registered
-  // scheduler, whose on_readable() fires exactly once when a packet (or
-  // the finished flag) arrives — the same one-shot contract the detachable
-  // streams use.
-
-  /// Whether this source supports the poll_packet()/set_scheduler() pair.
-  virtual bool pollable() const { return false; }
-
-  /// Non-blocking next_packet(): nullopt with *finished=false means
-  /// would-block (the scheduler is now armed); nullopt with *finished=true
-  /// means exhausted/interrupted.
-  virtual std::optional<util::Bytes> poll_packet(bool* finished);
+  /// The next packet, or nullopt: with *finished=false that means
+  /// would-block (the scheduler is now armed); with *finished=true the
+  /// source is exhausted or was interrupted.
+  virtual std::optional<util::Bytes> poll_packet(bool* finished) = 0;
 
   /// Registers (or, with nullptr, clears) the readiness target for
-  /// poll_packet() would-blocks. The callback runs under the source's
-  /// internal lock and must only post, never re-enter the source.
+  /// poll_packet() would-blocks. The callback may run under the source's
+  /// internal lock and must only post, never re-enter the source. Default:
+  /// no-op, for sources whose polls always make progress.
   virtual void set_scheduler(Scheduler*) {}
+
+  /// Ends the stream from another thread: polls report finished once what
+  /// is already queued has been taken, and an armed scheduler fires so the
+  /// endpoint notices.
+  virtual void interrupt() {}
 };
 
 /// Packet consumer for writer endpoints.
@@ -75,12 +66,8 @@ class PacketReaderEndpoint final : public Filter {
                        std::size_t buffer_capacity =
                            DetachableInputStream::kDefaultCapacity);
 
-  /// Asks the source to stop; run() then exits after the current packet.
+  /// Asks the source to stop; the run ends after the current packet.
   void interrupt() override { source_->interrupt(); }
-
-  /// Event-hostable only when the source offers the non-blocking surface;
-  /// otherwise start_on() falls back to the thread shim.
-  bool event_capable() const override { return source_->pollable(); }
 
   std::uint64_t packets_read() const noexcept {
     return packets_.load(std::memory_order_relaxed);
@@ -89,12 +76,10 @@ class PacketReaderEndpoint final : public Filter {
   void register_metrics(obs::Scope scope) override;
 
  protected:
-  void run() override;
-
-  /// Event drive: poll packets from the source and frame them downstream.
+  /// The drive: poll packets from the source and frame them downstream.
   /// A frame that finds the ring full is parked (one-deep stash) and
   /// retried on the writable callback; source exhaustion reaches kDone
-  /// without closing the DOS — exactly like run() returning.
+  /// without closing the DOS, so downstream stays connected.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -102,8 +87,7 @@ class PacketReaderEndpoint final : public Filter {
  private:
   std::shared_ptr<PacketSource> source_;
   std::atomic<std::uint64_t> packets_{0};
-  // Event-mode state; loop-thread-only between event_start() and the final
-  // drive.
+  // Run state; loop-thread-only between event_start() and the final drive.
   std::optional<util::Bytes> ev_parked_;  // payload awaiting ring space
 };
 
@@ -115,8 +99,6 @@ class PacketWriterEndpoint final : public Filter {
                        std::size_t buffer_capacity =
                            DetachableInputStream::kDefaultCapacity);
 
-  bool event_capable() const override { return true; }
-
   std::uint64_t packets_written() const noexcept {
     return packets_.load(std::memory_order_relaxed);
   }
@@ -124,11 +106,9 @@ class PacketWriterEndpoint final : public Filter {
   void register_metrics(obs::Scope scope) override;
 
  protected:
-  void run() override;
-
-  /// Event drive: batched FrameReader::poll() pulls, each frame delivered
-  /// to the sink inline (sinks are non-blocking consumers by contract).
-  /// EOF calls on_end() once, then kDone.
+  /// The drive: batched FrameReader::poll() pulls, each frame delivered to
+  /// the sink inline (sinks are non-blocking consumers by contract). EOF
+  /// calls on_end() once, then kDone.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -136,16 +116,15 @@ class PacketWriterEndpoint final : public Filter {
  private:
   std::shared_ptr<PacketSink> sink_;
   std::atomic<std::uint64_t> packets_{0};
-  // Event-mode state; loop-thread-only between event_start() and the final
-  // drive.
+  // Run state; loop-thread-only between event_start() and the final drive.
   std::unique_ptr<util::FrameReader> ev_frames_;
   bool ev_ended_ = false;  // on_end() already delivered this run
 };
 
 /// Adapts a util::ReadyWatcher fire into a core::Scheduler re-drive —
-/// the bridge that lets event-hosted byte endpoints watch any pollable
-/// util::ByteSource/ByteSink (which cannot reference core::Scheduler from
-/// the util layer). Fired possibly under the source/sink's lock: only
+/// the bridge that lets endpoints watch any pollable util::ByteSource /
+/// ByteSink or net::SimSocket (which cannot reference core::Scheduler from
+/// the lower layers). Fired possibly under the source/sink's lock: only
 /// posts, per both contracts.
 class IoReadyForwarder final : public util::ReadyWatcher {
  public:
@@ -158,26 +137,22 @@ class IoReadyForwarder final : public util::ReadyWatcher {
   Scheduler* target_ = nullptr;
 };
 
-/// Byte-oriented reader endpoint over any util::ByteSource (the paper's
-/// EndPointStreamReader): file, in-memory buffer, generator.
+/// Byte-oriented reader endpoint over a pollable util::ByteSource (the
+/// paper's EndPointStreamReader): file, in-memory buffer, generator.
 class ByteReaderEndpoint final : public Filter {
  public:
+  /// Throws std::invalid_argument when `source` is not pollable(): a
+  /// worker drive cannot wait in a blocking read_some().
   ByteReaderEndpoint(std::string name, std::shared_ptr<util::ByteSource> source,
                      std::size_t chunk = 4096,
                      std::size_t buffer_capacity =
                          DetachableInputStream::kDefaultCapacity);
 
-  /// Event-hostable only over a pollable source (a blocking one keeps the
-  /// thread shim via start_on's fallback).
-  bool event_capable() const override { return source_->pollable(); }
-
  protected:
-  void run() override;
-
-  /// Event drive: poll the source into the recycled chunk buffer, push it
+  /// The drive: poll the source into the recycled chunk buffer, push it
   /// downstream with try_write_some, park the unwritten suffix on
   /// backpressure (input is not consumed while anything is parked). EOF
-  /// drains the park, then kDone — like run() returning.
+  /// drains the park, then kDone.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -187,29 +162,25 @@ class ByteReaderEndpoint final : public Filter {
 
   std::shared_ptr<util::ByteSource> source_;
   std::size_t chunk_;
-  // Event-mode state; loop-thread-only between the first drive and the
-  // final one (the chunk buffer is acquired lazily ON the loop thread so
-  // it comes from — and returns to — the worker's arena).
+  // Run state; loop-thread-only between the first drive and the final one
+  // (the chunk buffer is acquired lazily ON the loop thread so it comes
+  // from — and returns to — the worker's arena).
   IoReadyForwarder ev_watch_;
   util::Bytes ev_buf_;
   std::size_t ev_off_ = 0;  // written prefix of the parked ev_buf_
   bool ev_parked_ = false;
 };
 
-/// Byte-oriented writer endpoint over any util::ByteSink.
+/// Byte-oriented writer endpoint over a pollable util::ByteSink.
 class ByteWriterEndpoint final : public Filter {
  public:
+  /// Throws std::invalid_argument when `sink` is not pollable().
   ByteWriterEndpoint(std::string name, std::shared_ptr<util::ByteSink> sink,
                      std::size_t buffer_capacity =
                          DetachableInputStream::kDefaultCapacity);
 
-  /// Event-hostable only over a pollable sink.
-  bool event_capable() const override { return sink_->pollable(); }
-
  protected:
-  void run() override;
-
-  /// Event drive: batched poll_read_borrow pulls from the chain, pushed
+  /// The drive: batched poll_read_borrow pulls from the chain, pushed
   /// into the sink with try_write_some; a short sink write parks the
   /// suffix until the sink's ready watcher fires. EOF flushes, then kDone.
   Drive on_ready() override;
@@ -220,7 +191,7 @@ class ByteWriterEndpoint final : public Filter {
   bool flush_ev_parked();
 
   std::shared_ptr<util::ByteSink> sink_;
-  // Event-mode state; loop-thread-only (see ByteReaderEndpoint).
+  // Run state; loop-thread-only (see ByteReaderEndpoint).
   IoReadyForwarder ev_watch_;
   util::Bytes ev_buf_;
   std::size_t ev_off_ = 0;
@@ -231,26 +202,21 @@ class ByteWriterEndpoint final : public Filter {
 /// finish() ends the stream. Used heavily by tests and examples.
 class QueuePacketSource final : public PacketSource {
  public:
-  std::optional<util::Bytes> next_packet() override;
-  void interrupt() override;
-
-  bool pollable() const override { return true; }
   std::optional<util::Bytes> poll_packet(bool* finished) override;
   void set_scheduler(Scheduler* sched) override;
+  void interrupt() override { finish(); }
 
   void push(util::Bytes packet);
   void finish();
 
  private:
   /// Fires the armed scheduler (one-shot) under mu_; push()/finish() call
-  /// this so an event-hosted consumer wakes exactly like a parked thread.
+  /// this so the endpoint's drive is re-posted on arrival.
   void fire_readable_locked() RW_REQUIRES(mu_);
 
   rw::Mutex mu_{"core/packet_queue", rw::lockrank::kPacketQueue};
-  rw::CondVar cv_;
   std::deque<util::Bytes> queue_ RW_GUARDED_BY(mu_);
   bool finished_ RW_GUARDED_BY(mu_) = false;
-  int waiters_ RW_GUARDED_BY(mu_) = 0;  // consumers parked in next_packet()
   Scheduler* sched_ RW_GUARDED_BY(mu_) = nullptr;
   bool sched_armed_ RW_GUARDED_BY(mu_) = false;  // one-shot, armed by poll
 };

@@ -3,9 +3,8 @@
 //
 // One EventLoop multiplexes thousands of filter chains on a single OS
 // thread: instead of parking one blocking thread per filter on the stream
-// condvars, an event-hosted filter registers a core::Scheduler on its
-// streams and is POSTED here whenever an armed poll would now make
-// progress. Tasks run to completion, in order, on the loop thread — so two
+// condvars, a filter registers a core::Scheduler on its streams and is
+// POSTED here whenever an armed poll would now make progress. Tasks run to completion, in order, on the loop thread — so two
 // filters of the same chain never race, which is what makes chain-affinity
 // pinning (whole FilterChain on one worker) free of intra-chain
 // synchronization beyond the stream rings themselves.

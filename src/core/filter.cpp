@@ -13,11 +13,11 @@ namespace rapidware::core {
 
 namespace detail {
 
-/// Shared hosting state of one event-mode filter run. Tasks capture a
-/// shared_ptr, so a late readiness fire can never dangle: `alive` flips
-/// false in finish_event() ON the loop thread, and because all of a core's
-/// tasks serialize on that one thread, any task posted after the final
-/// drive observes it and returns without touching the filter.
+/// Shared hosting state of one filter run. Tasks capture a shared_ptr, so
+/// a late readiness fire or timer can never dangle: `alive` flips false in
+/// Filter::finish() ON the loop thread, and because all of a core's tasks
+/// serialize on that one thread, any task posted after the final drive
+/// observes it and returns without touching the filter.
 struct FilterEventCore final : Scheduler,
                                std::enable_shared_from_this<FilterEventCore> {
   FilterEventCore(Filter* filter, EventLoop* loop)
@@ -32,7 +32,7 @@ struct FilterEventCore final : Scheduler,
     loop->post([self = shared_from_this()] {
       self->scheduled.store(false, std::memory_order_release);
       if (!self->alive.load(std::memory_order_acquire)) return;
-      self->filter->drive_event(*self);
+      self->filter->drive(*self);
     });
   }
 
@@ -58,48 +58,19 @@ Filter::Filter(std::string name, std::size_t buffer_capacity)
       dos_(std::make_unique<DetachableOutputStream>()) {}
 
 Filter::~Filter() {
-  // Unblock and reap the processing thread if the owner forgot to.
+  // Finish a run the owner forgot to: closing the input ends a drive that
+  // waits for data, closing the output turns a write parked on
+  // backpressure into BrokenPipe, so the final drive reaches Drive::kDone.
   dis_->close();
-  if (event_core_ && event_hosted_.load(std::memory_order_acquire)) {
-    // A hosted drive parked on downstream backpressure holds no thread we
-    // could join; closing the DOS turns its parked try_write into
-    // BrokenPipe so the final drive reaches Drive::kDone.
-    dos_->close();
-  }
-  if (thread_.joinable()) thread_.join();
-  if (const std::shared_ptr<detail::FilterEventCore> core = event_core_) {
-    rw::MutexLock lk(core->mu);
-    core->done_cv.wait(core->mu, [c = core.get()] {
-      c->mu.assert_held();
-      return c->done;
-    });
-  }
+  dos_->close();
+  join();
 }
 
-void Filter::start() {
-  if (running_.load(std::memory_order_acquire)) {
-    throw StreamError("Filter::start: already running");
-  }
-  if (thread_.joinable()) thread_.join();  // reap a previous run
-  event_core_.reset();  // a previous hosted run is fully finished here
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { thread_main(); });
-}
-
-void Filter::start_on(EventLoop& loop) {
-  if (!event_capable()) {
-    // Blocking shim: subclasses without a non-blocking drive keep their
-    // thread, and the chain transparently mixes both styles.
-    start();
-    return;
-  }
-  if (running_.load(std::memory_order_acquire)) {
-    throw StreamError("Filter::start: already running");
-  }
-  if (thread_.joinable()) thread_.join();  // reap a previous thread run
+void Filter::start(EventLoop& loop) {
+  if (running()) throw StreamError("Filter::start: already running");
+  // A previous run is fully finished here: its late tasks see alive=false.
   event_core_ = std::make_shared<detail::FilterEventCore>(this, &loop);
   running_.store(true, std::memory_order_release);
-  event_hosted_.store(true, std::memory_order_release);
   event_start();
   dis_->set_read_scheduler(event_core_.get());
   dos_->set_write_scheduler(event_core_.get());
@@ -107,11 +78,7 @@ void Filter::start_on(EventLoop& loop) {
 }
 
 void Filter::join() {
-  if (thread_.joinable()) thread_.join();
   if (const std::shared_ptr<detail::FilterEventCore> core = event_core_) {
-    // Must not be called from the filter's own worker: the drive that
-    // would set `done` runs behind this very task. Control-plane threads
-    // only (FilterChain serializes them), like thread-mode join().
     rw::MutexLock lk(core->mu);
     core->done_cv.wait(core->mu, [c = core.get()] {
       c->mu.assert_held();
@@ -124,34 +91,46 @@ Scheduler* Filter::event_scheduler() const noexcept {
   return event_core_.get();
 }
 
-void Filter::drive_event(detail::FilterEventCore& core) {
+util::Micros Filter::loop_now() const {
+  return event_core_->loop->clock().now();
+}
+
+void Filter::redrive_after(util::Micros delay) {
+  // Fires on the loop thread between task batches; a run that finished
+  // meanwhile makes the re-drive a no-op (alive=false).
+  event_core_->loop->clock().schedule_after(
+      delay, [core = event_core_] { core->schedule(); });
+}
+
+void Filter::drive(detail::FilterEventCore& core) {
   Drive drive;
   try {
     drive = on_ready();
   } catch (const BrokenPipe&) {
-    // Downstream went away; normal during teardown. Mirror thread_main:
-    // close the input so upstream writers cannot wedge against a ring
-    // nobody will drain.
+    // Downstream went away; normal during teardown. Close the input so
+    // upstream writers cannot wedge against a ring nobody will drain.
     dis_->close();
     drive = Drive::kDone;
   } catch (const std::exception& e) {
+    // A dead stage must not wedge the chain either: closing its input
+    // turns upstream backpressure into BrokenPipe.
     RW_ERROR(name_) << "filter loop failed: " << e.what();
     dis_->close();
     drive = Drive::kDone;
   }
   switch (drive) {
     case Drive::kIdle:
-      return;  // a watcher is armed; its fire posts the next drive
+      return;  // a watcher or timer is armed; its fire posts the next drive
     case Drive::kMore:
       core.schedule();  // yield the worker, continue in a later batch
       return;
     case Drive::kDone:
-      finish_event(core);
+      finish(core);
       return;
   }
 }
 
-void Filter::finish_event(detail::FilterEventCore& core) {
+void Filter::finish(detail::FilterEventCore& core) {
   // Uninstall the watchers first (under the stream locks) so a concurrent
   // notify cannot arm against a finished run, then flip alive: any task
   // already queued behind this one sees it and returns.
@@ -159,7 +138,6 @@ void Filter::finish_event(detail::FilterEventCore& core) {
   dos_->set_write_scheduler(nullptr);
   event_stop();
   core.alive.store(false, std::memory_order_release);
-  event_hosted_.store(false, std::memory_order_release);
   running_.store(false, std::memory_order_release);
   rw::MutexLock lk(core.mu);
   core.done = true;
@@ -192,44 +170,6 @@ void Filter::register_metrics(obs::Scope scope) {
   scope.callback("wakeups_suppressed", [dis] {
     return static_cast<double>(dis->wakeups_suppressed());
   });
-}
-
-void Filter::thread_main() {
-  try {
-    run();
-    running_.store(false, std::memory_order_release);
-    return;
-  } catch (const BrokenPipe&) {
-    // Downstream went away; normal during teardown.
-  } catch (const std::exception& e) {
-    RW_ERROR(name_) << "filter loop failed: " << e.what();
-  }
-  // The loop died without draining its input. Close the DIS so upstream
-  // writers observe BrokenPipe instead of blocking forever against a ring
-  // nobody will ever drain — a dead tail must not wedge the whole chain.
-  dis_->close();
-  running_.store(false, std::memory_order_release);
-}
-
-void ByteFilter::run() {
-  // One buffer cycles through the whole loop: filled by the read, handed to
-  // process() by value, and whatever process() returns (the same buffer,
-  // for pass-through filters) is reused for the next read. Zero per-chunk
-  // allocations in steady state.
-  auto& pool = util::BufferPool::local();
-  util::Bytes buf = pool.acquire(kChunk);
-  for (;;) {
-    buf.resize(kChunk);
-    const std::size_t n = dis().read_some(buf);
-    if (n == 0) break;
-    buf.resize(n);
-    util::Bytes out = process(std::move(buf));
-    if (!out.empty()) dos().write(out);
-    buf = std::move(out);  // recycle the returned capacity
-  }
-  util::Bytes tail = flush_tail();  // rw-lint: allow(RW006) once at stream end, not per chunk
-  if (!tail.empty()) dos().write(tail);
-  pool.release(std::move(buf));
 }
 
 void ByteFilter::event_start() {
@@ -267,8 +207,7 @@ Filter::Drive ByteFilter::on_ready() {
     const std::size_t n = dis().poll_read_borrow(
         kChunk,
         [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          // One copy into the recycled chunk buffer — the event-mode twin
-          // of read_some()'s copy in run().
+          // One copy, into the recycled chunk buffer.
           std::memcpy(ev_buf_.data(), a.data(), a.size());
           if (!b.empty()) {
             std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
@@ -304,20 +243,6 @@ Filter::Drive ByteFilter::on_ready() {
   return Drive::kMore;
 }
 
-void PacketFilter::run() {
-  // FrameReader batches frame parsing (many frames per stream-lock
-  // acquisition) and draws payload buffers from the pool; emit(Bytes&&)
-  // returns them, closing the recycle loop.
-  util::FrameReader frames(dis());
-  for (;;) {
-    auto packet = frames.next();
-    if (!packet) break;
-    packets_in_.fetch_add(1, std::memory_order_relaxed);
-    on_packet(std::move(*packet));
-  }
-  on_flush();
-}
-
 void PacketFilter::event_start() {
   ev_frames_ = std::make_unique<util::FrameReader>(dis());
   ev_pending_.clear();
@@ -337,21 +262,13 @@ bool PacketFilter::flush_ev_pending() {
   return true;
 }
 
-void PacketFilter::ev_emit(util::Bytes&& packet) {
-  // Frames stay whole: all-or-nothing try_write_frame, with the packet
-  // parked (move, no copy) when downstream is full or mid-splice. Input is
-  // not consumed while anything is parked, so the backlog is bounded by
-  // one on_packet()'s emissions.
-  if (ev_pending_.empty() && util::try_write_frame(dos(), packet)) {
-    util::BufferPool::local().release(std::move(packet));
-    return;
-  }
-  ev_pending_.push_back(std::move(packet));
-}
-
 Filter::Drive PacketFilter::on_ready() {
   if (!flush_ev_pending()) return Drive::kIdle;
   for (int budget = 0; budget < kDriveBudget; ++budget) {
+    if (const util::Micros delay = input_delay(); delay > 0) {
+      redrive_after(delay);
+      return Drive::kIdle;
+    }
     bool end = false;
     auto packet = ev_frames_->poll(&end);
     if (!packet) {
@@ -370,28 +287,24 @@ Filter::Drive PacketFilter::on_ready() {
 }
 
 void PacketFilter::emit(util::ByteSpan packet) {
-  // Count before the frame becomes observable downstream so a STATS read
-  // triggered by the packet's arrival never sees the counter lagging it.
-  packets_out_.fetch_add(1, std::memory_order_relaxed);
-  if (event_hosted()) {
-    util::Bytes copy = util::BufferPool::local().acquire(packet.size());
-    if (!packet.empty()) {
-      std::memcpy(copy.data(), packet.data(), packet.size());
-    }
-    ev_emit(std::move(copy));
-    return;
-  }
-  util::write_frame(dos(), packet);
+  util::Bytes copy = util::BufferPool::local().acquire(packet.size());
+  if (!packet.empty()) std::memcpy(copy.data(), packet.data(), packet.size());
+  emit(std::move(copy));
 }
 
 void PacketFilter::emit(util::Bytes&& packet) {
+  // Count before the frame becomes observable downstream so a STATS read
+  // triggered by the packet's arrival never sees the counter lagging it.
   packets_out_.fetch_add(1, std::memory_order_relaxed);
-  if (event_hosted()) {
-    ev_emit(std::move(packet));
+  // Frames stay whole: all-or-nothing try_write_frame, with the packet
+  // parked (move, no copy) when downstream is full or mid-splice. Input is
+  // not consumed while anything is parked, so the backlog is bounded by
+  // one on_packet()'s emissions.
+  if (ev_pending_.empty() && util::try_write_frame(dos(), packet)) {
+    util::BufferPool::local().release(std::move(packet));
     return;
   }
-  util::write_frame(dos(), packet);
-  util::BufferPool::local().release(std::move(packet));
+  ev_pending_.push_back(std::move(packet));
 }
 
 void PacketFilter::register_metrics(obs::Scope scope) {

@@ -2,18 +2,23 @@
 //
 // Every proxy filter owns one DetachableInputStream and one
 // DetachableOutputStream — always present, so the ControlThread/FilterChain
-// can splice the filter in and out of a running stream. A filter runs its
-// processing loop on its own thread between start() and the loop's exit.
+// can splice the filter in and out of a running stream. Where the paper
+// gives every filter its own thread, a filter here runs as a non-blocking
+// drive on a core::EventLoop worker (docs/data_plane.md, "Worker model"):
+// start(loop) registers readiness watchers on its streams, and the loop
+// calls on_ready() whenever an armed poll could now make progress, so an
+// idle filter holds no thread at all.
 //
 // Two processing styles:
-//   * ByteFilter   — run() reads raw byte chunks and transforms them;
-//   * PacketFilter — run() reads length-prefixed frames (util::framing) and
-//     handles whole packets, which is how stream-type-specific insertion
-//     points ("frame boundaries", Section 3) are honoured.
+//   * ByteFilter   — process() transforms raw byte chunks;
+//   * PacketFilter — on_packet() handles whole length-prefixed frames
+//     (util::framing), which is how stream-type-specific insertion points
+//     ("frame boundaries", Section 3) are honoured.
 //
 // Removal protocol: the chain marks the filter's DIS with a soft EOF; the
-// loop observes end-of-stream, calls the flush hook (e.g. emit a partial FEC
-// group), and exits WITHOUT closing its DOS, so downstream stays connected.
+// drive observes end-of-stream, calls the flush hook (e.g. emit a partial
+// FEC group), and finishes WITHOUT closing its DOS, so downstream stays
+// connected.
 #pragma once
 
 #include <atomic>
@@ -21,11 +26,12 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "core/detachable_stream.h"
 #include "obs/metrics.h"
 #include "util/bytes.h"
+#include "util/clock.h"
 #include "util/frame_reader.h"
 
 namespace rapidware::core {
@@ -54,46 +60,36 @@ class Filter {
   DetachableInputStream& dis() noexcept { return *dis_; }
   DetachableOutputStream& dos() noexcept { return *dos_; }
 
-  /// Spawns the processing thread. May be called again after the previous
-  /// run exited (filters are restartable so a removed filter can be
-  /// re-inserted elsewhere in the chain).
-  void start();
+  /// Hosts the filter on `loop`: the loop drives on_ready() whenever a
+  /// stream readiness callback fires. May be called again after the
+  /// previous run finished (filters are restartable so a removed filter can
+  /// be re-inserted elsewhere in the chain, on any worker).
+  void start(EventLoop& loop);
 
-  /// Hosts the filter on an event loop instead of a thread: the loop
-  /// drives on_ready() whenever a stream readiness callback fires, so the
-  /// filter consumes no OS thread while idle. Falls back to start() when
-  /// the subclass is not event_capable() — that is the blocking shim that
-  /// keeps thread-per-filter code working unchanged. Restartable exactly
-  /// like start().
-  void start_on(EventLoop& loop);
-
-  /// Whether this subclass implements the non-blocking on_ready() drive.
-  /// Event-incapable filters hosted via start_on() silently run in thread
-  /// mode (the shim), so a chain may mix both styles.
-  virtual bool event_capable() const { return false; }
-
-  /// True while hosted on an event loop (between start_on() and the drive
-  /// reaching Drive::kDone).
-  bool event_hosted() const noexcept {
-    return event_hosted_.load(std::memory_order_acquire);
-  }
-
-  /// True while the processing loop is executing.
+  /// True from start() until the run's final drive.
   bool running() const noexcept {
     return running_.load(std::memory_order_acquire);
   }
 
-  /// Waits for the processing loop to exit. Does not itself request the
-  /// exit — use detach_request() or close the input first.
+  /// Waits for the run's final drive. Does not itself request the exit —
+  /// use detach_request() or close the input first. Control-plane threads
+  /// only: on the filter's own worker the drive that would end the run is
+  /// queued behind the caller.
   void join();
 
-  /// Asks the loop to finish: drains the input via soft EOF. Pair with
+  /// Asks the drive to finish: drains the input via soft EOF. Pair with
   /// join().
   void detach_request();
 
   /// Asks a source-driven filter (reader endpoint) to stop producing.
   /// Default: no-op; ordinary filters stop via detach_request().
   virtual void interrupt() {}
+
+  /// The stages the chain runs in this filter's place: this filter itself,
+  /// unless it is a composite (filters::PipelineFilter), whose children
+  /// the chain splices in as consecutive stages. A composite is one unit
+  /// for positions and typing but never runs itself.
+  virtual std::vector<Filter*> stages() { return {this}; }
 
   /// Human-readable one-line description for the control manager.
   virtual std::string describe() const { return name_; }
@@ -115,37 +111,44 @@ class Filter {
   /// Publishes this filter's metrics under `scope` (callback gauges over the
   /// filter's streams). FilterChain::bind_metrics calls this for every
   /// member and drops the scope before the filter can be destroyed.
-  /// Overrides must call the base, and registered callbacks must not acquire
-  /// the chain mutex (lock-order rule in src/obs/metrics.h).
+  /// Overrides must call the base (a composite publishes its children's
+  /// instead), and registered callbacks must not acquire the chain mutex
+  /// (lock-order rule in src/obs/metrics.h).
   virtual void register_metrics(obs::Scope scope);
 
  protected:
-  /// The processing loop body; runs on the filter's thread.
-  virtual void run() = 0;
-
-  /// What one on_ready() drive concluded (event-hosted mode).
+  /// What one on_ready() drive concluded.
   enum class Drive {
-    kIdle,  // would-block: a readiness watcher is armed, wait for it
+    kIdle,  // would-block: a readiness watcher or timer is armed, wait for it
     kMore,  // work budget exhausted; re-post so other chains get a turn
-    kDone,  // stream ended (run() returning, in thread terms)
+    kDone,  // stream ended: the run is over
   };
 
   /// One non-blocking drive: pull input via the poll APIs until would-block
   /// or the per-iteration budget is spent. Runs on the loop thread; must
-  /// never block (the whole point — rw_lint RW008 polices the loop).
-  /// Subclasses that return true from event_capable() must override.
-  virtual Drive on_ready() { return Drive::kDone; }
+  /// never block (the whole point — rw_lint RW008 polices the loop and the
+  /// filter library).
+  virtual Drive on_ready() = 0;
 
-  /// Hosted-run lifecycle hooks, called on the control thread in start_on()
-  /// (before the first drive) and on the loop thread after the final one.
-  /// Reset per-run decode state here (FrameReader, pending buffers).
+  /// Run lifecycle hooks, called on the control thread in start() (before
+  /// the first drive) and on the loop thread after the final one. Reset
+  /// per-run decode state here (FrameReader, pending buffers).
   virtual void event_start() {}
   virtual void event_stop() {}
 
   /// The readiness target for auxiliary inputs (endpoint packet sources
   /// register this with set_scheduler). Valid between event_start() and
-  /// event_stop(); null in thread mode.
+  /// event_stop().
   Scheduler* event_scheduler() const noexcept;
+
+  /// Now on the hosting loop's wall-slaved clock (EventLoop::clock()).
+  /// Valid between event_start() and event_stop().
+  util::Micros loop_now() const;
+
+  /// Re-drives this filter once `delay` microseconds of loop_now() have
+  /// passed: a one-shot timer on the hosting loop, which is how a drive
+  /// waits for time without blocking the worker its neighbours share.
+  void redrive_after(util::Micros delay);
 
   /// Per-drive work budget: after this many packets/chunks the drive
   /// returns kMore, yielding the worker to other chains (fairness under
@@ -155,22 +158,19 @@ class Filter {
  private:
   friend struct detail::FilterEventCore;
 
-  void thread_main();
-  void drive_event(detail::FilterEventCore& core);
-  void finish_event(detail::FilterEventCore& core);
+  void drive(detail::FilterEventCore& core);
+  void finish(detail::FilterEventCore& core);
 
   std::string name_;
   std::unique_ptr<DetachableInputStream> dis_;
   std::unique_ptr<DetachableOutputStream> dos_;
   // Not mutex-guarded by design: start()/join() are control-plane calls,
   // serialized externally (FilterChain holds its mu_ across every splice).
-  // Only `running_` and `event_hosted_` may be read concurrently, hence
-  // atomic. `event_core_` is written by start_on() and read by join()/the
-  // destructor — both control-plane — and by loop tasks that hold their
-  // own shared_ptr copy.
-  std::thread thread_;
+  // Only `running_` may be read concurrently, hence atomic. `event_core_`
+  // is written by start() and read by join()/the destructor — both
+  // control-plane — and by the run's own drives, which start() orders
+  // after the write; loop tasks hold their own shared_ptr copy.
   std::atomic<bool> running_{false};
-  std::atomic<bool> event_hosted_{false};
   std::shared_ptr<detail::FilterEventCore> event_core_;
 };
 
@@ -179,14 +179,9 @@ class ByteFilter : public Filter {
  public:
   using Filter::Filter;
 
-  bool event_capable() const override { return true; }
-
  protected:
-  void run() final;
-
-  /// Event-hosted drive: same process()/flush_tail() contract as run(),
-  /// fed by poll_read_borrow and drained by try_write_some. A chunk that
-  /// does not fit downstream is parked in ev_out_ and retried on the
+  /// The drive: fed by poll_read_borrow, drained by try_write_some. A chunk
+  /// that does not fit downstream is parked in ev_out_ and retried on the
   /// writable callback; input is not read while output is parked, so the
   /// parked backlog is bounded by one process() result.
   Drive on_ready() override;
@@ -202,17 +197,15 @@ class ByteFilter : public Filter {
   virtual util::Bytes flush_tail() { return {}; }
 
   /// Chunk size for reads. Sized to drain a default 64 KiB stream buffer
-  /// in a couple of reads: every read_some() is a lock acquisition (and,
-  /// when the writer is parked, a wakeup), so bigger chunks directly cut
-  /// per-byte synchronization on pass-through hops.
+  /// in a couple of reads: every read is a lock acquisition, so bigger
+  /// chunks directly cut per-byte synchronization on pass-through hops.
   static constexpr std::size_t kChunk = 32768;
 
  private:
   bool flush_ev_out();
 
-  // Event-mode state; touched only on the loop thread between
-  // event_start() and the final drive (single-consumer, like run()'s
-  // locals in thread mode).
+  // Run state; touched only on the loop thread between event_start() and
+  // the final drive.
   util::Bytes ev_buf_;                 // recycled read/process buffer
   std::deque<util::Bytes> ev_out_;     // output parked behind backpressure
   std::size_t ev_out_off_ = 0;         // bytes of ev_out_.front() written
@@ -224,18 +217,13 @@ class PacketFilter : public Filter {
  public:
   using Filter::Filter;
 
- public:
   void register_metrics(obs::Scope scope) override;
 
-  bool event_capable() const override { return true; }
-
  protected:
-  void run() final;
-
-  /// Event-hosted drive: batched frames via FrameReader::poll(), the same
-  /// on_packet()/on_flush() contract as run(). Emits that find the
-  /// downstream ring full (or mid-splice) are parked in ev_pending_ and
-  /// retried on the writable callback before any new input is taken.
+  /// The drive: batched frames via FrameReader::poll(), each handed to
+  /// on_packet(), EOF to on_flush(). Emits that find the downstream ring
+  /// full (or mid-splice) are parked in ev_pending_ and retried on the
+  /// writable callback before any new input is taken.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -243,19 +231,25 @@ class PacketFilter : public Filter {
   /// Handles one input packet; call emit() for each output packet.
   virtual void on_packet(util::Bytes packet) = 0;
 
-  /// Called on EOF before the loop exits; emit pending state here.
+  /// Called on EOF before the run ends; emit pending state here.
   virtual void on_flush() {}
+
+  /// Pacing hook, asked before each input read: a positive return defers
+  /// the read by that many microseconds of loop_now() (redrive_after); 0
+  /// reads now. A pacing filter (ThrottleFilter) overrides this instead of
+  /// sleeping on the worker.
+  virtual util::Micros input_delay() { return 0; }
 
   /// Writes one framed packet downstream.
   void emit(util::ByteSpan packet);
 
   /// Move-through emit: writes the packet, then recycles its capacity
   /// through the calling thread's arena (util::BufferPool::local() — the
-  /// worker's pool on an event-hosted drive). A pass-through hop — FrameReader
-  /// acquires from the pool, on_packet forwards with
-  /// emit(std::move(packet)) — touches the allocator zero times per packet
-  /// in steady state (asserted by the pool hit-rate test). Prefer this
-  /// overload whenever the packet buffer is dead after the call.
+  /// worker's pool). A pass-through hop — FrameReader acquires from the
+  /// pool, on_packet forwards with emit(std::move(packet)) — touches the
+  /// allocator zero times per packet in steady state (asserted by the pool
+  /// hit-rate test). Prefer this overload whenever the packet buffer is
+  /// dead after the call.
   void emit(util::Bytes&& packet);
 
   std::uint64_t packets_in() const noexcept {
@@ -267,14 +261,12 @@ class PacketFilter : public Filter {
 
  private:
   bool flush_ev_pending();
-  void ev_emit(util::Bytes&& packet);
 
   // Atomic so snapshot readers can observe them while the loop runs.
   std::atomic<std::uint64_t> packets_in_{0};
   std::atomic<std::uint64_t> packets_out_{0};
 
-  // Event-mode state; loop-thread-only between event_start() and the final
-  // drive.
+  // Run state; loop-thread-only between event_start() and the final drive.
   std::unique_ptr<util::FrameReader> ev_frames_;
   std::deque<util::Bytes> ev_pending_;  // emits parked behind backpressure
   bool ev_flushed_ = false;             // on_flush() already ran this run

@@ -4,9 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include <cstdlib>
-#include <cstring>
-
 #include "core/composability.h"
 #include "core/worker_pool.h"
 #include "util/buffer_pool.h"
@@ -15,14 +12,6 @@
 namespace rapidware::core {
 
 namespace {
-
-/// RW_DISPATCH=event flips un-hosted chains onto the default worker pool
-/// (the CI matrix runs the whole tier-1 suite this way); anything else
-/// keeps thread-per-filter.
-bool dispatch_default_event() {
-  const char* mode = std::getenv("RW_DISPATCH");
-  return mode != nullptr && std::strcmp(mode, "event") == 0;
-}
 
 /// Reconfiguration events retained by the chain's trace ring: enough to
 /// reconstruct a whole adaptation episode, small enough to dump over STATS.
@@ -80,40 +69,35 @@ EventLoop* FilterChain::host() const {
   return host_;
 }
 
-void FilterChain::start_filter_locked(Filter& f) {
-  if (host_ != nullptr) {
-    f.start_on(*host_);
-  } else {
-    f.start();
+std::vector<Filter*> FilterChain::stages_locked() const {
+  std::vector<Filter*> out;
+  for (const auto& f : filters_) {
+    for (Filter* s : f->stages()) out.push_back(s);
   }
+  return out;
 }
 
 void FilterChain::start() {
   rw::MutexLock lk(mu_);
   if (started_) throw StreamError("FilterChain::start: already started");
-  if (host_ == nullptr && dispatch_default_event()) {
-    // try_next, not next: a chain started while the default pool is
-    // stopping (static destruction, a test's teardown) falls back to
-    // thread dispatch instead of pinning its filters on a loop that will
-    // never drive them.
-    host_ = default_worker_pool().try_next();
-    if (host_ != nullptr) {
-      metrics_pool_.store(&host_->pool(), std::memory_order_release);
-    }
+  if (host_ == nullptr) {
+    host_ = &default_worker_pool().next();
+    metrics_pool_.store(&host_->pool(), std::memory_order_release);
   }
-  // Wire head -> [pre-inserted filters] -> tail, then start consumers
-  // before producers so no write ever lacks a reader.
+  // Wire head -> [pre-inserted stages] -> tail, then start consumers
+  // before producers.
+  const std::vector<Filter*> stages = stages_locked();
   Filter* prev = head_.get();
-  for (const auto& f : filters_) {
-    prev->dos().connect(f->dis());
-    prev = f.get();
+  for (Filter* s : stages) {
+    prev->dos().connect(s->dis());
+    prev = s;
   }
   prev->dos().connect(tail_->dis());
-  start_filter_locked(*tail_);
-  for (auto it = filters_.rbegin(); it != filters_.rend(); ++it) {
-    start_filter_locked(**it);
+  tail_->start(*host_);
+  for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
+    (*it)->start(*host_);
   }
-  start_filter_locked(*head_);
+  head_->start(*host_);
   started_ = true;
   record_locked("start");
 }
@@ -124,11 +108,20 @@ void FilterChain::check_pos_locked(std::size_t pos, bool inclusive) const {
 }
 
 Filter& FilterChain::left_of_locked(std::size_t pos) {
-  return pos == 0 ? *head_ : *filters_[pos - 1];
+  // The last stage before unit `pos`; an empty composite contributes none.
+  for (std::size_t i = pos; i > 0; --i) {
+    const std::vector<Filter*> stages = filters_[i - 1]->stages();
+    if (!stages.empty()) return *stages.back();
+  }
+  return *head_;
 }
 
 Filter& FilterChain::right_of_locked(std::size_t pos) {
-  return pos == filters_.size() ? *tail_ : *filters_[pos];
+  for (std::size_t i = pos; i < filters_.size(); ++i) {
+    const std::vector<Filter*> stages = filters_[i]->stages();
+    if (!stages.empty()) return *stages.front();
+  }
+  return *tail_;
 }
 
 void FilterChain::insert(std::shared_ptr<Filter> filter, std::size_t pos) {
@@ -136,8 +129,11 @@ void FilterChain::insert(std::shared_ptr<Filter> filter, std::size_t pos) {
   rw::MutexLock lk(mu_);
   if (shut_down_) throw StreamError("FilterChain::insert: chain shut down");
   check_pos_locked(pos, /*inclusive=*/true);
-  if (filter->running()) {
-    throw StreamError("FilterChain::insert: filter already running");
+  const std::vector<Filter*> stages = filter->stages();
+  for (const Filter* s : stages) {
+    if (s->running()) {
+      throw StreamError("FilterChain::insert: filter already running");
+    }
   }
   if (enforce_types_) {
     auto hypothetical = filters_;
@@ -148,49 +144,52 @@ void FilterChain::insert(std::shared_ptr<Filter> filter, std::size_t pos) {
     }
   }
 
-  Filter* raw = filter.get();
-  if (!started_) {
-    // Pre-start configuration: just record; start() wires everything.
-    filters_.insert(filters_.begin() + static_cast<std::ptrdiff_t>(pos),
-                    std::move(filter));
-    attach_filter_locked(*raw);
-    if (m_inserts_) m_inserts_->add();
-    if (m_filters_) m_filters_->set(static_cast<std::int64_t>(filters_.size()));
-    record_locked("insert " + raw->name() + " @" + std::to_string(pos));
-    return;
-  }
-
-  Filter& left = left_of_locked(pos);
-  Filter& right = right_of_locked(pos);
-
-  // The paper's add(): pause the left DOS (the right DIS is automatically
-  // paused with it), then splice the new filter's streams in. Output side
-  // first: if either reconnect fails (a dead or misused peer), the splice
-  // is restored — or abandoned with a hard close — so no stage is left
-  // wedged against a half-spliced stream.
+  // Before start() this just configures the chain; start() wires it.
   const auto t0 = std::chrono::steady_clock::now();
-  left.dos().pause();
-  try {
-    filter->dos().reconnect(right.dis());
-  } catch (...) {
-    restore_or_abandon_splice(left, right);
-    throw;
+  if (started_ && !stages.empty()) {
+    Filter& left = left_of_locked(pos);
+    Filter& right = right_of_locked(pos);
+    // A composite's own stages are idle: chaining them touches no live
+    // stream. Undone below if the splice fails, so the unit stays reusable.
+    const auto unwire = [&stages] {
+      for (Filter* s : stages) {
+        if (s->dos().connected()) s->dos().pause();
+      }
+    };
+    try {
+      for (std::size_t i = 0; i + 1 < stages.size(); ++i) {
+        stages[i]->dos().connect(stages[i + 1]->dis());
+      }
+    } catch (...) {
+      unwire();
+      throw;
+    }
+    // The paper's add(): pause the left DOS (the right DIS is automatically
+    // paused with it), then splice the unit's streams in. Output side
+    // first: if either reconnect fails (a dead or misused peer), the splice
+    // is restored — or abandoned with a hard close — so no stage is left
+    // wedged against a half-spliced stream.
+    left.dos().pause();
+    try {
+      stages.back()->dos().reconnect(right.dis());
+      left.dos().reconnect(stages.front()->dis());
+    } catch (...) {
+      unwire();
+      restore_or_abandon_splice(left, right);
+      throw;
+    }
+    for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
+      (*it)->start(*host_);
+    }
   }
-  try {
-    left.dos().reconnect(filter->dis());
-  } catch (...) {
-    filter->dos().pause();
-    restore_or_abandon_splice(left, right);
-    throw;
-  }
-  start_filter_locked(*filter);
 
+  Filter* raw = filter.get();
   filters_.insert(filters_.begin() + static_cast<std::ptrdiff_t>(pos),
                   std::move(filter));
   attach_filter_locked(*raw);
   if (m_inserts_) m_inserts_->add();
   if (m_filters_) m_filters_->set(static_cast<std::int64_t>(filters_.size()));
-  if (m_reconfig_us_) {
+  if (started_ && m_reconfig_us_) {
     m_reconfig_us_->observe(static_cast<double>(elapsed_us(t0)));
   }
   record_locked("insert " + raw->name() + " @" + std::to_string(pos));
@@ -209,38 +208,36 @@ std::shared_ptr<Filter> FilterChain::remove(std::size_t pos) {
   }
 
   std::shared_ptr<Filter> filter = filters_[pos];
-  if (!started_) {
-    filters_.erase(filters_.begin() + static_cast<std::ptrdiff_t>(pos));
-    detach_filter_locked(*filter);
-    if (m_removes_) m_removes_->add();
-    if (m_filters_) m_filters_->set(static_cast<std::int64_t>(filters_.size()));
-    record_locked("remove " + filter->name() + " @" + std::to_string(pos));
-    return filter;
-  }
-  Filter& left = left_of_locked(pos);
-  Filter& right = right_of_locked(pos + 1);
-
-  // Drain the filter's input, let it flush buffered state downstream,
-  // drain its output, then close the gap.
+  const std::vector<Filter*> stages = filter->stages();
   const auto t0 = std::chrono::steady_clock::now();
-  left.dos().pause();
-  filter->detach_request();
-  filter->join();
-  filter->dos().pause();
-  try {
-    left.dos().reconnect(right.dis());
-  } catch (const StreamError&) {
-    // Right side died while we were splicing it back in; abandon the
-    // stream so upstream unblocks with BrokenPipe instead of wedging.
-    left.dos().close();
-    throw;
+  if (started_ && !stages.empty()) {
+    Filter& left = left_of_locked(pos);
+    Filter& right = right_of_locked(pos + 1);
+    // Drain each stage's input, let it flush buffered state downstream,
+    // drain its output, then close the gap. Stage by stage, so a
+    // composite's children flush in order, each into a still-running
+    // successor.
+    left.dos().pause();
+    for (Filter* s : stages) {
+      s->detach_request();
+      s->join();
+      s->dos().pause();
+    }
+    try {
+      left.dos().reconnect(right.dis());
+    } catch (const StreamError&) {
+      // Right side died while we were splicing it back in; abandon the
+      // stream so upstream unblocks with BrokenPipe instead of wedging.
+      left.dos().close();
+      throw;
+    }
   }
 
   filters_.erase(filters_.begin() + static_cast<std::ptrdiff_t>(pos));
   detach_filter_locked(*filter);
   if (m_removes_) m_removes_->add();
   if (m_filters_) m_filters_->set(static_cast<std::int64_t>(filters_.size()));
-  if (m_reconfig_us_) {
+  if (started_ && m_reconfig_us_) {
     m_reconfig_us_->observe(static_cast<double>(elapsed_us(t0)));
   }
   record_locked("remove " + filter->name() + " @" + std::to_string(pos));
@@ -382,13 +379,13 @@ void FilterChain::drain_shutdown() {
 
   // The removal protocol, applied to every stage left to right: drain the
   // upstream pipe, soft-EOF the stage so it flushes, detach its output.
-  head_->join();  // exits when its source ends (caller's responsibility)
+  head_->join();  // ends when its source ends (caller's responsibility)
   Filter* left = head_.get();
-  for (auto& f : filters_) {
+  for (Filter* s : stages_locked()) {
     left->dos().pause();
-    f->detach_request();
-    f->join();
-    left = f.get();
+    s->detach_request();
+    s->join();
+    left = s;
   }
   left->dos().pause();
   tail_->detach_request();
@@ -398,6 +395,7 @@ void FilterChain::drain_shutdown() {
 void FilterChain::shutdown() {
   rw::MutexLock lk(mu_);
   if (!started_) return;
+  const std::vector<Filter*> stages = stages_locked();
   if (shut_down_) {
     // A begin_shutdown() already rippled EOF through the chain, but its
     // final drives may still be retiring on their workers. A synchronous
@@ -406,21 +404,21 @@ void FilterChain::shutdown() {
     // mid-write into them is a use-after-free. Each join returns
     // immediately once that member's run has finished.
     head_->join();
-    for (auto& f : filters_) f->join();
+    for (Filter* s : stages) s->join();
     tail_->join();
     return;
   }
   shut_down_ = true;
   record_locked("shutdown");
 
-  // Stop the producer, then let hard EOF ripple down the chain: each filter
-  // drains, flushes its tail, and exits before we close its output.
+  // Stop the producer, then let hard EOF ripple down the chain: each stage
+  // drains, flushes its tail, and finishes before we close its output.
   head_->interrupt();
   head_->join();
   head_->dos().close();
-  for (auto& f : filters_) {
-    f->join();
-    f->dos().close();
+  for (Filter* s : stages) {
+    s->join();
+    s->dos().close();
   }
   tail_->join();
 }
@@ -438,15 +436,15 @@ void FilterChain::begin_shutdown() {
   // another filter's progress would stall the very loop that must make it.
   head_->interrupt();
   head_->dos().close();
-  for (auto& f : filters_) f->dos().close();
+  for (Filter* s : stages_locked()) s->dos().close();
 }
 
 bool FilterChain::finished() const {
   rw::MutexLock lk(mu_);
   if (!started_ || !shut_down_) return false;
   if (head_->running() || tail_->running()) return false;
-  for (const auto& f : filters_) {
-    if (f->running()) return false;
+  for (const Filter* s : stages_locked()) {
+    if (s->running()) return false;
   }
   return true;
 }
@@ -471,7 +469,7 @@ void FilterChain::bind_metrics(obs::Registry& reg, const std::string& name) {
       scope_->histogram("reconfig_us", obs::Histogram::latency_us_bounds());
   m_events_ = scope_->trace("events", kEventTraceCapacity);
   // Data-plane buffer pool health, surfaced per chain: the host worker's
-  // arena once the chain is event-hosted, the process-wide pool otherwise.
+  // arena once the chain is hosted, the process-wide pool before that.
   // Steady-state hit rate near 1.0 means the packet path is
   // allocation-free (docs/data_plane.md). `this` captures are safe: the
   // chain drops this scope (blocking out in-flight snapshots) before

@@ -7,12 +7,22 @@
 //   insert(F, pos):  Left.DOS.pause()            — drain the splice point
 //                    Left.DOS.reconnect(F.DIS)   — attach new filter input
 //                    Right.DIS.reconnect(F.DOS)  — attach new filter output
-//                    F.start()
+//                    F.start(loop)
 //
 //   remove(pos):     Left.DOS.pause()            — drain F's input
 //                    F.detach_request(); F.join()— F flushes pending state
 //                    F.DOS.pause()               — drain F's output
 //                    Left.DOS.reconnect(Right.DIS)
+//
+// Every member runs as a non-blocking drive on ONE worker loop (chain
+// affinity, docs/data_plane.md "Worker model"): host_on() picks it, or
+// start() places the chain on core::default_worker_pool(). A composite
+// filter (Filter::stages(), e.g. filters::PipelineFilter) is one unit in
+// the vector — positions, remove()'s return value, list()/names() and the
+// type checks see it whole — while its children are spliced in as
+// consecutive stages, so it needs no thread or nested chain of its own
+// (Philipps & Rumpe: a composite filter is equivalent to its expanded
+// network). A plain filter is simply a one-stage unit.
 //
 // All control operations are serialized by one mutex; data keeps flowing
 // through the untouched part of the chain while an operation runs.
@@ -44,44 +54,44 @@ class FilterChain {
   FilterChain(const FilterChain&) = delete;
   FilterChain& operator=(const FilterChain&) = delete;
 
-  /// Hosts every member on `loop` instead of per-filter threads: start()
-  /// and later insert()s call Filter::start_on(loop), so the whole chain
-  /// runs on one worker (chain affinity — members never race, and a
-  /// worker's chains share its thread). Event-incapable members keep their
-  /// thread via the start_on() shim. Must be called before start(); the
-  /// loop must outlive the chain.
+  /// Hosts every member on `loop`: start() and later insert()s call
+  /// Filter::start(loop), so the whole chain runs on one worker (chain
+  /// affinity — members never race, and a worker's chains share its
+  /// thread). Must be called before start(); the loop must outlive the
+  /// chain.
   void host_on(EventLoop& loop);
 
-  /// The hosting loop, or nullptr in thread-per-filter mode.
+  /// The hosting loop; nullptr until host_on() or start() picks one.
   EventLoop* host() const;
 
   /// The buffer pool this chain's packets recycle through: the hosting
-  /// worker's arena once event-hosted, util::default_pool() otherwise.
-  /// What the chain's `pool/` metric rows read; tests assert steady-state
-  /// hit rates against it regardless of dispatch mode.
+  /// worker's arena once hosted, util::default_pool() before that. What the
+  /// chain's `pool/` metric rows read; tests assert steady-state hit rates
+  /// against it.
   util::BufferPool& recycle_pool() const {
     util::BufferPool* p = metrics_pool_.load(std::memory_order_acquire);
     return p != nullptr ? *p : util::default_pool();
   }
 
-  /// Connects head directly to tail (the "null proxy") and starts both
-  /// endpoints. Without an explicit host_on(), the RW_DISPATCH environment
-  /// variable picks the mode: "event" hosts the chain on the process-wide
-  /// default_worker_pool(); anything else (or unset) keeps the classic
-  /// thread-per-filter dispatch.
+  /// Connects head -> [configured stages] -> tail and starts every member.
+  /// Without an explicit host_on(), the chain is hosted on the least-loaded
+  /// worker of the process-wide default_worker_pool() (created on first
+  /// use).
   void start();
 
   /// Inserts a filter at `pos` (0 = immediately after the head endpoint;
-  /// size() = immediately before the tail). The filter must not be running.
-  /// Before start() this just configures the chain; afterwards it splices
-  /// the filter into the live stream via the pause/reconnect protocol.
+  /// size() = immediately before the tail). None of its stages may be
+  /// running. Before start() this just configures the chain; afterwards it
+  /// splices the filter's stages into the live stream via the
+  /// pause/reconnect protocol.
   void insert(std::shared_ptr<Filter> filter, std::size_t pos);
 
   /// Convenience: insert at the end (before the tail endpoint).
   void append(std::shared_ptr<Filter> filter) { insert(std::move(filter), size()); }
 
-  /// Removes and returns the filter at `pos` after letting it flush. The
-  /// returned filter is idle and can be re-inserted (possibly elsewhere).
+  /// Removes and returns the filter at `pos` after letting its stages flush
+  /// in order. The returned filter is idle, its streams disconnected, and
+  /// it can be re-inserted (possibly elsewhere).
   std::shared_ptr<Filter> remove(std::size_t pos);
 
   /// Moves the filter at `from` to position `to` (positions in the vector
@@ -126,20 +136,19 @@ class FilterChain {
   /// First type error in the current configuration, or nullopt.
   std::optional<std::string> type_error() const;
 
-  /// Stops the head endpoint, propagates EOF through every filter (each
-  /// flushes in order), and joins all threads. Idempotent. Filters'
-  /// output streams are hard-closed: fast, final teardown.
+  /// Stops the head endpoint, propagates EOF through every stage (each
+  /// flushes in order), and waits for every final drive. Idempotent.
+  /// Stages' output streams are hard-closed: fast, final teardown.
   void shutdown();
 
   /// Graceful variant: waits for the head to finish on its own (the source
   /// must already be ending), then drains and DETACHES each stage via the
   /// pause/soft-EOF protocol. Afterwards every filter is idle with both
-  /// streams disconnected — reusable in another chain. This is how a
-  /// composite filter (PipelineFilter) tears down its nested chain.
+  /// streams disconnected — reusable in another chain.
   void drain_shutdown();
 
-  /// Non-blocking shutdown initiation for event-hosted chains: interrupts
-  /// the head and hard-closes every member's output so EOF/BrokenPipe
+  /// Non-blocking shutdown initiation: interrupts the head and hard-closes
+  /// every member's output so EOF/BrokenPipe
   /// ripples through the workers, then returns WITHOUT waiting. Poll
   /// finished() to learn when every member's final drive has run — a
   /// worker must never block on another chain's teardown (the idle-flow
@@ -179,8 +188,8 @@ class FilterChain {
   Filter& right_of_locked(std::size_t pos) RW_REQUIRES(mu_);
   void check_pos_locked(std::size_t pos, bool inclusive) const
       RW_REQUIRES(mu_);
-  /// Starts `f` in the chain's dispatch mode (hosted or thread).
-  void start_filter_locked(Filter& f) RW_REQUIRES(mu_);
+  /// Every configured unit's stages, in stream order.
+  std::vector<Filter*> stages_locked() const RW_REQUIRES(mu_);
 
   // Metrics plumbing; all require mu_. Lock order: mu_ before the registry
   // mutex, and registered callbacks never take mu_ (src/obs/metrics.h).
@@ -193,9 +202,9 @@ class FilterChain {
   const std::shared_ptr<Filter> tail_;  // immutable after construction
   EventLoop* host_ RW_GUARDED_BY(mu_) = nullptr;
   // The pool the chain's `pool/` gauges report on: the host worker's
-  // arena once hosted, util::default_pool() otherwise. An atomic (not
+  // arena once hosted, util::default_pool() before that. An atomic (not
   // mu_-guarded) because registry callbacks must never take mu_; nullptr
-  // means "not hosted, read the process pool".
+  // means "not hosted yet, read the process pool".
   std::atomic<util::BufferPool*> metrics_pool_{nullptr};
   std::vector<std::shared_ptr<Filter>> filters_ RW_GUARDED_BY(mu_);
   bool started_ RW_GUARDED_BY(mu_) = false;

@@ -1,8 +1,9 @@
 // N core::EventLoop workers on N OS threads (docs/data_plane.md, "Worker
-// model"). Chains are pinned whole to one worker (least-loaded placement
-// via next(), or sharded placement in proxy::FlowTable), so the pool is
-// the modern worker model over the paper's thread-per-filter proxy:
-// chains*filters logical flows multiplexed onto min(cores, N) threads.
+// model") — the only threads the data plane runs on. Chains are pinned
+// whole to one worker (least-loaded placement via next(), or sharded
+// placement in proxy::FlowTable), so where the paper gives every filter a
+// thread, chains*filters logical flows multiplex onto N threads here; the
+// paper's arrangement is simply WorkerPool(1) per chain.
 #pragma once
 
 #include <atomic>
@@ -44,9 +45,8 @@ class WorkerPool {
   EventLoop& next();
 
   /// Stop-safe variant of next(): nullptr once stop() has begun, so a
-  /// hosting decision racing teardown (e.g. FilterChain::start under
-  /// RW_DISPATCH=event during static destruction) can fall back to
-  /// thread dispatch instead of pinning work on a dead loop.
+  /// hosting decision racing teardown can notice instead of pinning work
+  /// on a dead loop.
   EventLoop* try_next();
 
   /// Publishes per-worker load metrics under `prefix`:
@@ -68,9 +68,9 @@ class WorkerPool {
   std::optional<obs::Scope> scope_;  // rw-lint: allow(RW003) set before threads observe it, dropped in stop()
 };
 
-/// Process-wide pool used when RW_DISPATCH=event selects event dispatch
-/// without an explicit pool (FilterChain::start). Constructed on first
-/// use (publishing its worker/<i>/ load gauges on obs::registry() under
+/// Process-wide pool hosting every chain started without an explicit loop
+/// (FilterChain::start without host_on). Constructed on first use
+/// (publishing its worker/<i>/ load gauges on obs::registry() under
 /// "workers"), stopped at static destruction.
 WorkerPool& default_worker_pool();
 

@@ -3,13 +3,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/endpoint.h"
-
 namespace rapidware::filters {
 
+// The composite's own streams never carry data: a one-byte ring suffices.
 PipelineFilter::PipelineFilter(
     std::string name, std::vector<std::shared_ptr<core::Filter>> children)
-    : Filter(std::move(name)), children_(std::move(children)) {
+    : Filter(std::move(name), /*buffer_capacity=*/1),
+      children_(std::move(children)) {
   for (const auto& child : children_) {
     if (!child) {
       throw std::invalid_argument("PipelineFilter: null child");
@@ -18,6 +18,14 @@ PipelineFilter::PipelineFilter(
       throw std::invalid_argument("PipelineFilter: child already running");
     }
   }
+}
+
+std::vector<core::Filter*> PipelineFilter::stages() {
+  std::vector<core::Filter*> out;
+  for (const auto& child : children_) {
+    for (core::Filter* s : child->stages()) out.push_back(s);
+  }
+  return out;
 }
 
 std::string PipelineFilter::describe() const {
@@ -50,39 +58,11 @@ std::string PipelineFilter::output_type(const std::string& input) const {
   return type;
 }
 
-void PipelineFilter::run() {
-  // Nested chain over this composite's own streams. Endpoints are created
-  // per run so the composite is restartable like any other filter; the
-  // child filter objects themselves are restartable and reused.
-  struct DisSource final : util::ByteSource {
-    explicit DisSource(core::DetachableInputStream& dis) : dis(dis) {}
-    std::size_t read_some(util::MutableByteSpan out) override {
-      return dis.read_some(out);
-    }
-    core::DetachableInputStream& dis;
-  };
-  struct DosSink final : util::ByteSink {
-    explicit DosSink(core::DetachableOutputStream& dos) : dos(dos) {}
-    void write(util::ByteSpan in) override { dos.write(in); }
-    void flush() override { dos.flush(); }
-    core::DetachableOutputStream& dos;
-  };
-
-  core::FilterChain nested(
-      std::make_shared<core::ByteReaderEndpoint>(
-          name() + ".in", std::make_shared<DisSource>(dis())),
-      std::make_shared<core::ByteWriterEndpoint>(
-          name() + ".out", std::make_shared<DosSink>(dos())));
+void PipelineFilter::register_metrics(obs::Scope scope) {
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    nested.insert(children_[i], i);  // pre-start: wired atomically below
+    children_[i]->register_metrics(
+        scope.child(std::to_string(i) + "." + children_[i]->name()));
   }
-  nested.start();
-  // drain_shutdown() joins the nested head, which exits when THIS
-  // composite's DIS reports EOF (hard or detach); the cascade then flushes
-  // every child in order into this composite's DOS and DETACHES each child
-  // — the composite's flush-on-detach obligation, and what keeps the
-  // children (and therefore the composite) reusable after removal.
-  nested.drain_shutdown();
 }
 
 void register_pipeline_factory(core::FilterRegistry& registry) {

@@ -4,28 +4,31 @@
 // chained-worker composition the paper contrasts with TranSend's TACC
 // model (Section 6), packaged as a mobile component.
 //
-// Internally the composite runs a nested FilterChain whose endpoints adapt
-// the composite's own detachable streams: the nested head reads the
-// composite's DIS (a ByteSource), the nested tail writes its DOS (a
-// ByteSink). Soft EOF on the composite's DIS drains the whole nested chain
-// — every child flushes in order — before the composite detaches, so the
-// chain-removal contract holds transitively.
+// The composite never runs itself. It reports its children as its
+// stages(), and core::FilterChain splices them into the host chain as
+// consecutive stages on the chain's worker — a composite filter is
+// equivalent to its expanded network (Philipps & Rumpe, PAPERS.md). The
+// chain still treats the composite as one unit for positions, removal and
+// typing; removing it detaches the children in order, each flushing into
+// the next, so the chain-removal contract holds transitively.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "core/filter.h"
-#include "core/filter_chain.h"
 #include "core/filter_registry.h"
 
 namespace rapidware::filters {
 
 class PipelineFilter final : public core::Filter {
  public:
-  /// Children must be idle; they are started/stopped with the composite.
+  /// Children must be idle; the chain starts and stops them as stages.
   PipelineFilter(std::string name,
                  std::vector<std::shared_ptr<core::Filter>> children);
+
+  /// The children's stages, in order (nested composites flatten too).
+  std::vector<core::Filter*> stages() override;
 
   std::string describe() const override;
   core::ParamMap params() const override;
@@ -35,10 +38,15 @@ class PipelineFilter final : public core::Filter {
   std::string input_requirement() const override;
   std::string output_type(const std::string& input) const override;
 
+  /// Publishes each child's metrics under "<i>.<child-name>" (the keys
+  /// params() uses) instead of the composite's own, idle, streams.
+  void register_metrics(obs::Scope scope) override;
+
   std::size_t child_count() const noexcept { return children_.size(); }
 
  protected:
-  void run() override;
+  /// Never driven: the chain runs the children in the composite's place.
+  Drive on_ready() override { return Drive::kDone; }
 
  private:
   std::vector<std::shared_ptr<core::Filter>> children_;

@@ -1,19 +1,15 @@
 #include "filters/throttle_filter.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 namespace rapidware::filters {
 
-ThrottleFilter::ThrottleFilter(double bytes_per_sec, double burst_bytes,
-                               util::Clock* clock)
+ThrottleFilter::ThrottleFilter(double bytes_per_sec, double burst_bytes)
     : PacketFilter("throttle"),
       rate_(bytes_per_sec),
-      burst_(burst_bytes > 0 ? burst_bytes : bytes_per_sec / 2),
-      clock_(clock != nullptr ? clock : &wall_) {
+      burst_(burst_bytes > 0 ? burst_bytes : bytes_per_sec / 2) {
   if (bytes_per_sec <= 0) {
     throw std::invalid_argument("ThrottleFilter: rate must be positive");
   }
@@ -42,25 +38,26 @@ bool ThrottleFilter::set_param(const std::string& key,
   }
 }
 
-void ThrottleFilter::on_packet(util::Bytes packet) {
+util::Micros ThrottleFilter::input_delay() {
   const double rate = rate_.load();
+  const util::Micros now = loop_now();
   if (!primed_) {
     tokens_ = burst_;
-    last_refill_ = clock_->now();
+    last_refill_ = now;
     primed_ = true;
   }
-  const auto cost = static_cast<double>(packet.size());
-  for (;;) {
-    const util::Micros now = clock_->now();
-    tokens_ = std::min(
-        burst_, tokens_ + rate * static_cast<double>(now - last_refill_) / 1e6);
-    last_refill_ = now;
-    if (tokens_ >= cost) break;
-    const double deficit = cost - tokens_;
-    const auto wait_us = static_cast<std::int64_t>(deficit / rate * 1e6) + 1;
-    std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-  }
-  tokens_ -= cost;
+  // A restart on another worker reads another loop's clock: never credit
+  // negative time.
+  const util::Micros elapsed = std::max<util::Micros>(0, now - last_refill_);
+  tokens_ =
+      std::min(burst_, tokens_ + rate * static_cast<double>(elapsed) / 1e6);
+  last_refill_ = now;
+  if (tokens_ >= 0) return 0;
+  return static_cast<util::Micros>(-tokens_ / rate * 1e6) + 1;
+}
+
+void ThrottleFilter::on_packet(util::Bytes packet) {
+  tokens_ -= static_cast<double>(packet.size());
   emit(std::move(packet));
 }
 

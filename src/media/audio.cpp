@@ -76,7 +76,7 @@ AudioPacketizer::AudioPacketizer(AudioSource& source, std::size_t packet_ms)
   }
 }
 
-MediaPacket AudioPacketizer::next_packet() {
+MediaPacket AudioPacketizer::next() {
   MediaPacket p;
   p.seq = next_seq_++;
   p.timestamp_us = source_.media_time_us();

@@ -58,7 +58,7 @@ class AudioPacketizer {
  public:
   AudioPacketizer(AudioSource& source, std::size_t packet_ms = 20);
 
-  MediaPacket next_packet();
+  MediaPacket next();
 
   std::size_t frames_per_packet() const noexcept { return frames_per_packet_; }
   std::size_t payload_bytes() const {

@@ -49,18 +49,62 @@ std::optional<Datagram> SimSocket::recv(int timeout_ms) {
   return d;
 }
 
+std::optional<Datagram> SimSocket::poll_recv(bool* closed) {
+  rw::MutexLock lk(mu_);
+  *closed = false;
+  if (!queue_.empty()) {
+    Datagram d = std::move(queue_.front());
+    queue_.pop_front();
+    ++received_;
+    return d;
+  }
+  if (closed_) {
+    *closed = true;
+  } else if (watcher_ != nullptr) {
+    watcher_armed_ = true;
+  }
+  return std::nullopt;
+}
+
+void SimSocket::set_ready_watcher(util::ReadyWatcher* watcher) {
+  rw::MutexLock lk(mu_);
+  watcher_ = watcher;
+  watcher_armed_ = false;
+  fired_cv_.wait(mu_, [this] {
+    mu_.assert_held();
+    return watcher_firing_ == 0;
+  });
+}
+
+util::ReadyWatcher* SimSocket::take_watcher_locked() {
+  if (watcher_ == nullptr || !watcher_armed_) return nullptr;
+  watcher_armed_ = false;
+  ++watcher_firing_;
+  return watcher_;
+}
+
+void SimSocket::fire(util::ReadyWatcher* watcher) {
+  if (watcher == nullptr) return;
+  watcher->on_io_ready();
+  rw::MutexLock lk(mu_);
+  if (--watcher_firing_ == 0) fired_cv_.notify_all();
+}
+
 void SimSocket::join(const Address& group) { net_->join_group(group, this); }
 
 void SimSocket::leave(const Address& group) { net_->leave_group(group, this); }
 
 void SimSocket::close() {
+  util::ReadyWatcher* watcher = nullptr;
   {
     rw::MutexLock lk(mu_);
     if (closed_) return;
     closed_ = true;
+    watcher = take_watcher_locked();
   }
   net_->unbind(this);
   cv_.notify_all();
+  fire(watcher);
 }
 
 bool SimSocket::is_closed() const {
@@ -79,12 +123,15 @@ std::uint64_t SimSocket::packets_received() const {
 }
 
 void SimSocket::enqueue(Datagram d) {
+  util::ReadyWatcher* watcher = nullptr;
   {
     rw::MutexLock lk(mu_);
     if (closed_) return;
     queue_.push_back(std::move(d));
+    watcher = take_watcher_locked();
   }
   cv_.notify_one();
+  fire(watcher);
 }
 
 // ---------------------------------------------------------------------------

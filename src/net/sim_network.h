@@ -21,6 +21,7 @@
 #include "net/link.h"
 #include "util/bytes.h"
 #include "util/clock.h"
+#include "util/io.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -38,7 +39,8 @@ struct Datagram {
 class SimNetwork;
 
 /// A bound datagram socket. Thread-safe; receive blocks with an optional
-/// timeout. Obtain via SimNetwork::open().
+/// timeout, or polls with a one-shot ready watcher (how a proxy's ingress
+/// endpoint reads it from a worker). Obtain via SimNetwork::open().
 class SimSocket {
  public:
   ~SimSocket();
@@ -54,6 +56,19 @@ class SimSocket {
   /// Blocks for the next datagram; `timeout_ms` < 0 waits forever. Returns
   /// nullopt on timeout or once the socket is closed and drained.
   std::optional<Datagram> recv(int timeout_ms = -1);
+
+  /// Non-blocking recv: the next datagram, or nullopt. With nullopt,
+  /// *closed says the socket is closed and drained; otherwise the ready
+  /// watcher (if any) is now armed and fires once, on the next arrival or
+  /// close().
+  std::optional<Datagram> poll_recv(bool* closed);
+
+  /// Registers (nullptr clears) the watcher poll_recv() arms. The fire
+  /// runs on the enqueuing or closing thread OUTSIDE this socket's lock:
+  /// the watcher posts to a worker, whose loop lock ranks before the
+  /// socket's. So this call waits out a fire in flight — once it returns,
+  /// the previous watcher is no longer referenced.
+  void set_ready_watcher(util::ReadyWatcher* watcher);
 
   /// Joins/leaves a multicast group.
   void join(const Address& group);
@@ -73,6 +88,11 @@ class SimSocket {
 
   void enqueue(Datagram d);
 
+  /// Disarms and returns the armed watcher (counted as in flight), or null.
+  util::ReadyWatcher* take_watcher_locked() RW_REQUIRES(mu_);
+  /// Runs a watcher taken above, then retires it from the in-flight count.
+  void fire(util::ReadyWatcher* watcher) RW_EXCLUDES(mu_);
+
   SimNetwork* const net_;
   const Address local_;
   // Written exactly once in SimNetwork::open() before the socket is handed
@@ -85,6 +105,10 @@ class SimSocket {
   bool closed_ RW_GUARDED_BY(mu_) = false;
   std::uint64_t sent_ RW_GUARDED_BY(mu_) = 0;
   std::uint64_t received_ RW_GUARDED_BY(mu_) = 0;
+  util::ReadyWatcher* watcher_ RW_GUARDED_BY(mu_) = nullptr;
+  bool watcher_armed_ RW_GUARDED_BY(mu_) = false;  // one-shot, armed by poll
+  int watcher_firing_ RW_GUARDED_BY(mu_) = 0;  // fires running outside mu_
+  rw::CondVar fired_cv_;  // watcher_firing_ dropped to zero
 };
 
 class SimNetwork {

@@ -11,14 +11,14 @@
 // Worker model (docs/data_plane.md): constructed over a core::WorkerPool,
 // the table shards its flow map one shard per worker. A flow's key hashes
 // to a shard, and the flow's whole chain is hosted on that shard's worker
-// (chain affinity), so the classic thread-per-filter proxy becomes
-// chains*filters logical flows multiplexed onto N event loops. Each worker
-// also runs a periodic idle sweep on its own shard: a flow that sees no
-// push()/acquire() activity for the idle timeout is evicted — its chain is
-// shut down asynchronously (FilterChain::begin_shutdown) and reaped once
-// every member's final drive has run, without the sweep ever blocking the
-// worker. Without a pool the table degenerates to one shard, no sweeps,
-// and thread-per-filter chains: the exact pre-worker behaviour.
+// (chain affinity): chains*filters logical flows multiplexed onto N event
+// loops. Each worker also runs a periodic idle sweep on its own shard: a
+// flow that sees no push()/acquire() activity for the idle timeout is
+// evicted — its chain is shut down asynchronously
+// (FilterChain::begin_shutdown) and reaped once every member's final drive
+// has run, without the sweep ever blocking the worker. Without a pool the
+// table keeps one shard and no sweeps, and FilterChain::start() places
+// each flow's chain on core::default_worker_pool().
 //
 // Live rule updates: after the control server applies RULE_ADD / RULE_DEL
 // it calls reresolve(), which re-runs every active flow's key against the
@@ -74,8 +74,8 @@ class FlowTable {
   /// With a `pool`, flows shard across its workers (one shard per worker),
   /// each chain is hosted whole on its shard's worker, and a per-worker
   /// timer evicts flows idle longer than `idle_timeout_ms`. The pool must
-  /// outlive the table. Without a pool: single shard, thread-per-filter
-  /// chains, no eviction.
+  /// outlive the table. Without a pool: single shard, chains on the
+  /// default worker pool, no eviction.
   FlowTable(core::FlowClassifier& classifier, core::FilterRegistry& registry,
             EndpointFactory endpoints, core::WorkerPool* pool = nullptr,
             std::uint64_t idle_timeout_ms = kDefaultIdleTimeoutMs);

@@ -5,21 +5,20 @@ namespace rapidware::proxy {
 SocketPacketSource::SocketPacketSource(std::shared_ptr<net::SimSocket> socket)
     : socket_(std::move(socket)) {}
 
-std::optional<util::Bytes> SocketPacketSource::next_packet() {
-  // Poll with a short timeout so interrupt() takes effect promptly even
-  // when the stream is idle; socket close also unblocks immediately.
-  while (!interrupted_.load(std::memory_order_acquire)) {
-    auto datagram = socket_->recv(50);
-    if (datagram) return std::move(datagram->payload);
-    if (socket_->is_closed()) break;  // closed elsewhere, not just idle
-  }
-  return std::nullopt;
+std::optional<util::Bytes> SocketPacketSource::poll_packet(bool* finished) {
+  auto datagram = socket_->poll_recv(finished);
+  if (!datagram) return std::nullopt;
+  return std::move(datagram->payload);
 }
 
-void SocketPacketSource::interrupt() {
-  interrupted_.store(true, std::memory_order_release);
-  socket_->close();
+void SocketPacketSource::set_scheduler(core::Scheduler* sched) {
+  // Bind before the socket can fire the forwarder. Clearing waits out a
+  // fire in flight, so the stale target is never reached afterwards.
+  if (sched != nullptr) watcher_.bind(sched);
+  socket_->set_ready_watcher(sched != nullptr ? &watcher_ : nullptr);
 }
+
+void SocketPacketSource::interrupt() { socket_->close(); }
 
 SocketPacketSink::SocketPacketSink(std::shared_ptr<net::SimSocket> socket,
                                    net::Address dst)

@@ -3,7 +3,6 @@
 // the chain's packet endpoints.
 #pragma once
 
-#include <atomic>
 #include <memory>
 
 #include "core/endpoint.h"
@@ -15,18 +14,23 @@
 namespace rapidware::proxy {
 
 /// PacketSource over a bound socket; each datagram payload is one packet.
+/// The reader endpoint polls it from its worker; the socket's one-shot
+/// ready watcher re-drives the endpoint when a datagram (or close) arrives.
 class SocketPacketSource final : public core::PacketSource {
  public:
   explicit SocketPacketSource(std::shared_ptr<net::SimSocket> socket);
 
-  std::optional<util::Bytes> next_packet() override;
+  std::optional<util::Bytes> poll_packet(bool* finished) override;
+  void set_scheduler(core::Scheduler* sched) override;
+
+  /// Closes the socket: the endpoint drains what is queued, then ends.
   void interrupt() override;
 
   net::SimSocket& socket() { return *socket_; }
 
  private:
   std::shared_ptr<net::SimSocket> socket_;
-  std::atomic<bool> interrupted_{false};
+  core::IoReadyForwarder watcher_;
 };
 
 /// PacketSink that sends every packet to a destination (unicast or

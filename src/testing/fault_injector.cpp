@@ -67,6 +67,21 @@ std::size_t FaultyByteSource::read_some(util::MutableByteSpan out) {
   return inner_->read_some(window);
 }
 
+std::size_t FaultyByteSource::poll_read_borrow(std::size_t max,
+                                               util::SpanVisitor visit,
+                                               bool* end) {
+  faults_->maybe_delay();
+  if (faults_->roll(faults_->plan().throw_p)) {
+    faults_->throws_.fetch_add(1, std::memory_order_relaxed);
+    throw core::StreamError("FaultyByteSource: injected read failure");
+  }
+  if (max != 0 && faults_->roll(faults_->plan().short_read_p)) {
+    faults_->short_reads_.fetch_add(1, std::memory_order_relaxed);
+    max = faults_->cut(max);
+  }
+  return inner_->poll_read_borrow(max, visit, end);
+}
+
 // ---------------------------------------------------------------------------
 // FaultyByteSink
 
@@ -91,6 +106,29 @@ void FaultyByteSink::write(util::ByteSpan in) {
     return;
   }
   inner_->write(in);
+}
+
+std::size_t FaultyByteSink::try_write_some(util::ByteSpan in) {
+  faults_->maybe_delay();
+  if (faults_->roll(faults_->plan().throw_p)) {
+    faults_->throws_.fetch_add(1, std::memory_order_relaxed);
+    throw core::BrokenPipe("FaultyByteSink: injected write failure");
+  }
+  if (in.size() <= 1 || !faults_->roll(faults_->plan().fragment_write_p)) {
+    return inner_->try_write_some(in);
+  }
+  // Fragments go in until the inner sink comes up short: then its watcher
+  // is armed and the caller parks the rest, as for any short write.
+  faults_->fragmented_writes_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t done = 0;
+  while (done < in.size()) {
+    const std::size_t n = faults_->cut(in.size() - done);
+    const std::size_t w = inner_->try_write_some(in.subspan(done, n));
+    done += w;
+    if (w < n) break;
+    if (done < in.size()) faults_->maybe_delay();
+  }
+  return done;
 }
 
 void FaultyByteSink::flush() {

@@ -118,12 +118,20 @@ class FaultInjector {
 /// Wraps a ByteSource: truncates reads, injects delays, and (if armed)
 /// throws core::StreamError. EOF (0) from the inner source always passes
 /// through untouched, so wrapping never changes stream length by itself.
+/// Pollable exactly when the inner source is; polls get the same faults.
 class FaultyByteSource final : public util::ByteSource {
  public:
   FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
                    std::shared_ptr<FaultInjector> faults);
 
   std::size_t read_some(util::MutableByteSpan out) override;
+
+  bool pollable() const noexcept override { return inner_->pollable(); }
+  void set_ready_watcher(util::ReadyWatcher* watcher) override {
+    inner_->set_ready_watcher(watcher);
+  }
+  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
+                               bool* end) override;
 
  private:
   std::shared_ptr<util::ByteSource> inner_;
@@ -132,7 +140,8 @@ class FaultyByteSource final : public util::ByteSource {
 
 /// Wraps a ByteSink: fragments writes into several smaller calls with
 /// scheduling noise between them, and (if armed) throws core::BrokenPipe.
-/// Fragmentation preserves content and order exactly.
+/// Fragmentation preserves content and order exactly. Pollable exactly
+/// when the inner sink is; try_write_some gets the same faults.
 class FaultyByteSink final : public util::ByteSink {
  public:
   FaultyByteSink(std::shared_ptr<util::ByteSink> inner,
@@ -140,6 +149,12 @@ class FaultyByteSink final : public util::ByteSink {
 
   void write(util::ByteSpan in) override;
   void flush() override;
+
+  bool pollable() const noexcept override { return inner_->pollable(); }
+  void set_ready_watcher(util::ReadyWatcher* watcher) override {
+    inner_->set_ready_watcher(watcher);
+  }
+  std::size_t try_write_some(util::ByteSpan in) override;
 
  private:
   std::shared_ptr<util::ByteSink> inner_;

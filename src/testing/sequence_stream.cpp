@@ -80,15 +80,17 @@ std::size_t SequenceGenerator::poll_read_borrow(std::size_t max,
 SequenceChecker::SequenceChecker(std::uint64_t seed) : seed_(seed) {}
 
 void SequenceChecker::write(util::ByteSpan in) {
+  std::uint64_t offset = received_.load(std::memory_order_relaxed);
   for (const std::uint8_t actual : in) {
     if (!divergence_) {
-      const std::uint8_t expected = pattern_byte(seed_, received_);
+      const std::uint8_t expected = pattern_byte(seed_, offset);
       if (actual != expected) {
-        divergence_ = Divergence{received_, expected, actual};
+        divergence_ = Divergence{offset, expected, actual};
       }
     }
-    ++received_;
+    ++offset;
   }
+  received_.store(offset, std::memory_order_release);
 }
 
 std::size_t SequenceChecker::try_write_some(util::ByteSpan in) {
@@ -106,7 +108,7 @@ std::string SequenceChecker::report() const {
   std::ostringstream os;
   os << "stream diverged at offset " << divergence_->offset << ": expected 0x"
      << std::hex << int(divergence_->expected) << ", got 0x"
-     << int(divergence_->actual) << std::dec << " (" << received_
+     << int(divergence_->actual) << std::dec << " (" << received()
      << " bytes received)";
   return os.str();
 }

@@ -16,6 +16,7 @@
 // what arrived as ok / duplicate / reordered / corrupt.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -43,8 +44,7 @@ class SequenceGenerator final : public util::ByteSource {
 
   /// Pollable with no watcher: a computed source always makes progress
   /// (bytes until total_, then EOF), so a poll can never would-block —
-  /// which is what lets an event-hosted ByteReaderEndpoint run over it
-  /// with zero shim threads.
+  /// which is what lets a ByteReaderEndpoint's drive read it.
   bool pollable() const noexcept override { return true; }
   std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
                                bool* end) override;
@@ -61,8 +61,8 @@ class SequenceGenerator final : public util::ByteSource {
 /// ByteSink verifying that byte i of the concatenated input equals
 /// pattern_byte(seed, i). Records the first divergence and keeps counting
 /// bytes afterwards, so a failure report shows both where the stream broke
-/// and how much arrived. Thread-safe (writes are serialized by a mutex in
-/// the caller's stream anyway, but reports may be read concurrently).
+/// and how much arrived. One writer; received() may be polled from another
+/// thread while the stream runs, the verdict read once it has ended.
 class SequenceChecker final : public util::ByteSink {
  public:
   explicit SequenceChecker(std::uint64_t seed);
@@ -81,7 +81,9 @@ class SequenceChecker final : public util::ByteSink {
     std::uint8_t actual;
   };
 
-  std::uint64_t received() const noexcept { return received_; }
+  std::uint64_t received() const noexcept {
+    return received_.load(std::memory_order_acquire);
+  }
   bool clean() const noexcept { return !divergence_.has_value(); }
   std::optional<Divergence> divergence() const noexcept { return divergence_; }
 
@@ -91,7 +93,7 @@ class SequenceChecker final : public util::ByteSink {
 
  private:
   const std::uint64_t seed_;
-  std::uint64_t received_ = 0;
+  std::atomic<std::uint64_t> received_{0};
   std::optional<Divergence> divergence_;
 };
 

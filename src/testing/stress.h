@@ -92,12 +92,9 @@ struct StressOptions {
   /// schedules — the metrics layer's own concurrency stress.
   obs::Registry* metrics = nullptr;
   std::string metrics_scope = "stress/chain";
-  /// When non-null, every schedule's chain is hosted on the pool (one
-  /// worker per chain, round-robin): event-capable members run as
-  /// multiplexed on_ready() drives, endpoints keep their threads via the
-  /// blocking shim, and the whole randomized control schedule (insert /
-  /// remove / reorder / pause+reconnect) runs against pool-hosted chains —
-  /// the multiplexed scheduler's byte-exactness stress.
+  /// The pool every schedule's chain is hosted on (least-loaded worker per
+  /// chain); null means core::default_worker_pool(), as for any chain
+  /// started without host_on().
   core::WorkerPool* pool = nullptr;
 };
 

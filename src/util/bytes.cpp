@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace rapidware::util {
 
@@ -76,6 +77,13 @@ void ByteRing::consume(std::size_t n) noexcept {
 void ByteRing::clear() noexcept {
   head_ = 0;
   size_ = 0;
+}
+
+void ByteRing::grow(std::size_t capacity) {
+  if (size_ != 0) throw std::logic_error("ByteRing::grow: ring not empty");
+  if (capacity <= buf_.size()) return;
+  buf_.assign(capacity, 0);
+  head_ = 0;
 }
 
 }  // namespace rapidware::util

@@ -68,6 +68,11 @@ class ByteRing {
   /// Discards all contents.
   void clear() noexcept;
 
+  /// Reallocates an EMPTY ring to hold `capacity` bytes; a no-op when it
+  /// already does. How a detachable stream makes room for a frame larger
+  /// than its ring without ever splitting it.
+  void grow(std::size_t capacity);
+
  private:
   std::vector<std::uint8_t> buf_;
   std::size_t head_ = 0;  // next read position

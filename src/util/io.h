@@ -39,7 +39,7 @@ class SpanVisitor {
 /// comes up empty: the next transition (data arrives, space frees, EOF)
 /// fires on_io_ready() exactly once — the one-shot arm-under-the-lock
 /// protocol detachable streams use for parked threads, exposed here so
-/// event-hosted byte endpoints can watch ANY pollable source or sink.
+/// byte endpoints can watch ANY pollable source or sink from a worker.
 /// Fired from the thread that caused the transition, possibly under the
 /// stream's lock: implementations must only post (never block, never
 /// re-enter the stream).

@@ -73,7 +73,7 @@ inline constexpr int kStatsLog = 500;  // obs::StatsLogSink (snapshots outside m
 inline constexpr int kSocketSink = 590;  // proxy::SocketPacketSink (holds mu_ across send)
 inline constexpr int kWlan = 600;        // wireless::WirelessLan
 inline constexpr int kSimNetwork = 610;  // net::SimNetwork (routes under its lock)
-inline constexpr int kSocket = 620;      // net::SimSocket receive queue
+inline constexpr int kSocket = 620;      // net::SimSocket receive queue (its ready watcher posts to kEventLoop, so it fires after unlocking)
 inline constexpr int kLink = 630;        // net::SharedLink
 inline constexpr int kLinkFaults = 640;  // testing::LinkFaults (wraps a LossModel)
 inline constexpr int kLossModel = 650;   // net loss models (never nested with each other)

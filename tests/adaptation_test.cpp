@@ -228,7 +228,7 @@ TEST(BandwidthLoop, StreamIsReshapedToFitBudget) {
   media::AudioPacketizer packetizer(audio);
   constexpr int kPackets = 1500;  // 30 media seconds
   for (int i = 0; i < kPackets; ++i) {
-    tx->send_to({w.proxy_node, 4000}, packetizer.next_packet().serialize());
+    tx->send_to({w.proxy_node, 4000}, packetizer.next().serialize());
     w.clock->advance(20'000);
     if (i % 25 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -314,31 +314,36 @@ TEST(Handoff, StreamKeepsFlowingAcrossHandoffs) {
   auto rx_mobile = w.net.open(w.mobile, 5000);
   auto rx_laptop = w.net.open(laptop, 5000);
   auto tx = w.net.open(w.client);
+  // Predicate waits, not fixed sleeps: drain a receiver until `want`
+  // packets surfaced or a generous deadline passes (then the asserts name
+  // the shortfall).
+  const auto drain = [](net::SimSocket& rx, std::size_t& count,
+                        std::size_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (count < want && std::chrono::steady_clock::now() < deadline) {
+      if (rx.recv(10)) ++count;
+    }
+  };
+  std::size_t mobile_count = 0, laptop_count = 0;
   media::AudioSource audio;
   media::AudioPacketizer packetizer(audio);
   for (int i = 0; i < 100; ++i) {
-    if (i == 50) coordinator.handoff_to("laptop", 16'000);
-    tx->send_to({w.proxy_node, 4000}, packetizer.next_packet().serialize());
+    if (i == 50) {
+      // Hand off once the first half has reached the mobile: a packet still
+      // inside the proxy at the retarget would go to the laptop, making
+      // the split depend on timing.
+      drain(*rx_mobile, mobile_count, 50);
+      coordinator.handoff_to("laptop", 16'000);
+    }
+    tx->send_to({w.proxy_node, 4000}, packetizer.next().serialize());
     w.clock->advance(20'000);
     if (i % 20 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Predicate wait, not a fixed sleep: drain both receivers until all 100
-  // packets surfaced or a generous deadline passes (then the assert names
-  // the shortfall).
-  std::size_t mobile_count = 0, laptop_count = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (mobile_count + laptop_count < 100 &&
-         std::chrono::steady_clock::now() < deadline) {
-    while (rx_mobile->recv(0)) ++mobile_count;
-    while (rx_laptop->recv(0)) ++laptop_count;
-    if (mobile_count + laptop_count < 100) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  EXPECT_EQ(mobile_count + laptop_count, 100u);
-  EXPECT_GT(mobile_count, 30u);
-  EXPECT_GT(laptop_count, 30u);
+  drain(*rx_laptop, laptop_count, 50);
+  while (rx_mobile->recv(0)) ++mobile_count;  // the old device gets no more
+  EXPECT_EQ(mobile_count, 50u);
+  EXPECT_EQ(laptop_count, 50u);
 }
 
 }  // namespace

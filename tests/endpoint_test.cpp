@@ -9,11 +9,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
+#include "core/worker_pool.h"
 #include "testing/fault_injector.h"
 #include "testing/sequence_stream.h"
 #include "util/bytes.h"
@@ -31,9 +34,12 @@ using core::QueuePacketSource;
 
 /// ByteSink that records every write call (size sequence + content).
 struct RecordingSink final : util::ByteSink {
-  void write(util::ByteSpan in) override {
+  void write(util::ByteSpan in) override { try_write_some(in); }
+  bool pollable() const noexcept override { return true; }
+  std::size_t try_write_some(util::ByteSpan in) override {
     data.insert(data.end(), in.begin(), in.end());
     write_sizes.push_back(in.size());
+    return in.size();
   }
   void flush() override { ++flushes; }
 
@@ -42,22 +48,36 @@ struct RecordingSink final : util::ByteSink {
   int flushes = 0;
 };
 
-/// ByteSink whose first write blocks until released; models a slow or
-/// stuck downstream consumer.
+/// ByteSink that accepts nothing until opened; models a slow or stuck
+/// downstream consumer. A refused write arms the ready watcher, which
+/// open() fires.
 class GatedSink final : public util::ByteSink {
  public:
-  void write(util::ByteSpan in) override {
-    std::unique_lock lk(mu_);
+  void write(util::ByteSpan) override {
+    ADD_FAILURE() << "the endpoint's drive never writes blocking";
+  }
+  bool pollable() const noexcept override { return true; }
+  void set_ready_watcher(util::ReadyWatcher* watcher) override {
+    std::lock_guard lk(mu_);
+    watcher_ = watcher;
+  }
+  std::size_t try_write_some(util::ByteSpan in) override {
+    std::lock_guard lk(mu_);
     ++writes_started_;
     started_cv_.notify_all();
-    gate_cv_.wait(lk, [&] { return open_; });
+    if (!open_) {
+      armed_ = true;
+      return 0;
+    }
     data_.insert(data_.end(), in.begin(), in.end());
+    return in.size();
   }
 
   void open() {
     std::lock_guard lk(mu_);
     open_ = true;
-    gate_cv_.notify_all();
+    if (armed_ && watcher_ != nullptr) watcher_->on_io_ready();
+    armed_ = false;
   }
 
   bool wait_first_write(std::int64_t timeout_ms) {
@@ -73,9 +93,10 @@ class GatedSink final : public util::ByteSink {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable gate_cv_;
   std::condition_variable started_cv_;
+  util::ReadyWatcher* watcher_ = nullptr;
   bool open_ = false;
+  bool armed_ = false;
   int writes_started_ = 0;
   util::Bytes data_;
 };
@@ -139,11 +160,37 @@ TEST(Endpoint, InterruptStopsAPacketReaderBlockedOnItsSource) {
   FilterChain chain(std::make_shared<PacketReaderEndpoint>("in", source),
                     std::make_shared<PacketWriterEndpoint>("out", sink));
   chain.start();
-  // Nothing was ever pushed: the reader is blocked inside next_packet().
-  // shutdown() interrupts it and must complete rather than hang.
+  // Nothing was ever pushed: the reader's poll came up empty and it waits
+  // for the source. shutdown() interrupts it and must complete rather
+  // than hang.
   chain.shutdown();
   EXPECT_TRUE(sink->ended());
   EXPECT_EQ(sink->count(), 0u);
+}
+
+TEST(Endpoint, ByteEndpointsRejectStreamsThatCannotPoll) {
+  // A worker drive cannot wait in a blocking read_some()/write(): a byte
+  // endpoint over such a stream is refused up front, naming the endpoint.
+  struct BlockingSource final : util::ByteSource {
+    std::size_t read_some(util::MutableByteSpan) override { return 0; }
+  };
+  struct BlockingSink final : util::ByteSink {
+    void write(util::ByteSpan) override {}
+  };
+  try {
+    ByteReaderEndpoint("legacy-in", std::make_shared<BlockingSource>());
+    ADD_FAILURE() << "accepted a source that cannot poll";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("legacy-in"), std::string::npos)
+        << e.what();
+  }
+  try {
+    ByteWriterEndpoint("legacy-out", std::make_shared<BlockingSink>());
+    ADD_FAILURE() << "accepted a sink that cannot poll";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("legacy-out"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,11 +243,12 @@ TEST(Endpoint, CloseWhileWriterBlockedOnAStuckSinkUnblocksIt) {
   // writer blocks mid-write. Closing the upstream DOS must wake that
   // writer with BrokenPipe, and opening the sink must let the endpoint
   // drain the buffered prefix and exit on EOF.
+  core::WorkerPool pool(1);
   auto sink = std::make_shared<GatedSink>();
   auto endpoint = std::make_shared<ByteWriterEndpoint>("out", sink, 64);
   core::DetachableOutputStream dos;
   dos.connect(endpoint->dis());
-  endpoint->start();
+  endpoint->start(pool.worker(0));
 
   std::atomic<bool> threw{false};
   std::thread writer([&] {
@@ -213,15 +261,15 @@ TEST(Endpoint, CloseWhileWriterBlockedOnAStuckSinkUnblocksIt) {
     }
   });
 
-  ASSERT_TRUE(sink->wait_first_write(10'000));  // endpoint wedged in sink
+  ASSERT_TRUE(sink->wait_first_write(10'000));  // endpoint parked on sink
   // Give the ring time to fill so the writer is genuinely blocked.
   while (endpoint->dis().available() < 64) std::this_thread::yield();
   dos.close();
   writer.join();
   EXPECT_TRUE(threw.load());
 
-  sink->open();      // unstick the sink
-  endpoint->join();  // endpoint drains the prefix, sees EOF, exits
+  sink->open();      // unstick the sink: its watcher re-drives the endpoint
+  endpoint->join();  // endpoint drains the prefix, sees EOF, finishes
 
   // Whatever was delivered is a byte-exact prefix of what was written.
   const util::Bytes got = sink->data();
@@ -232,13 +280,14 @@ TEST(Endpoint, CloseWhileWriterBlockedOnAStuckSinkUnblocksIt) {
 }
 
 TEST(Endpoint, ClosingTheInputOfAWriterEndpointEndsItsLoop) {
+  core::WorkerPool pool(1);
   auto sink = std::make_shared<RecordingSink>();
   auto endpoint = std::make_shared<ByteWriterEndpoint>("out", sink);
   core::DetachableOutputStream dos;
   dos.connect(endpoint->dis());
-  endpoint->start();
-  // The endpoint is blocked in read_some on an empty ring. Abandoning the
-  // reader side ends the loop (read_some returns 0).
+  endpoint->start(pool.worker(0));
+  // The endpoint waits on an empty ring. Abandoning the reader side ends
+  // the run (the poll reports end-of-stream).
   endpoint->dis().close();
   endpoint->join();
   EXPECT_FALSE(endpoint->running());

@@ -1,12 +1,12 @@
 // Event-driven data plane: core::EventLoop / core::WorkerPool mechanics,
-// and the byte-exactness contract for chains hosted on workers instead of
-// thread-per-filter (docs/data_plane.md, "Worker model").
+// and the byte-exactness contract for chains hosted on explicit workers
+// (docs/data_plane.md, "Worker model").
 //
 // The hosted-chain tests all assert the same invariant the stress harness
-// asserts for thread mode: no packet is lost, duplicated, reordered, or
-// corrupted — under multiplexed on_ready() dispatch, under backpressure
-// parking, across live insert/remove reconfiguration, and through both the
-// async (begin_shutdown/finished) and draining shutdown paths.
+// asserts: no packet is lost, duplicated, reordered, or corrupted — under
+// multiplexed on_ready() dispatch, under backpressure parking, across live
+// insert/remove reconfiguration, and through both the async
+// (begin_shutdown/finished) and draining shutdown paths.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -192,12 +192,6 @@ TEST(HostedChain, FullyEventChainDeliversByteExact) {
     h.chain->bind_metrics(metrics, "test/hosted");
     h.chain->insert(std::make_shared<PassThroughPacketFilter>("pass"), 0);
 
-    // Every member is event-capable: the whole chain runs as on_ready()
-    // drives with zero dedicated threads.
-    EXPECT_TRUE(h.head->event_hosted());
-    EXPECT_TRUE(h.tail->event_hosted());
-    EXPECT_TRUE(h.chain->at(0)->event_hosted());
-
     for (std::uint32_t i = 0; i < kPackets; ++i) {
       h.source->push(testing::make_stamped_packet(kSeed, i, 256));
     }
@@ -287,68 +281,6 @@ TEST(HostedChain, LiveInsertRemoveIsByteExact) {
     EXPECT_EQ(ledger.corrupt(), 0u);
 
     h.chain->drain_shutdown();
-  }
-  pool.stop();
-}
-
-/// Wraps a ByteSource but hides its pollable() capability: the classic
-/// blocking stream (a socket wrapper without readiness callbacks, say),
-/// which forces the start_on() shim path now that SequenceGenerator itself
-/// is pollable.
-class BlockingOnlyByteSource final : public util::ByteSource {
- public:
-  explicit BlockingOnlyByteSource(std::shared_ptr<util::ByteSource> inner)
-      : inner_(std::move(inner)) {}
-  std::size_t read_some(util::MutableByteSpan out) override {
-    return inner_->read_some(out);
-  }
-
- private:
-  std::shared_ptr<util::ByteSource> inner_;
-};
-
-/// The sink-side twin: write()-only, pollable() stays false.
-class BlockingOnlyByteSink final : public util::ByteSink {
- public:
-  explicit BlockingOnlyByteSink(std::shared_ptr<util::ByteSink> inner)
-      : inner_(std::move(inner)) {}
-  void write(util::ByteSpan in) override { inner_->write(in); }
-  void flush() override { inner_->flush(); }
-
- private:
-  std::shared_ptr<util::ByteSink> inner_;
-};
-
-TEST(HostedChain, BlockingShimHostsEventIncapableEndpointsOnThreads) {
-  // Mixed mode: byte endpoints over blocking-only streams are not
-  // event-capable, so start_on() falls back to the thread-per-filter shim
-  // for them, while the NullFilter in the middle runs event-hosted on the
-  // worker. The sequence oracle proves the two dispatch styles interoperate
-  // byte-exactly on one chain.
-  constexpr std::uint64_t kSeed = 0x0ddba11ULL;
-  constexpr std::uint64_t kBytes = 256 * 1024;
-  core::WorkerPool pool(1);
-  {
-    auto generator = std::make_shared<testing::SequenceGenerator>(kSeed, kBytes);
-    auto checker = std::make_shared<testing::SequenceChecker>(kSeed);
-    auto head = std::make_shared<core::ByteReaderEndpoint>(
-        "head", std::make_shared<BlockingOnlyByteSource>(generator),
-        /*chunk=*/512,
-        /*capacity=*/2048);
-    auto tail = std::make_shared<core::ByteWriterEndpoint>(
-        "tail", std::make_shared<BlockingOnlyByteSink>(checker), 2048);
-    core::FilterChain chain(head, tail);
-    chain.host_on(pool.worker(0));
-    chain.start();
-    chain.insert(std::make_shared<core::NullFilter>("mid"), 0);
-
-    EXPECT_FALSE(head->event_hosted());  // shimmed: blocking run() thread
-    EXPECT_FALSE(tail->event_hosted());
-    EXPECT_TRUE(chain.at(0)->event_hosted());
-
-    chain.drain_shutdown();
-    EXPECT_TRUE(checker->clean()) << checker->report();
-    EXPECT_EQ(checker->received(), kBytes);
   }
   pool.stop();
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 
 #include "core/control.h"
@@ -12,6 +13,8 @@
 #include "core/filter_chain.h"
 #include "core/filter_registry.h"
 #include "util/buffer_pool.h"
+#include "testing/sequence_stream.h"
+#include "util/framing.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
@@ -61,6 +64,17 @@ class GroupingFilter final : public PacketFilter {
 
   std::size_t k_;
   std::vector<Bytes> held_;
+};
+
+/// Forwards every packet unchanged (move-through, zero-copy).
+class PassThroughPacketFilter final : public PacketFilter {
+ public:
+  explicit PassThroughPacketFilter(
+      std::size_t capacity = DetachableInputStream::kDefaultCapacity)
+      : PacketFilter("pass", capacity) {}
+
+ protected:
+  void on_packet(Bytes packet) override { emit(std::move(packet)); }
 };
 
 /// Byte filter that uppercases ASCII.
@@ -339,30 +353,55 @@ TEST(FilterChain, ByteFilterTransformsStream) {
   // Byte-oriented chain: string source -> uppercase -> collecting sink.
   // The source is gated: it yields no bytes until released, so the filter
   // is guaranteed to be spliced in before any data flows (otherwise the
-  // endpoint threads could race the whole string past the insertion point).
+  // endpoints could race the whole string past the insertion point).
   class StringSource final : public util::ByteSource {
    public:
     explicit StringSource(std::string s) : data_(to_bytes(s)) {}
-    std::size_t read_some(util::MutableByteSpan out) override {
-      released_.wait(false);
-      const std::size_t n = std::min(out.size(), data_.size() - pos_);
-      std::copy_n(data_.begin() + static_cast<long>(pos_), n, out.begin());
+    std::size_t read_some(util::MutableByteSpan) override {
+      ADD_FAILURE() << "the endpoint polls; it never reads blocking";
+      return 0;
+    }
+    bool pollable() const noexcept override { return true; }
+    void set_ready_watcher(util::ReadyWatcher* watcher) override {
+      std::lock_guard lk(mu_);
+      watcher_ = watcher;
+    }
+    std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
+                                 bool* end) override {
+      std::lock_guard lk(mu_);
+      *end = released_ && pos_ == data_.size();
+      if (!released_ || *end) {
+        armed_ = !released_;
+        return 0;
+      }
+      const util::ByteSpan rest = util::ByteSpan(data_).subspan(pos_);
+      const std::size_t n = visit(rest.first(std::min(max, rest.size())), {});
       pos_ += n;
       return n;
     }
     void release() {
-      released_.store(true);
-      released_.notify_all();
+      std::lock_guard lk(mu_);
+      released_ = true;
+      if (armed_ && watcher_ != nullptr) watcher_->on_io_ready();
+      armed_ = false;
     }
+
+   private:
+    std::mutex mu_;
     Bytes data_;
     std::size_t pos_ = 0;
-    std::atomic<bool> released_{false};
+    bool released_ = false;
+    bool armed_ = false;
+    util::ReadyWatcher* watcher_ = nullptr;
   };
   class StringSink final : public util::ByteSink {
    public:
-    void write(util::ByteSpan in) override {
+    void write(util::ByteSpan in) override { try_write_some(in); }
+    bool pollable() const noexcept override { return true; }
+    std::size_t try_write_some(util::ByteSpan in) override {
       std::lock_guard lk(mu_);
       data_.insert(data_.end(), in.begin(), in.end());
+      return in.size();
     }
     std::mutex mu_;
     Bytes data_;
@@ -394,7 +433,7 @@ TEST(Filter, StartTwiceThrows) {
   h.chain->start();
   auto f = std::make_shared<TagFilter>(1);
   h.chain->insert(f, 0);
-  EXPECT_THROW(f->start(), StreamError);
+  EXPECT_THROW(f->start(*h.chain->host()), StreamError);
   h.source->finish();
   h.chain->shutdown();
 }
@@ -505,19 +544,10 @@ TEST(FilterChain, ListSnapshotSurvivesConcurrentMutation) {
 
 // ---------------------------------------------------------------------------
 // Zero-allocation steady state (the pool hit-rate test buffer_pool.h
-// promises): once the chain's recycle pool is warm — the hosting worker's
-// arena under event dispatch, the process-wide pool otherwise — a
-// pass-through packet hop serves every per-packet buffer from the free
-// list; the allocator is out of the loop. Measured at the pool: the miss
-// counter must not move during the steady-state window.
-
-class PassThroughPacketFilter final : public PacketFilter {
- public:
-  PassThroughPacketFilter() : PacketFilter("pass") {}
-
- protected:
-  void on_packet(Bytes packet) override { emit(std::move(packet)); }
-};
+// promises): once the chain's recycle pool — the hosting worker's arena —
+// is warm, a pass-through packet hop serves every per-packet buffer from
+// the free list; the allocator is out of the loop. Measured at the pool:
+// the miss counter must not move during the steady-state window.
 
 TEST(FilterChain, SteadyStatePassThroughHitsPoolEveryTime) {
   Harness h;
@@ -541,7 +571,7 @@ TEST(FilterChain, SteadyStatePassThroughHitsPoolEveryTime) {
   pump(kWarmupBatches);  // populate the pool's 512-byte class
 
   // Measure the pool the chain actually recycles through: the hosting
-  // worker's arena under RW_DISPATCH=event, the process pool otherwise.
+  // worker's arena.
   util::BufferPool& pool = h.chain->recycle_pool();
   const auto warm = pool.stats();
   pump(kSteadyBatches);
@@ -558,6 +588,82 @@ TEST(FilterChain, SteadyStatePassThroughHitsPoolEveryTime) {
   h.source->finish();
   h.chain->shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Frames at and beyond the ring capacity: a frame (payload + 6-byte header)
+// that is one byte short of, exactly, or past the size of every stage's
+// ring, through 0 and 2 stages, across a live insert and remove. A frame
+// larger than a ring waits for it to drain and grows it once; none may be
+// lost, torn, duplicated or reordered.
+
+struct FrameSweepParam {
+  std::size_t ring;     // capacity of every stage's input ring
+  std::size_t payload;  // frame payload bytes
+  std::size_t filters;  // pass-through stages configured before start
+};
+
+class FrameSizeSweep : public ::testing::TestWithParam<FrameSweepParam> {};
+
+TEST_P(FrameSizeSweep, ByteExactAcrossLiveSplice) {
+  const FrameSweepParam p = GetParam();
+  constexpr std::uint32_t kPackets = 24;
+  const std::uint64_t seed = 0xf5a3e000ULL ^ (p.ring * 31 + p.payload);
+  auto source = std::make_shared<QueuePacketSource>();
+  auto sink = std::make_shared<CollectingPacketSink>();
+  FilterChain chain(
+      std::make_shared<PacketReaderEndpoint>("in", source, p.ring),
+      std::make_shared<PacketWriterEndpoint>("out", sink, p.ring));
+  for (std::size_t i = 0; i < p.filters; ++i) {
+    chain.append(std::make_shared<PassThroughPacketFilter>(p.ring));
+  }
+  chain.start();
+  const auto push = [&](std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t i = from; i < to; ++i) {
+      source->push(testing::make_stamped_packet(seed, i, p.payload));
+    }
+  };
+
+  push(0, 8);
+  ASSERT_TRUE(sink->wait_for(4, /*timeout_ms=*/30'000));
+  const std::size_t mid = p.filters / 2;
+  chain.insert(std::make_shared<PassThroughPacketFilter>(p.ring), mid);
+  push(8, 16);
+  chain.remove(mid);
+  push(16, kPackets);
+  source->finish();
+  ASSERT_TRUE(sink->wait_for(kPackets, /*timeout_ms=*/30'000));
+  chain.shutdown();
+
+  testing::PacketLedger ledger(seed, kPackets);
+  for (const auto& packet : sink->packets()) ledger.record(packet);
+  EXPECT_EQ(sink->count(), kPackets);
+  EXPECT_EQ(ledger.ok(), kPackets);
+  EXPECT_EQ(ledger.lost(), 0u);
+  EXPECT_EQ(ledger.duplicates(), 0u);
+  EXPECT_EQ(ledger.reordered(), 0u);
+  EXPECT_EQ(ledger.corrupt(), 0u);
+}
+
+std::vector<FrameSweepParam> frame_sweep() {
+  std::vector<FrameSweepParam> out;
+  for (const std::size_t ring : {std::size_t{1024}, std::size_t{64 * 1024}}) {
+    for (const std::size_t payload :
+         {ring - 7, ring - 6, ring - 5, ring, 2 * ring}) {
+      for (const std::size_t filters : {std::size_t{0}, std::size_t{2}}) {
+        out.push_back({ring, payload, filters});
+      }
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RingBoundaries, FrameSizeSweep, ::testing::ValuesIn(frame_sweep()),
+    [](const ::testing::TestParamInfo<FrameSweepParam>& info) {
+      return "ring" + std::to_string(info.param.ring) + "_payload" +
+             std::to_string(info.param.payload) + "_filters" +
+             std::to_string(info.param.filters);
+    });
 
 }  // namespace
 }  // namespace rapidware::core

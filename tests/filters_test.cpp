@@ -5,6 +5,7 @@
 
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
+#include "core/worker_pool.h"
 #include "filters/cache_filter.h"
 #include "filters/compress_filter.h"
 #include "filters/crypto_filter.h"
@@ -272,7 +273,7 @@ TEST(TranscodeFilter, MonoHalvesStereoPayload) {
                   0);
   media::AudioSource src;
   media::AudioPacketizer packetizer(src);
-  const media::MediaPacket p = packetizer.next_packet();
+  const media::MediaPacket p = packetizer.next();
   h.source->push(p.serialize());
   ASSERT_TRUE(h.sink->wait_for(1));
   const auto out = media::MediaPacket::parse(h.sink->packets()[0]);
@@ -289,7 +290,7 @@ TEST(TranscodeFilter, MonoHalfQuartersPayload) {
   EXPECT_DOUBLE_EQ(f->reduction_factor(), 4.0);
   media::AudioSource src;
   media::AudioPacketizer packetizer(src);
-  h.source->push(packetizer.next_packet().serialize());
+  h.source->push(packetizer.next().serialize());
   ASSERT_TRUE(h.sink->wait_for(1));
   EXPECT_EQ(media::MediaPacket::parse(h.sink->packets()[0]).payload.size(),
             80u);
@@ -354,7 +355,7 @@ TEST(Compression, FilterPairRoundTripsInChain) {
   media::AudioPacketizer packetizer(src);
   std::vector<Bytes> sent;
   // 1.6 s of audio: includes the source's speech pauses, which compress.
-  for (int i = 0; i < 80; ++i) sent.push_back(packetizer.next_packet().serialize());
+  for (int i = 0; i < 80; ++i) sent.push_back(packetizer.next().serialize());
   for (auto& p : sent) h.source->push(p);
   h.run_to_completion();
   EXPECT_EQ(h.sink->packets(), sent);
@@ -430,6 +431,42 @@ TEST(Throttle, LimitsThroughput) {
                            .count();
   EXPECT_EQ(h.sink->count(), 20u);
   EXPECT_GT(elapsed, 0.3);
+}
+
+TEST(Throttle, PacesWithoutStallingASharedWorker) {
+  // Two chains on ONE worker: the throttle paces with a timer on the loop,
+  // not by sleeping on it, so the unthrottled chain delivers everything
+  // while the throttle is still metering its ~1 s of traffic.
+  core::WorkerPool pool(1);
+  struct Chain {
+    std::shared_ptr<core::QueuePacketSource> source =
+        std::make_shared<core::QueuePacketSource>();
+    std::shared_ptr<core::CollectingPacketSink> sink =
+        std::make_shared<core::CollectingPacketSink>();
+    core::FilterChain chain{
+        std::make_shared<core::PacketReaderEndpoint>("in", source),
+        std::make_shared<core::PacketWriterEndpoint>("out", sink)};
+  };
+  constexpr std::size_t kSlow = 10, kFast = 500;
+  {
+    Chain slow, fast;
+    slow.chain.append(std::make_shared<ThrottleFilter>(10'000.0, 1000.0));
+    slow.chain.host_on(pool.worker(0));
+    fast.chain.host_on(pool.worker(0));
+    slow.chain.start();
+    fast.chain.start();
+    for (std::size_t i = 0; i < kSlow; ++i) slow.source->push(Bytes(1000, 1));
+    ASSERT_TRUE(slow.sink->wait_for(1));  // the throttle is pacing now
+    for (std::size_t i = 0; i < kFast; ++i) fast.source->push(Bytes(100, 2));
+    ASSERT_TRUE(fast.sink->wait_for(kFast));
+    EXPECT_LT(slow.sink->count(), kSlow);
+    slow.source->finish();
+    fast.source->finish();
+    slow.chain.shutdown();
+    fast.chain.shutdown();
+    EXPECT_EQ(slow.sink->count(), kSlow);
+  }
+  pool.stop();
 }
 
 TEST(Throttle, RejectsNonPositiveRate) {

@@ -79,12 +79,26 @@ TEST(Integration, EncryptCompressFecAcrossTwoProxies) {
   constexpr int kPackets = 1200;
   std::map<std::uint32_t, Bytes> sent;
   for (int i = 0; i < kPackets; ++i) {
-    const auto p = packetizer.next_packet();
+    const auto p = packetizer.next();
     const Bytes wire = p.serialize();
     sent[p.seq] = wire;
     tx->send_to({uplink_proxy, 4000}, wire);
+    if ((i + 1) % 4 == 0) {
+      // Keep virtual time from running ahead of the proxy: once a whole
+      // FEC group is sent (4 packets, 8 on the air), wait until the uplink
+      // proxy aired it. On a slow host (a sanitizer build) the backlog
+      // would otherwise go out at one virtual instant and be tail-dropped
+      // by the access point's 2 s queue — overload, not the link loss this
+      // test is about.
+      const std::uint64_t aired = 2 * static_cast<std::uint64_t>(i + 1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (wlan.downlink_stats(mobile).attempted < aired &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
     clock->advance(20'000);
-    if (i % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   receiver.join();
   tx_proxy.shutdown();
@@ -148,7 +162,7 @@ TEST(Integration, RemoteReconfigurationKeepsStreamIntact) {
     media::AudioSource audio;
     media::AudioPacketizer packetizer(audio);
     while (!stop.load()) {
-      tx->send_to({proxy_node, 4000}, packetizer.next_packet().serialize());
+      tx->send_to({proxy_node, 4000}, packetizer.next().serialize());
       produced.fetch_add(1);
       clock->advance(20'000);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -309,7 +323,7 @@ TEST(Integration, DeviceHandoffRetargetsAndTranscodes) {
           0);
       EXPECT_EQ(proxy.egress_destination(), (net::Address{palmtop, 5000}));
     }
-    tx->send_to({proxy_node, 4000}, packetizer.next_packet().serialize());
+    tx->send_to({proxy_node, 4000}, packetizer.next().serialize());
     clock->advance(20'000);
     if (i % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

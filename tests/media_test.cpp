@@ -146,7 +146,7 @@ TEST(AudioPacketizer, SequentialSeqAndTimestamps) {
   AudioSource src;
   AudioPacketizer packetizer(src, 20);
   for (std::uint32_t i = 0; i < 50; ++i) {
-    const MediaPacket p = packetizer.next_packet();
+    const MediaPacket p = packetizer.next();
     EXPECT_EQ(p.seq, i);
     EXPECT_EQ(p.timestamp_us, static_cast<std::int64_t>(i) * 20'000);
     EXPECT_EQ(p.frame_class, fec::FrameClass::kAudio);

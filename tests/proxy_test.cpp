@@ -3,8 +3,12 @@
 // end-to-end FEC path over a lossy simulated WLAN.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <system_error>
 #include <thread>
 
+#include "core/worker_pool.h"
 #include "filters/fec_filters.h"
 #include "filters/registry.h"
 #include "media/audio.h"
@@ -39,34 +43,60 @@ struct World {
   }
 };
 
+/// Counts readiness fires; what a reader endpoint's drive registers.
+struct CountingScheduler final : core::Scheduler {
+  void on_readable() override { readable.fetch_add(1); }
+  void on_writable() override {}
+  std::atomic<int> readable{0};
+};
+
 TEST(SocketEndpointsTest, SourceDeliversAndInterrupts) {
   World w;
   auto in = w.net.open(w.proxy_node, 4000);
   auto out = w.net.open(w.sender);
   SocketPacketSource source(in);
+  CountingScheduler sched;
+  source.set_scheduler(&sched);
+  bool finished = true;
+  EXPECT_FALSE(source.poll_packet(&finished).has_value());  // arms
+  EXPECT_FALSE(finished);
+
   out->send_to({w.proxy_node, 4000}, to_bytes("datagram"));
-  auto packet = source.next_packet();
+  EXPECT_EQ(sched.readable.load(), 1);  // the arrival fired the watcher
+  auto packet = source.poll_packet(&finished);
   ASSERT_TRUE(packet.has_value());
   EXPECT_EQ(to_string(*packet), "datagram");
 
+  EXPECT_FALSE(source.poll_packet(&finished).has_value());  // re-arms
   std::thread interrupter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     source.interrupt();
   });
-  EXPECT_FALSE(source.next_packet().has_value());
   interrupter.join();
+  EXPECT_EQ(sched.readable.load(), 2);  // the interrupt fired it too
+  EXPECT_FALSE(source.poll_packet(&finished).has_value());
+  EXPECT_TRUE(finished);
+  source.set_scheduler(nullptr);
 }
 
 TEST(SocketEndpointsTest, SourceStopsWhenSocketClosedElsewhere) {
   World w;
   auto in = w.net.open(w.proxy_node, 4000);
   SocketPacketSource source(in);
+  CountingScheduler sched;
+  source.set_scheduler(&sched);
+  bool finished = true;
+  EXPECT_FALSE(source.poll_packet(&finished).has_value());
+  EXPECT_FALSE(finished);
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     in->close();
   });
-  EXPECT_FALSE(source.next_packet().has_value());
   closer.join();
+  EXPECT_EQ(sched.readable.load(), 1);
+  EXPECT_FALSE(source.poll_packet(&finished).has_value());
+  EXPECT_TRUE(finished);
+  source.set_scheduler(nullptr);
 }
 
 TEST(SocketEndpointsTest, SinkSendsToDestination) {
@@ -95,6 +125,47 @@ TEST(Proxy, NullProxyForwards) {
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(to_string(d->payload), "p" + std::to_string(i));
   }
+  proxy.shutdown();
+}
+
+/// Threads of this process (entries of /proc/self/task), or -1 where the
+/// platform does not expose them.
+int thread_count() {
+  std::error_code ec;
+  int n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
+TEST(Proxy, StartingAProxyAddsOnlyItsControlThread) {
+  // Every stage runs as a drive on the shared worker pool: a live proxy —
+  // main chain with two inserted filters plus eight per-flow chains — adds
+  // exactly one thread, its control loop.
+  core::default_worker_pool();
+  const int before = thread_count();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is not available";
+  World w;
+  auto tx = w.net.open(w.sender);
+  auto rx = w.net.open(w.mobile, 5000);
+  Proxy proxy(w.net, w.proxy_node, w.config());
+  proxy.start();
+  proxy.chain().insert(std::make_shared<core::NullFilter>("n0"), 0);
+  proxy.chain().insert(std::make_shared<core::NullFilter>("n1"), 1);
+  for (int i = 0; i < 4; ++i) {
+    tx->send_to({w.proxy_node, 4000}, to_bytes("main" + std::to_string(i)));
+  }
+  for (std::uint32_t f = 0; f < 8; ++f) {
+    core::FlowKey key;
+    key.station = f;
+    proxy.flow_push(key, to_bytes("flow" + std::to_string(f)));
+  }
+  // All twelve packets reach the mobile: every chain is live.
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(rx->recv(5000).has_value());
+  EXPECT_EQ(proxy.flows().size(), 8u);
+  EXPECT_EQ(thread_count(), before + 1);
   proxy.shutdown();
 }
 
@@ -276,7 +347,7 @@ TEST_P(ProxyWlanE2e, DeliveryMatchesModelAndFecRecovers) {
   });
 
   for (int i = 0; i < kPackets; ++i) {
-    tx->send_to({w.proxy_node, 4000}, packetizer.next_packet().serialize());
+    tx->send_to({w.proxy_node, 4000}, packetizer.next().serialize());
     w.clock->advance(20'000);  // 20 ms media cadence (virtual)
     // Pace the producer so the proxy pipeline (real threads) keeps up with
     // the virtual clock and the modeled AP queue reflects steady state.

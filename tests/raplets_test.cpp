@@ -348,7 +348,7 @@ TEST(ClosedLoop, DemandDrivenFecReactsToRoaming) {
   constexpr int kPackets = 4000;
   for (int i = 0; i < kPackets; ++i) {
     if (i == 1000) wlan.set_distance(w.mobile, 38.0);  // step outdoors
-    tx->send_to({w.proxy_node, 4000}, packetizer.next_packet().serialize());
+    tx->send_to({w.proxy_node, 4000}, packetizer.next().serialize());
     w.clock->advance(20'000);
     if (i % 200 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

