@@ -2,7 +2,8 @@
 // event-driven data plane as the number of concurrent filter chains grows
 // far past the thread-per-filter limit (docs/data_plane.md, "Worker
 // model"). Every chain here is fully event-capable — QueuePacketSource
-// head, pass-through PacketFilter, counting-sink tail — so a (workers=1,
+// head, pass-through PacketFilter, its worker's counting sink
+// (bench_sink.h) as tail — so a (workers=1,
 // chains=10000) row really is 30k logical filters multiplexed onto ONE OS
 // thread; thread-per-filter would need 30k threads and ~240 GB of default
 // stacks for the same load.
@@ -15,7 +16,9 @@
 //                       bench/baselines/many_chains_baseline.json);
 //   * per_chain_packets_per_sec — aggregate / chains (fair-share rate).
 //
-// Built-in acceptance gate (exit 1 on violation): the 10k-chain
+// Built-in acceptance gates (exit 1 on violation): every row delivers
+// exactly the packets and bytes it sent (a row whose packets are still
+// missing after its deadline exits at once, named), and the 10k-chain
 // single-worker row must sustain at least HALF the aggregate vs_memcpy of
 // the single-chain row from the same run — i.e. multiplexing 10,000
 // chains costs at most 2x over running one chain flat out.
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_sink.h"
 #include "core/endpoint.h"
 #include "core/filter.h"
 #include "core/filter_chain.h"
@@ -40,24 +44,6 @@ using namespace rapidware;
 
 namespace {
 
-/// Shared across every chain: counts deliveries, never stores them.
-class CountingPacketSink final : public core::PacketSink {
- public:
-  void deliver(util::ByteSpan packet) override {
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(packet.size(), std::memory_order_relaxed);
-  }
-
-  std::uint64_t packets() const {
-    return packets_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> packets_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-};
-
 class PassThroughPacketFilter final : public core::PacketFilter {
  public:
   using PacketFilter::PacketFilter;
@@ -66,12 +52,9 @@ class PassThroughPacketFilter final : public core::PacketFilter {
   void on_packet(util::Bytes packet) override { emit(std::move(packet)); }
 };
 
-// Ring sizing is the batching-vs-footprint tradeoff of a dense
-// deployment: each hop's ring bounds how many frames one worker wakeup
-// can batch (the drive's budget only helps if frames are queued). 8 KiB
-// holds ~31 frames of 256 B — deep enough to amortize dispatch — at
-// ~24 KiB of ring per 3-stage chain, so the 10k-chain row stays around a
-// quarter GB.
+// Each hop's ring bounds how many frames one worker wakeup can batch (the
+// drive's budget only helps if frames are queued): 8 KiB holds ~31 frames
+// of 256 B, deep enough to amortize dispatch.
 constexpr std::size_t kRing = 8192;
 constexpr std::size_t kPacketBytes = 256;
 
@@ -79,27 +62,46 @@ struct Result {
   double packets_per_sec;
   double mbytes_per_sec;
   double secs;
+  bool conserved;
 };
 
-Result run_once(std::size_t workers, std::size_t chains,
-                std::uint64_t packets_per_chain) {
+Result run_once(const std::string& row, std::size_t workers,
+                std::size_t chains, std::uint64_t packets_per_chain) {
   core::WorkerPool pool(workers);
-  auto sink = std::make_shared<CountingPacketSink>();
+  // One counting sink per worker, shared by the chains placed there.
+  std::vector<std::shared_ptr<rwbench::CountingPacketSink>> sinks;
+  std::vector<std::size_t> hosted(workers, 0);
+  for (std::size_t w = 0; w < workers; ++w) {
+    sinks.push_back(std::make_shared<rwbench::CountingPacketSink>());
+  }
 
   std::vector<std::shared_ptr<core::QueuePacketSource>> sources;
   std::vector<std::unique_ptr<core::FilterChain>> live;
   sources.reserve(chains);
   live.reserve(chains);
   for (std::size_t c = 0; c < chains; ++c) {
+    core::EventLoop& loop = pool.next();
+    std::size_t w = 0;
+    while (&pool.worker(w) != &loop) ++w;
+    ++hosted[w];
     auto source = std::make_shared<core::QueuePacketSource>();
     auto chain = std::make_unique<core::FilterChain>(
-        std::make_shared<core::PacketReaderEndpoint>("rx", source, kRing),
-        std::make_shared<core::PacketWriterEndpoint>("tx", sink, kRing));
-    chain->host_on(pool.next());
+        std::make_shared<core::PacketReaderEndpoint>("rx", source),
+        std::make_shared<core::PacketWriterEndpoint>("tx", sinks[w], kRing));
+    chain->host_on(loop);
     chain->start();
     chain->insert(std::make_shared<PassThroughPacketFilter>("pass", kRing), 0);
     sources.push_back(std::move(source));
     live.push_back(std::move(chain));
+  }
+  // Nothing is delivered before the first push below, so the marks are in
+  // place in time.
+  const std::size_t active = static_cast<std::size_t>(
+      std::count_if(hosted.begin(), hosted.end(),
+                    [](std::size_t n) { return n > 0; }));
+  rwbench::Countdown done(active);
+  for (std::size_t w = 0; w < workers; ++w) {
+    if (hosted[w] > 0) sinks[w]->arrive_at(hosted[w] * packets_per_chain, done);
   }
 
   const util::Bytes packet(kPacketBytes, 0x5a);
@@ -117,7 +119,7 @@ Result run_once(std::size_t workers, std::size_t chains,
     }
   }
   for (auto& source : sources) source->finish();
-  while (sink->packets() < total) std::this_thread::yield();
+  rwbench::await_or_exit(done, row);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -128,20 +130,29 @@ Result run_once(std::size_t workers, std::size_t chains,
   live.clear();
   pool.stop();
 
+  // Counted after teardown, so a duplicate delivered late still shows.
+  std::uint64_t delivered = 0, delivered_bytes = 0;
+  for (const auto& sink : sinks) {
+    delivered += sink->packets();
+    delivered_bytes += sink->bytes();
+  }
   Result r;
   r.packets_per_sec = static_cast<double>(total) / secs;
-  r.mbytes_per_sec = static_cast<double>(sink->bytes()) / secs / 1e6;
+  r.mbytes_per_sec = static_cast<double>(delivered_bytes) / secs / 1e6;
   r.secs = secs;
+  r.conserved = rwbench::conserved(row, total, total * kPacketBytes,
+                                   delivered, delivered_bytes);
   return r;
 }
 
-Result run(std::size_t workers, std::size_t chains,
+Result run(const std::string& row, std::size_t workers, std::size_t chains,
            std::uint64_t packets_per_chain, int reps) {
   // Best of reps, same envelope logic as bench_chain_overhead: the fastest
   // run is the one least distorted by unrelated scheduler noise.
   Result best{};
   for (int i = 0; i < reps; ++i) {
-    const Result r = run_once(workers, chains, packets_per_chain);
+    const Result r = run_once(row, workers, chains, packets_per_chain);
+    if (!r.conserved) return r;  // one lossy rep fails the row
     if (r.packets_per_sec > best.packets_per_sec) best = r;
   }
   return best;
@@ -191,9 +202,16 @@ int main(int argc, char** argv) {
               "pkts/chain", "packets/s", "MB/s", "vs_memcpy", "per-chain p/s");
   const int reps = quick ? 1 : 3;
   double ratio_single = 0.0, ratio_dense = 0.0;
+  bool conserved = true;
   const auto bench = [&](std::size_t workers, std::size_t chains,
                          std::uint64_t per_chain) {
-    const Result r = run(workers, chains, per_chain, reps);
+    const std::string row =
+        "many/" + std::to_string(workers) + "/" + std::to_string(chains);
+    const Result r = run(row, workers, chains, per_chain, reps);
+    if (!r.conserved) {
+      conserved = false;
+      return;
+    }
     const double ratio = r.mbytes_per_sec / memcpy_ref;
     if (workers == 1 && chains == 1) ratio_single = ratio;
     if (workers == 1 && chains == 10'000) ratio_dense = ratio;
@@ -201,8 +219,7 @@ int main(int argc, char** argv) {
                 chains, static_cast<unsigned long long>(per_chain),
                 r.packets_per_sec, r.mbytes_per_sec, ratio,
                 r.packets_per_sec / static_cast<double>(chains));
-    json.row({{"name", "many/" + std::to_string(workers) + "/" +
-                           std::to_string(chains)},
+    json.row({{"name", row},
               {"workers", static_cast<unsigned long long>(workers)},
               {"chains", static_cast<unsigned long long>(chains)},
               {"packets_per_chain", static_cast<unsigned long long>(per_chain)},
@@ -223,7 +240,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   // All workers: the same dense load spread across the pool. Chain count
-  // scales with the pool but stays bounded — ring memory is ~24 KiB/chain.
+  // scales with the pool but stays bounded — ring storage is at most
+  // 16 KiB/chain (the head's own ring is never written).
   const std::size_t workers = std::min<std::size_t>(hw, 8);
   if (workers > 1) {
     const std::size_t dense = std::min<std::size_t>(4'000 * workers, 16'000);
@@ -250,5 +268,5 @@ int main(int argc, char** argv) {
       "(within-2x gate %s%s)\n",
       ratio_dense, ratio_single, ok ? "ok" : "FAILED",
       quick ? ", advisory under --quick" : "");
-  return (ok || quick) ? 0 : 1;
+  return conserved && (ok || quick) ? 0 : 1;
 }

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -35,6 +36,18 @@ using Clock = std::chrono::steady_clock;
 
 double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Conservation: a row that delivered other than exactly what its writer
+/// wrote fails the run, named, instead of reporting a throughput.
+void check_delivered(const std::string& series, std::int64_t delivered,
+                     std::int64_t written) {
+  if (delivered != written) {
+    std::fprintf(stderr, "FAIL: %s delivered %lld of %lld bytes written\n",
+                 series.c_str(), static_cast<long long>(delivered),
+                 static_cast<long long>(written));
+    std::exit(EXIT_FAILURE);
+  }
 }
 
 /// Runs `body` (which moves `total_bytes`) `reps` times; returns the best
@@ -77,9 +90,13 @@ double bench_raw_pipe(std::size_t chunk, std::int64_t total_chunks, int reps) {
       dos.close();
     });
     util::Bytes buf(chunk);
-    while (dis.read_some(buf) != 0) {
+    std::int64_t delivered = 0;
+    while (const std::size_t n = dis.read_some(buf)) {
+      delivered += static_cast<std::int64_t>(n);
     }
     writer.join();
+    check_delivered("raw_pipe/" + std::to_string(chunk), delivered,
+                    static_cast<std::int64_t>(chunk) * total_chunks);
   });
 }
 
@@ -88,8 +105,9 @@ enum class Reader { kLegacy, kBatched };
 /// Framed transport: `batch` frames per writer transaction (batch == 1 is
 /// one write_frame call per frame; batch > 1 packs [header, payload] pairs
 /// into a single write_vec, which the stream commits atomically).
-double bench_framed(std::size_t payload, std::int64_t total_frames,
-                    std::size_t batch, Reader reader, int reps,
+double bench_framed(const std::string& series, std::size_t payload,
+                    std::int64_t total_frames, std::size_t batch,
+                    Reader reader, int reps,
                     double* batching_factor = nullptr) {
   const double total =
       static_cast<double>(payload) * static_cast<double>(total_frames);
@@ -127,22 +145,24 @@ double bench_framed(std::size_t payload, std::int64_t total_frames,
       }
       dos.close();
     });
-    std::int64_t frames = 0;
+    std::int64_t delivered = 0;
     if (reader == Reader::kLegacy) {
-      while (util::read_frame(dis)) ++frames;
+      while (const auto frame = util::read_frame(dis)) {
+        delivered += static_cast<std::int64_t>(frame->size());
+      }
     } else {
       util::FrameReader fr(dis);
-      while (fr.next()) ++frames;
+      while (const auto frame = fr.next()) {
+        delivered += static_cast<std::int64_t>(frame->size());
+      }
       if (batching_factor != nullptr && fr.refills() > 0) {
         *batching_factor = static_cast<double>(fr.frames()) /
                            static_cast<double>(fr.refills());
       }
     }
     writer.join();
-    if (frames != total_frames) {
-      std::fprintf(stderr, "framed bench: frame count mismatch\n");
-      std::abort();
-    }
+    check_delivered(series, delivered,
+                    static_cast<std::int64_t>(payload) * total_frames);
   });
 }
 
@@ -208,23 +228,22 @@ int main(int argc, char** argv) {
 
   const std::int64_t small_frames = 32768 * scale;
   const std::int64_t big_frames = 8192 * scale;
-  emit("framed_legacy/320", 320,
-       bench_framed(320, small_frames, 1, Reader::kLegacy, reps));
-  emit("framed_legacy/4096", 4096,
-       bench_framed(4096, big_frames, 1, Reader::kLegacy, reps));
-
-  double batching = 0.0;
-  emit("framed_batched/320", 320,
-       bench_framed(320, small_frames, 1, Reader::kBatched, reps, &batching),
-       {{"frames_per_refill", batching}});
-  emit("framed_batched/4096", 4096,
-       bench_framed(4096, big_frames, 1, Reader::kBatched, reps, &batching),
-       {{"frames_per_refill", batching}});
-
-  emit("framed_wbatch8/320", 320,
-       bench_framed(320, small_frames, 8, Reader::kBatched, reps));
-  emit("framed_wbatch8/4096", 4096,
-       bench_framed(4096, big_frames, 8, Reader::kBatched, reps));
+  const auto framed = [&](const std::string& series, std::size_t payload,
+                          std::int64_t frames, std::size_t batch,
+                          Reader reader, bool report_batching) {
+    double batching = 0.0;
+    const double mbps = bench_framed(series, payload, frames, batch, reader,
+                                     reps, &batching);
+    rwbench::JsonFields extra;
+    if (report_batching) extra.push_back({"frames_per_refill", batching});
+    emit(series, payload, mbps, std::move(extra));
+  };
+  framed("framed_legacy/320", 320, small_frames, 1, Reader::kLegacy, false);
+  framed("framed_legacy/4096", 4096, big_frames, 1, Reader::kLegacy, false);
+  framed("framed_batched/320", 320, small_frames, 1, Reader::kBatched, true);
+  framed("framed_batched/4096", 4096, big_frames, 1, Reader::kBatched, true);
+  framed("framed_wbatch8/320", 320, small_frames, 8, Reader::kBatched, false);
+  framed("framed_wbatch8/4096", 4096, big_frames, 8, Reader::kBatched, false);
 
   const double pause_us = bench_pause_reconnect_us(quick ? 20'000 : 100'000);
   std::printf("%-24s %12.2f us/cycle\n", "pause_reconnect", pause_us);

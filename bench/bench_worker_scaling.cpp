@@ -7,7 +7,8 @@
 // mutex.
 //
 // Every chain is fully event-hosted (synthetic always-ready source, 8
-// pass-through hops for the headline rows, counting sink), and every
+// pass-through hops for the headline rows, its worker's counting sink —
+// bench_sink.h), and every
 // payload buffer cycles through BufferPool::local() ON the worker — the
 // same economy the production path uses. Reported per row:
 //
@@ -24,6 +25,8 @@
 //                        the shared-nothing proof).
 //
 // Built-in acceptance gates (exit 1 on violation):
+//   * every row delivers exactly the packets and bytes it sent; a row whose
+//     packets are still missing after its deadline exits at once, named;
 //   * global_lock_delta == 0 on every row;
 //   * steady-state pool hit rate >= 0.99 on the headline rows;
 //   * >= 3x aggregate packets/s at 4 workers vs 1 on the 1 KiB x 8-filter
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_sink.h"
 #include "core/endpoint.h"
 #include "core/filter.h"
 #include "core/filter_chain.h"
@@ -82,24 +86,6 @@ class SyntheticPacketSource final : public core::PacketSource {
   std::atomic<bool> interrupted_{false};
 };
 
-/// Shared across every chain: counts deliveries, never stores them.
-class CountingPacketSink final : public core::PacketSink {
- public:
-  void deliver(util::ByteSpan packet) override {
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(packet.size(), std::memory_order_relaxed);
-  }
-
-  std::uint64_t packets() const {
-    return packets_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> packets_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-};
-
 class PassThroughPacketFilter final : public core::PacketFilter {
  public:
   using PacketFilter::PacketFilter;
@@ -117,12 +103,13 @@ struct Result {
   double mbytes_per_sec = 0.0;
   double pool_hit_rate = 0.0;
   std::uint64_t global_lock_delta = 0;
+  bool conserved = true;
 };
 
-Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
-                std::size_t payload, std::uint64_t packets_per_chain) {
+Result run_once(const std::string& row, std::size_t workers,
+                std::size_t chains, std::size_t filters, std::size_t payload,
+                std::uint64_t packets_per_chain) {
   core::WorkerPool pool(workers);
-  auto sink = std::make_shared<CountingPacketSink>();
 
   // Pre-warm each worker's arena: fill the size-class buckets the run will
   // cycle through (payload buffers plus the framed copies a couple of
@@ -147,14 +134,31 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
     pool.worker(w).sync();
   }
 
+  // One counting sink per worker for the chains it hosts. Each arrives at
+  // `quarter` a quarter of the way through its own deliveries and at
+  // `done` on its last one.
+  std::vector<std::shared_ptr<rwbench::CountingPacketSink>> sinks;
+  for (std::size_t w = 0; w < workers; ++w) {
+    sinks.push_back(std::make_shared<rwbench::CountingPacketSink>());
+  }
+  const std::size_t active = std::min(workers, chains);
+  rwbench::Countdown quarter(active), done(active);
+  for (std::size_t w = 0; w < active; ++w) {
+    const std::size_t hosted = (chains - w + workers - 1) / workers;
+    const std::uint64_t expected = hosted * packets_per_chain;
+    sinks[w]->arrive_at(std::max<std::uint64_t>(1, expected / 4), quarter);
+    sinks[w]->arrive_at(expected, done);
+  }
+
   std::vector<std::unique_ptr<core::FilterChain>> live;
   live.reserve(chains);
   for (std::size_t c = 0; c < chains; ++c) {
     auto source =
         std::make_shared<SyntheticPacketSource>(packets_per_chain, payload);
     auto chain = std::make_unique<core::FilterChain>(
-        std::make_shared<core::PacketReaderEndpoint>("rx", source, kRing),
-        std::make_shared<core::PacketWriterEndpoint>("tx", sink, kRing));
+        std::make_shared<core::PacketReaderEndpoint>("rx", source),
+        std::make_shared<core::PacketWriterEndpoint>("tx", sinks[c % workers],
+                                                     kRing));
     // Deterministic spread: the scaling rows measure the shared-nothing
     // pools, not the placement heuristic (which has its own tests); an
     // unlucky placement collision must not wobble the speedup gate.
@@ -176,7 +180,7 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
   // and the global pool's mutex must not be touched at all. Hit rate is
   // computed over this window (the pre-warm's deliberate first-touch
   // misses are start-up cost, not steady-state behaviour).
-  while (sink->packets() < total / 4) std::this_thread::yield();
+  rwbench::await_or_exit(quarter, row);
   const std::uint64_t global0 = util::default_pool().lock_acquires();
   std::uint64_t hits0 = 0, misses0 = 0;
   for (std::size_t w = 0; w < pool.size(); ++w) {
@@ -184,7 +188,7 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
     hits0 += s.hits;
     misses0 += s.misses;
   }
-  while (sink->packets() < total) std::this_thread::yield();
+  rwbench::await_or_exit(done, row);
   const std::uint64_t global1 = util::default_pool().lock_acquires();
 
   const double secs =
@@ -193,7 +197,6 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
 
   Result r;
   r.packets_per_sec = static_cast<double>(total) / secs;
-  r.mbytes_per_sec = static_cast<double>(sink->bytes()) / secs / 1e6;
   r.global_lock_delta = global1 - global0;
   std::uint64_t hits = 0, misses = 0;
   for (std::size_t w = 0; w < pool.size(); ++w) {
@@ -213,18 +216,30 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
   for (auto& chain : live) chain->begin_shutdown();
   live.clear();
   pool.stop();
+
+  // Counted after teardown, so a duplicate delivered late still shows.
+  std::uint64_t delivered = 0, delivered_bytes = 0;
+  for (const auto& sink : sinks) {
+    delivered += sink->packets();
+    delivered_bytes += sink->bytes();
+  }
+  r.conserved = rwbench::conserved(row, total, total * payload, delivered,
+                                   delivered_bytes);
+  r.mbytes_per_sec = static_cast<double>(delivered_bytes) / secs / 1e6;
   return r;
 }
 
-Result run(std::size_t workers, std::size_t chains, std::size_t filters,
-           std::size_t payload, std::uint64_t packets_per_chain, int reps) {
+Result run(const std::string& row, std::size_t workers, std::size_t chains,
+           std::size_t filters, std::size_t payload,
+           std::uint64_t packets_per_chain, int reps) {
   // Best of reps: the fastest run is the one least distorted by unrelated
   // scheduler noise. Pool/lock gates apply to every rep, so take the
   // strictest (max) lock delta and the lowest hit rate.
   Result best{};
   for (int i = 0; i < reps; ++i) {
     const Result r =
-        run_once(workers, chains, filters, payload, packets_per_chain);
+        run_once(row, workers, chains, filters, payload, packets_per_chain);
+    if (!r.conserved) return r;  // one lossy rep fails the row
     if (r.packets_per_sec > best.packets_per_sec) {
       const std::uint64_t worst_delta =
           std::max(best.global_lock_delta, r.global_lock_delta);
@@ -292,16 +307,22 @@ int main(int argc, char** argv) {
   const auto bench = [&](std::size_t workers, std::size_t chains,
                          std::size_t filters, std::size_t payload,
                          std::uint64_t per_chain, bool headline) {
-    const Result r = run(workers, chains, filters, payload, per_chain, reps);
+    const std::string row = "scale/" + std::to_string(workers) + "w/" +
+                            std::to_string(chains) + "c/" +
+                            std::to_string(filters) + "f/" +
+                            std::to_string(payload) + "B";
+    const Result r =
+        run(row, workers, chains, filters, payload, per_chain, reps);
+    if (!r.conserved) {
+      failed = true;
+      return;
+    }
     const double ratio = r.mbytes_per_sec / memcpy_ref;
     std::printf("%8zu %7zu %8zu %8zu %14.0f %10.1f %10.4fx %9.4f %7llu\n",
                 workers, chains, filters, payload, r.packets_per_sec,
                 r.mbytes_per_sec, ratio, r.pool_hit_rate,
                 static_cast<unsigned long long>(r.global_lock_delta));
-    json.row({{"name", "scale/" + std::to_string(workers) + "w/" +
-                           std::to_string(chains) + "c/" +
-                           std::to_string(filters) + "f/" +
-                           std::to_string(payload) + "B"},
+    json.row({{"name", row},
               {"workers", static_cast<unsigned long long>(workers)},
               {"chains", static_cast<unsigned long long>(chains)},
               {"filters", static_cast<unsigned long long>(filters)},

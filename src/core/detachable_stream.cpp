@@ -135,6 +135,11 @@ std::size_t DetachableInputStream::available() const {
   return st_->ring.size();
 }
 
+std::size_t DetachableInputStream::ring_bytes() const {
+  rw::MutexLock lk(st_->mu);
+  return st_->ring.storage();
+}
+
 bool DetachableInputStream::connected() const {
   rw::MutexLock lk(st_->mu);
   return st_->connected;

@@ -241,6 +241,10 @@ class DetachableInputStream final : public util::ByteSource {
   /// Bytes currently buffered.
   std::size_t available() const;
 
+  /// Bytes of ring storage allocated: 0 until the first write, then
+  /// doubling toward the capacity (util::ByteRing).
+  std::size_t ring_bytes() const;
+
   bool connected() const;
 
   /// Forwards to the connected DOS (reference call, as in the paper).
@@ -305,7 +309,8 @@ class DetachableOutputStream final : public util::ByteSink {
   /// across the whole transaction, a concurrent pause() can never splice
   /// between segments — the no-torn-frames contract without the in-flight
   /// writer window. A write larger than the sink ring (a big frame) waits
-  /// for the ring to drain, which then grows once to the write's size.
+  /// for the ring to drain, which then raises its bound to the write's
+  /// size.
   /// Throws BrokenPipe like write(); throws StreamError for a write larger
   /// than the largest frame (util::kMaxFrameSize plus its header).
   bool try_write_vec(std::span<const util::ByteSpan> segments) override;

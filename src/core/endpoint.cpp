@@ -11,9 +11,8 @@
 namespace rapidware::core {
 
 PacketReaderEndpoint::PacketReaderEndpoint(std::string name,
-                                           std::shared_ptr<PacketSource> source,
-                                           std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity), source_(std::move(source)) {}
+                                           std::shared_ptr<PacketSource> source)
+    : Filter(std::move(name)), source_(std::move(source)) {}
 
 void PacketReaderEndpoint::event_start() {
   ev_parked_.reset();
@@ -103,9 +102,8 @@ void PacketWriterEndpoint::register_metrics(obs::Scope scope) {
 
 ByteReaderEndpoint::ByteReaderEndpoint(std::string name,
                                        std::shared_ptr<util::ByteSource> source,
-                                       std::size_t chunk,
-                                       std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity),
+                                       std::size_t chunk)
+    : Filter(std::move(name)),
       source_(std::move(source)),
       chunk_(chunk) {
   if (!source_->pollable()) {

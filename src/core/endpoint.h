@@ -59,12 +59,7 @@ class PacketSink {
 /// framed messages (the paper's EndPointSocketReader shape).
 class PacketReaderEndpoint final : public Filter {
  public:
-  /// `buffer_capacity` sizes this endpoint's own (unused) input ring; it
-  /// exists so dense many-chain deployments can shrink the per-stage ring
-  /// footprint (bench_many_chains runs thousands of chains per worker).
-  PacketReaderEndpoint(std::string name, std::shared_ptr<PacketSource> source,
-                       std::size_t buffer_capacity =
-                           DetachableInputStream::kDefaultCapacity);
+  PacketReaderEndpoint(std::string name, std::shared_ptr<PacketSource> source);
 
   /// Asks the source to stop; the run ends after the current packet.
   void interrupt() override { source_->interrupt(); }
@@ -144,9 +139,7 @@ class ByteReaderEndpoint final : public Filter {
   /// Throws std::invalid_argument when `source` is not pollable(): a
   /// worker drive cannot wait in a blocking read_some().
   ByteReaderEndpoint(std::string name, std::shared_ptr<util::ByteSource> source,
-                     std::size_t chunk = 4096,
-                     std::size_t buffer_capacity =
-                         DetachableInputStream::kDefaultCapacity);
+                     std::size_t chunk = 4096);
 
  protected:
   /// The drive: poll the source into the recycled chunk buffer, push it

@@ -159,6 +159,8 @@ void Filter::register_metrics(obs::Scope scope) {
   auto* dos = dos_.get();
   scope.callback("bytes_in",
                  [dis] { return static_cast<double>(dis->bytes_received()); });
+  scope.callback("ring_bytes",
+                 [dis] { return static_cast<double>(dis->ring_bytes()); });
   scope.callback("bytes_out",
                  [dos] { return static_cast<double>(dos->bytes_sent()); });
   scope.callback("pauses",

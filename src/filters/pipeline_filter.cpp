@@ -5,11 +5,9 @@
 
 namespace rapidware::filters {
 
-// The composite's own streams never carry data: a one-byte ring suffices.
 PipelineFilter::PipelineFilter(
     std::string name, std::vector<std::shared_ptr<core::Filter>> children)
-    : Filter(std::move(name), /*buffer_capacity=*/1),
-      children_(std::move(children)) {
+    : Filter(std::move(name)), children_(std::move(children)) {
   for (const auto& child : children_) {
     if (!child) {
       throw std::invalid_argument("PipelineFilter: null child");

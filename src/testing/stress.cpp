@@ -173,8 +173,8 @@ ScheduleResult StressDriver::run_schedule(std::uint64_t schedule_seed) {
   auto sink =
       std::make_shared<FaultyByteSink>(checker, make_injector(0xb0bULL));
 
-  auto head = std::make_shared<core::ByteReaderEndpoint>(
-      "head", source, /*chunk=*/512, opts_.ring_capacity);
+  auto head = std::make_shared<core::ByteReaderEndpoint>("head", source,
+                                                         /*chunk=*/512);
   auto tail = std::make_shared<core::ByteWriterEndpoint>("tail", sink,
                                                          opts_.ring_capacity);
   core::FilterChain chain(head, tail);

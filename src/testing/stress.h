@@ -71,8 +71,8 @@ struct StressOptions {
   /// Control operations attempted per schedule.
   int ops_per_schedule = 10;
   std::uint64_t bytes_per_schedule = 8 * 1024;
-  /// Ring capacity of the pass-through filters and both endpoints; small so
-  /// every pipe in the chain exercises its blocking paths.
+  /// Ring capacity of the pass-through filters and the tail endpoint; small
+  /// so every pipe in the chain exercises its blocking paths.
   std::size_t ring_capacity = 768;
   std::size_t max_filters = 4;
   FaultPlan faults;

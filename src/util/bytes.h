@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -27,17 +28,23 @@ std::string to_hex(ByteSpan b);
 /// Bounded single-producer/single-consumer style ring buffer of bytes.
 ///
 /// This is a plain data structure: it performs no locking. The detachable
-/// stream layer wraps it with a mutex and condition variables. Capacity is
-/// fixed at construction.
+/// stream layer wraps it with a mutex and condition variables. The bound
+/// (`capacity()`) is what backpressure sees; the storage behind it is
+/// allocated on the first write and doubles from 4 KiB toward the bound as
+/// the contents need it, so a ring that is never written holds no memory.
 class ByteRing {
  public:
   explicit ByteRing(std::size_t capacity);
 
-  std::size_t capacity() const noexcept { return buf_.size(); }
+  std::size_t capacity() const noexcept { return bound_; }
   std::size_t size() const noexcept { return size_; }
-  std::size_t free_space() const noexcept { return buf_.size() - size_; }
+  std::size_t free_space() const noexcept { return bound_ - size_; }
   bool empty() const noexcept { return size_ == 0; }
-  bool full() const noexcept { return size_ == buf_.size(); }
+  bool full() const noexcept { return size_ == bound_; }
+
+  /// Bytes of storage allocated so far: 0 until the first write, never
+  /// more than capacity().
+  std::size_t storage() const noexcept { return storage_; }
 
   /// Appends up to `in.size()` bytes; returns how many were written.
   std::size_t write(ByteSpan in);
@@ -68,15 +75,23 @@ class ByteRing {
   /// Discards all contents.
   void clear() noexcept;
 
-  /// Reallocates an EMPTY ring to hold `capacity` bytes; a no-op when it
-  /// already does. How a detachable stream makes room for a frame larger
-  /// than its ring without ever splitting it.
+  /// Raises an EMPTY ring's bound to `capacity` (never lowers it); the
+  /// storage follows on the next write. How a detachable stream makes room
+  /// for a frame larger than its ring without ever splitting it.
   void grow(std::size_t capacity);
 
  private:
-  std::vector<std::uint8_t> buf_;
-  std::size_t head_ = 0;  // next read position
-  std::size_t size_ = 0;  // bytes currently stored
+  static constexpr std::size_t kMinStorage = 4096;
+
+  /// Reallocates the storage to hold at least `need` (<= bound) bytes,
+  /// moving the possibly wrapped contents to the front.
+  void reserve(std::size_t need);
+
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t storage_ = 0;  // bytes allocated at buf_
+  std::size_t bound_;        // capacity(): what backpressure sees
+  std::size_t head_ = 0;     // next read position
+  std::size_t size_ = 0;     // bytes currently stored
 };
 
 }  // namespace rapidware::util

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/detachable_stream.h"
 #include "util/frame_reader.h"
@@ -852,6 +853,39 @@ TEST(DetachableStream, NotifyIssuedWhenReaderIsParked) {
   dos.write(to_bytes("wake!"));
   reader.join();
   EXPECT_GE(dis.wakeups(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Ring storage follows the traffic: nothing until the first write, then
+// doubling from 4 KiB toward the 64 KiB bound under the writer's lock.
+
+TEST(DetachableStream, RingStorageDoublesUnderABurstAndKeepsFrames) {
+  DetachableInputStream dis;
+  DetachableOutputStream dos;
+  connect(dos, dis);
+  EXPECT_EQ(dis.ring_bytes(), 0u);
+
+  // 64 frames of 333 B with nobody reading: 21 696 bytes, so the storage
+  // passes every size from 4 KiB up to 32 KiB while frames stay whole.
+  std::vector<std::size_t> storage;
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(util::try_write_frame(dos, sequential_bytes(333, i)));
+    if (storage.empty() || storage.back() != dis.ring_bytes()) {
+      storage.push_back(dis.ring_bytes());
+    }
+  }
+  EXPECT_EQ(storage, (std::vector<std::size_t>{4096, 8192, 16384, 32768}));
+  EXPECT_EQ(dis.available(), 64u * (333 + util::kFrameHeaderSize));
+
+  dos.close();
+  util::FrameReader frames(dis);
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    const auto frame = frames.next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(*frame, sequential_bytes(333, i));
+  }
+  EXPECT_FALSE(frames.next().has_value());
+  EXPECT_EQ(dis.ring_bytes(), 32768u);  // storage never shrinks
 }
 
 }  // namespace

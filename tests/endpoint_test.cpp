@@ -109,7 +109,7 @@ TEST(Endpoint, ByteEndpointsCarryAFiniteStreamToEOF) {
   auto generator = std::make_shared<testing::SequenceGenerator>(seed, 10'000);
   auto checker = std::make_shared<testing::SequenceChecker>(seed);
   FilterChain chain(
-      std::make_shared<ByteReaderEndpoint>("in", generator, 256, 1024),
+      std::make_shared<ByteReaderEndpoint>("in", generator, 256),
       std::make_shared<ByteWriterEndpoint>("out", checker, 1024));
   chain.start();
   chain.drain_shutdown();
@@ -206,7 +206,7 @@ TEST(Endpoint, FragmentedWritesReassembleByteExact) {
   auto sink = std::make_shared<testing::FaultyByteSink>(inner, faults);
   auto generator = std::make_shared<testing::SequenceGenerator>(seed, 8'192);
   FilterChain chain(
-      std::make_shared<ByteReaderEndpoint>("in", generator, 512, 1024),
+      std::make_shared<ByteReaderEndpoint>("in", generator, 512),
       std::make_shared<ByteWriterEndpoint>("out", sink, 1024));
   chain.start();
   chain.drain_shutdown();

@@ -3,6 +3,7 @@
 // end-to-end integrity property under randomized chain mutations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -593,25 +594,28 @@ TEST(FilterChain, SteadyStatePassThroughHitsPoolEveryTime) {
 // Frames at and beyond the ring capacity: a frame (payload + 6-byte header)
 // that is one byte short of, exactly, or past the size of every stage's
 // ring, through 0 and 2 stages, across a live insert and remove. A frame
-// larger than a ring waits for it to drain and grows it once; none may be
+// larger than a ring waits for it to drain and raises its bound once. The
+// burst cases push many small frames at once into 64 KiB-bound rings, whose
+// storage starts at 4 KiB and doubles while the splices run. None may be
 // lost, torn, duplicated or reordered.
 
 struct FrameSweepParam {
   std::size_t ring;     // capacity of every stage's input ring
   std::size_t payload;  // frame payload bytes
   std::size_t filters;  // pass-through stages configured before start
+  std::uint32_t burst = 8;  // frames pushed at once, in each of 3 phases
 };
 
 class FrameSizeSweep : public ::testing::TestWithParam<FrameSweepParam> {};
 
 TEST_P(FrameSizeSweep, ByteExactAcrossLiveSplice) {
   const FrameSweepParam p = GetParam();
-  constexpr std::uint32_t kPackets = 24;
+  const std::uint32_t kPackets = 3 * p.burst;
   const std::uint64_t seed = 0xf5a3e000ULL ^ (p.ring * 31 + p.payload);
   auto source = std::make_shared<QueuePacketSource>();
   auto sink = std::make_shared<CollectingPacketSink>();
   FilterChain chain(
-      std::make_shared<PacketReaderEndpoint>("in", source, p.ring),
+      std::make_shared<PacketReaderEndpoint>("in", source),
       std::make_shared<PacketWriterEndpoint>("out", sink, p.ring));
   for (std::size_t i = 0; i < p.filters; ++i) {
     chain.append(std::make_shared<PassThroughPacketFilter>(p.ring));
@@ -623,16 +627,29 @@ TEST_P(FrameSizeSweep, ByteExactAcrossLiveSplice) {
     }
   };
 
-  push(0, 8);
-  ASSERT_TRUE(sink->wait_for(4, /*timeout_ms=*/30'000));
+  push(0, p.burst);
+  ASSERT_TRUE(sink->wait_for(p.burst / 2, /*timeout_ms=*/30'000));
   const std::size_t mid = p.filters / 2;
   chain.insert(std::make_shared<PassThroughPacketFilter>(p.ring), mid);
-  push(8, 16);
+  push(p.burst, 2 * p.burst);
   chain.remove(mid);
-  push(16, kPackets);
+  push(2 * p.burst, kPackets);
   source->finish();
   ASSERT_TRUE(sink->wait_for(kPackets, /*timeout_ms=*/30'000));
   chain.shutdown();
+
+  // Every ring that carried frames holds storage within its bound (raised
+  // to the frame for a frame larger than the ring); the head's own ring is
+  // never written.
+  const std::size_t bound =
+      std::max(p.ring, p.payload + util::kFrameHeaderSize);
+  EXPECT_EQ(chain.head().dis().ring_bytes(), 0u);
+  std::vector<Filter*> carriers{&chain.tail()};
+  for (const auto& stage : chain.list()) carriers.push_back(stage.get());
+  for (Filter* stage : carriers) {
+    EXPECT_GT(stage->dis().ring_bytes(), 0u) << stage->name();
+    EXPECT_LE(stage->dis().ring_bytes(), bound) << stage->name();
+  }
 
   testing::PacketLedger ledger(seed, kPackets);
   for (const auto& packet : sink->packets()) ledger.record(packet);
@@ -654,15 +671,24 @@ std::vector<FrameSweepParam> frame_sweep() {
       }
     }
   }
+  for (const std::size_t payload : {std::size_t{333}, std::size_t{1500}}) {
+    for (const std::size_t filters : {std::size_t{0}, std::size_t{2}}) {
+      out.push_back({64 * 1024, payload, filters, /*burst=*/64});
+    }
+  }
   return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RingBoundaries, FrameSizeSweep, ::testing::ValuesIn(frame_sweep()),
     [](const ::testing::TestParamInfo<FrameSweepParam>& info) {
-      return "ring" + std::to_string(info.param.ring) + "_payload" +
-             std::to_string(info.param.payload) + "_filters" +
-             std::to_string(info.param.filters);
+      std::string name = "ring" + std::to_string(info.param.ring) +
+                         "_payload" + std::to_string(info.param.payload) +
+                         "_filters" + std::to_string(info.param.filters);
+      if (info.param.burst != 8) {
+        name += "_burst" + std::to_string(info.param.burst);
+      }
+      return name;
     });
 
 }  // namespace

@@ -552,6 +552,48 @@ TEST(FlowTable, PoolHostedLiveRuleSwapIsByteExact) {
   pool.stop();
 }
 
+TEST(FlowTable, IdleRingsHoldNoStorage) {
+  // The per-flow footprint: 1 024 passthrough flows on a 2-worker pool.
+  // Before any packet no stage holds ring storage. One 333-byte packet per
+  // flow allocates only the tail's first 4 KiB; the head endpoint's ring,
+  // which nothing writes, stays empty.
+  FlowHarness h;
+  constexpr std::uint32_t kFlows = 1024;
+  constexpr std::uint64_t kSeed = 0x5e7f;
+  for (std::uint32_t f = 0; f < kFlows; ++f) {
+    h.sinks[f] = std::make_shared<core::CollectingPacketSink>();
+  }
+  core::WorkerPool pool(2);
+  {
+    proxy::FlowTable flows = h.make_table(&pool);
+    std::vector<std::shared_ptr<core::FilterChain>> chains;
+    for (std::uint32_t f = 0; f < kFlows; ++f) {
+      chains.push_back(flows.acquire({f, "audio", LossRegime::kClean}));
+    }
+    for (const auto& chain : chains) {
+      ASSERT_EQ(chain->size(), 0u);  // passthrough: head -> tail
+      EXPECT_EQ(chain->head().dis().ring_bytes(), 0u);
+      EXPECT_EQ(chain->tail().dis().ring_bytes(), 0u);
+    }
+
+    for (std::uint32_t f = 0; f < kFlows; ++f) {
+      flows.push({f, "audio", LossRegime::kClean},
+                 testing::make_stamped_packet(kSeed + f, 0, 333));
+    }
+    for (std::uint32_t f = 0; f < kFlows; ++f) {
+      ASSERT_TRUE(h.sinks[f]->wait_for(1)) << "flow " << f;
+    }
+    for (const auto& chain : chains) {
+      EXPECT_EQ(chain->head().dis().ring_bytes(), 0u);
+      EXPECT_GT(chain->tail().dis().ring_bytes(), 0u);
+      EXPECT_LE(chain->tail().dis().ring_bytes(), 4096u);
+    }
+    chains.clear();
+    flows.shutdown_all();
+  }
+  pool.stop();
+}
+
 TEST(FlowTable, IdleFlowsAreEvictedByTheWorkerSweep) {
   // Three flows go quiet after delivering their packets: the per-worker
   // sweep must evict all of them (two quiet sweeps at timeout/2 each),

@@ -287,6 +287,25 @@ TEST(ObsChain, TrafficShowsUpInFilterCounters) {
 #endif
 }
 
+TEST(ObsChain, RingBytesReportsStorageOnlyOnceWritten) {
+  BoundChain b;
+  b.chain->insert(std::make_shared<core::NullFilter>("nf"), 0);
+  auto snap = b.reg.snapshot("p/chain");
+  EXPECT_EQ(find_value(snap, "p/chain/in/ring_bytes"), "0");
+  EXPECT_EQ(find_value(snap, "p/chain/nf/ring_bytes"), "0");
+  EXPECT_EQ(find_value(snap, "p/chain/out/ring_bytes"), "0");
+
+  util::Bytes packet(64, 0x5a);
+  for (int i = 0; i < 10; ++i) b.source->push(packet);
+  ASSERT_TRUE(b.sink->wait_for(10));
+  // Ten 70-byte frames: the rings that carried them hold their first
+  // 4 KiB of storage; the head's own ring is never written.
+  snap = b.reg.snapshot("p/chain");
+  EXPECT_EQ(find_value(snap, "p/chain/in/ring_bytes"), "0");
+  EXPECT_EQ(find_value(snap, "p/chain/nf/ring_bytes"), "4096");
+  EXPECT_EQ(find_value(snap, "p/chain/out/ring_bytes"), "4096");
+}
+
 TEST(ObsChain, EventsTraceRecordsReconfiguration) {
   BoundChain b;
   b.chain->insert(std::make_shared<core::NullFilter>("nf"), 0);

@@ -279,7 +279,7 @@ TEST(ChainStress, InjectedSinkFailuresTerminateCleanly) {
     auto sink = std::make_shared<testing::FaultyByteSink>(checker, faults);
 
     auto head =
-        std::make_shared<core::ByteReaderEndpoint>("head", source, 512, 1024);
+        std::make_shared<core::ByteReaderEndpoint>("head", source, 512);
     auto tail = std::make_shared<core::ByteWriterEndpoint>("tail", sink, 1024);
     core::FilterChain chain(head, tail);
     chain.start();
@@ -351,7 +351,7 @@ TEST(ChainStress, RegressionDeadTailReleasesBackpressure) {
   auto generator =
       std::make_shared<testing::SequenceGenerator>(0x7e57ULL, 1 << 20);
   auto head = std::make_shared<core::ByteReaderEndpoint>("head", generator,
-                                                         4096, 2048);
+                                                         4096);
   auto tail = std::make_shared<core::ByteWriterEndpoint>(
       "tail", std::make_shared<ThrowingSink>(), 2048);
   core::FilterChain chain(head, tail);

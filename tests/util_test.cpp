@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/buffer_pool.h"
 #include "util/bytes.h"
@@ -609,6 +611,152 @@ TEST(ByteRingSegments, ManyWrapCyclesViaSegmentApis) {
     got.insert(got.end(), piece.begin(), piece.end());
   }
   EXPECT_EQ(got, expect);
+}
+
+// ---------------------------------------------------------------------------
+// ByteRing storage: nothing until the first write, then doubling from 4 KiB
+// toward the bound. The bound alone drives capacity()/free_space()/full().
+
+namespace {
+
+constexpr std::size_t kMinRingStorage = 4096;
+
+/// Checks the bound-vs-storage invariants of a ring bounded at `bound`.
+void expect_bound_semantics(const ByteRing& ring, std::size_t bound) {
+  EXPECT_EQ(ring.capacity(), bound);
+  EXPECT_EQ(ring.free_space(), bound - ring.size());
+  EXPECT_EQ(ring.full(), ring.size() == bound);
+  EXPECT_LE(ring.storage(), bound);
+  EXPECT_GE(ring.storage(), ring.size());
+}
+
+}  // namespace
+
+TEST(ByteRingStorage, NeverWrittenRingHoldsNoStorageAndReadsSafely) {
+  ByteRing ring(64 * 1024);
+  EXPECT_EQ(ring.storage(), 0u);
+  expect_bound_semantics(ring, 64 * 1024);
+  Bytes out(16);
+  EXPECT_EQ(ring.read(out), 0u);
+  EXPECT_EQ(ring.peek(out), 0u);
+  EXPECT_EQ(ring.read(MutableByteSpan()), 0u);
+  ring.consume(0);
+  const auto spans = ring.read_spans();
+  EXPECT_TRUE(spans[0].empty());
+  EXPECT_TRUE(spans[1].empty());
+  EXPECT_EQ(ring.write(ByteSpan()), 0u);  // an empty write allocates nothing
+  ring.clear();
+  EXPECT_EQ(ring.storage(), 0u);
+}
+
+TEST(ByteRingStorage, DoublesFromFourKibAndNeverExceedsTheBound) {
+  for (const std::size_t bound :
+       {std::size_t{64 * 1024}, std::size_t{10'000}, std::size_t{100}}) {
+    ByteRing ring(bound);
+    std::vector<std::size_t> seen;
+    const Bytes byte(1, 0x5a);
+    while (!ring.full()) {
+      ASSERT_EQ(ring.write(byte), 1u);
+      if (seen.empty() || seen.back() != ring.storage()) {
+        seen.push_back(ring.storage());
+      }
+      ASSERT_GE(ring.storage(), ring.size());
+      ASSERT_LE(ring.storage(), bound);
+    }
+    std::vector<std::size_t> expect;
+    for (std::size_t s = kMinRingStorage; s < bound; s *= 2) {
+      expect.push_back(s);
+    }
+    expect.push_back(bound);
+    EXPECT_EQ(seen, expect) << "bound " << bound;
+    EXPECT_EQ(ring.write(byte), 0u);  // full at the bound, not the storage
+    EXPECT_EQ(ring.storage(), bound);
+  }
+}
+
+TEST(ByteRingStorage, GrowthWhileWrappedKeepsFifoAtEveryHeadOffset) {
+  // Park the head at every offset of the first 4 KiB allocation, fill the
+  // storage so the contents wrap, then write past it: the growth must move
+  // both wrapped pieces to the front of the new storage in order.
+  constexpr std::size_t kBound = 3 * kMinRingStorage + 17;
+  for (std::size_t offset = 0; offset < kMinRingStorage; ++offset) {
+    ByteRing ring(kBound);
+    Bytes junk(offset + 1, 0xee);  // +1: allocate even at offset 0
+    ASSERT_EQ(ring.write(ByteSpan(junk)), junk.size());
+    ASSERT_EQ(ring.read(junk), junk.size());
+    ring.clear();  // head back to 0, then advance it to `offset`
+    Bytes lead(offset, 0xdd);
+    ASSERT_EQ(ring.write(ByteSpan(lead)), offset);
+    ASSERT_EQ(ring.read(lead), offset);
+    ASSERT_EQ(ring.storage(), kMinRingStorage);
+
+    Bytes sent(kMinRingStorage + 1 + offset % 97);
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      sent[i] = static_cast<std::uint8_t>(i * 7 + offset);
+    }
+    const std::size_t first = kMinRingStorage;  // wraps unless offset is 0
+    ASSERT_EQ(ring.write(ByteSpan(sent).first(first)), first);
+    ASSERT_EQ(ring.storage(), kMinRingStorage);
+    ASSERT_EQ(ring.write(ByteSpan(sent).subspan(first)), sent.size() - first);
+    ASSERT_EQ(ring.storage(), 2 * kMinRingStorage) << "offset " << offset;
+    Bytes got(sent.size());
+    ASSERT_EQ(ring.read(got), got.size());
+    ASSERT_EQ(got, sent) << "offset " << offset;
+  }
+}
+
+TEST(ByteRingStorage, RandomizedGrowthKeepsFifoAndBoundSemantics) {
+  constexpr std::size_t kBound = 5 * kMinRingStorage + 123;
+  Rng rng(0x41e6);
+  for (int trial = 0; trial < 40; ++trial) {
+    ByteRing ring(kBound);
+    std::uint8_t next = static_cast<std::uint8_t>(trial);
+    std::uint8_t expect = next;
+    std::size_t last_storage = 0;
+    for (int step = 0; step < 400; ++step) {
+      Bytes chunk(rng.next_below(3000) + 1);
+      for (auto& b : chunk) b = next++;
+      const std::size_t w = ring.write(chunk);
+      ASSERT_EQ(w, std::min(chunk.size(), kBound - (ring.size() - w)));
+      next = static_cast<std::uint8_t>(next - (chunk.size() - w));
+      expect_bound_semantics(ring, kBound);
+      ASSERT_GE(ring.storage(), last_storage);  // storage never shrinks
+      last_storage = ring.storage();
+
+      Bytes out(rng.next_below(3500) + 1);
+      const std::size_t r = ring.read(out);
+      for (std::size_t i = 0; i < r; ++i) {
+        ASSERT_EQ(out[i], expect++) << "trial " << trial << " step " << step;
+      }
+      expect_bound_semantics(ring, kBound);
+    }
+  }
+}
+
+TEST(ByteRingStorage, GrowRaisesAnEmptyRingsBoundWithoutAllocating) {
+  ByteRing ring(8192);
+  ring.grow(100'000);
+  EXPECT_EQ(ring.capacity(), 100'000u);
+  EXPECT_EQ(ring.storage(), 0u);
+  ring.grow(10);  // never lowers the bound
+  EXPECT_EQ(ring.capacity(), 100'000u);
+
+  Bytes big(70'000);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i);
+  }
+  ASSERT_EQ(ring.write(big), big.size());
+  EXPECT_EQ(ring.storage(), 100'000u);  // bit_ceil(70 000), capped
+  EXPECT_THROW(ring.grow(200'000), std::logic_error);
+  Bytes got(big.size());
+  ASSERT_EQ(ring.read(got), got.size());
+  EXPECT_EQ(got, big);
+
+  // Raising the bound of a drained ring keeps its storage until a write
+  // needs more.
+  ring.grow(300'000);
+  EXPECT_EQ(ring.capacity(), 300'000u);
+  EXPECT_EQ(ring.storage(), 100'000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ TEST(WorkerScaling, ByteEndpointsEventHostOverPollableStreams) {
         std::make_shared<testing::SequenceGenerator>(kSeed, kBytes);
     auto checker = std::make_shared<testing::SequenceChecker>(kSeed);
     auto head = std::make_shared<core::ByteReaderEndpoint>(
-        "head", generator, /*chunk=*/512, /*capacity=*/2048);
+        "head", generator, /*chunk=*/512);
     auto tail =
         std::make_shared<core::ByteWriterEndpoint>("tail", checker, 2048);
     core::FilterChain chain(head, tail);
@@ -195,7 +195,7 @@ TEST(WorkerScaling, SteadyStateTakesZeroGlobalPoolLocks) {
         std::make_shared<testing::SequenceGenerator>(kSeed, kBytes);
     auto checker = std::make_shared<testing::SequenceChecker>(kSeed);
     auto head = std::make_shared<core::ByteReaderEndpoint>(
-        "head", generator, /*chunk=*/1024, /*capacity=*/4096);
+        "head", generator, /*chunk=*/1024);
     auto tail =
         std::make_shared<core::ByteWriterEndpoint>("tail", checker, 4096);
     core::FilterChain chain(head, tail);
