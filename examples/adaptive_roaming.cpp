@@ -2,10 +2,13 @@
 // end: a user keeps a live audio stream while walking from her office (near
 // the access point) to a conference room down the hall. Loss rises with
 // distance; the loss-observer raplet sees receiver reports degrade and the
-// FEC responder inserts an FEC(6,4) filter into the *running* stream; when
-// she walks back, the filter is removed again.
+// adaptive FEC controller, ticked by the sender loop every 200 ms, inserts
+// an FEC(6,4) filter into the *running* stream; when she walks back, the
+// filter is removed again.
 //
-// Prints a timeline of distance, measured loss, and adaptation actions.
+// Prints a timeline of distance, measured loss, and adaptation actions, and
+// exits 1 unless FEC was inserted during the walk and is off again at its
+// end.
 //
 // Run: ./adaptive_roaming
 #include <cstdio>
@@ -17,8 +20,7 @@
 #include "media/media_packet.h"
 #include "media/receiver_log.h"
 #include "proxy/proxy.h"
-#include "raplets/adaptation_manager.h"
-#include "raplets/fec_responder.h"
+#include "raplets/fec_controller.h"
 #include "raplets/loss_observer.h"
 #include "raplets/receiver_report.h"
 #include "util/stats.h"
@@ -46,19 +48,28 @@ int main() {
   proxy::Proxy proxy(net, proxy_node, config);
   proxy.start();
 
-  // Adaptation plumbing: observer on the proxy node + FEC responder.
+  // Adaptation plumbing: observer on the proxy node + a one-rung FEC(6,4)
+  // controller. The observer smooths once per report, so the policy takes
+  // its samples as they are (alpha 1).
   auto observer_socket = net.open(proxy_node, 7000);
-  auto observer = std::make_shared<raplets::LossObserver>(observer_socket, 0.5);
-  raplets::FecResponderConfig rc;
-  rc.insert_threshold = 0.02;
-  rc.remove_threshold = 0.004;
-  rc.cooldown_us = 2'000'000;
-  auto responder = std::make_shared<raplets::FecResponder>(
-      core::ControlManager(proxy::network_control_transport(
-          net, proxy_node, proxy.control_address())),
-      std::nullopt, rc);
-  raplets::AdaptationManager adaptation(observer, responder);
-  adaptation.start();
+  raplets::LossObserver observer(observer_socket, 0.5);
+  raplets::AdaptiveFecControllerConfig cc;
+  cc.policy.insert_threshold = 0.02;
+  cc.policy.remove_threshold = 0.004;
+  cc.policy.cooldown_us = 2'000'000;
+  cc.policy.alpha = 1.0;
+  cc.policy.rungs = {{0.0, 6, 4}};
+  raplets::AdaptiveFecController controller(cc);
+  controller.add_flow({"mobile",
+                       core::ControlManager(proxy::network_control_transport(
+                           net, proxy_node, proxy.control_address())),
+                       std::nullopt, [&observer] { return observer.poll(); }});
+  struct Action {
+    util::Micros at;
+    bool inserted;
+    double loss;
+  };
+  std::vector<Action> history;
 
   // Mobile receiver: permanent pass-through-capable decoder + reports.
   auto rx = net.open(mobile_node, 5000);
@@ -124,21 +135,24 @@ int main() {
     tx->send_to({proxy_node, 4000}, packetizer.next().serialize());
     clock->advance(20'000);
     if (i % 50 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (i % 10 == 0 && controller.tick(clock->now()) > 0) {
+      history.push_back({clock->now(), controller.fec_active("mobile"),
+                         controller.smoothed_loss("mobile")});
+    }
     if (i % 250 == 0) {  // report every 5 media seconds
       std::printf("%-6.0f %-8.1f %-12s %-10s %s\n",
                   util::micros_to_seconds(now), distance,
                   util::percent(wlan.downlink_loss(mobile_node)).c_str(),
-                  responder->fec_active() ? "ACTIVE" : "off",
+                  controller.fec_active("mobile") ? "ACTIVE" : "off",
                   viewer.render_chain("in", "out").c_str());
     }
   }
 
   receiver.join();
-  adaptation.stop();
   proxy.shutdown();
 
   std::printf("\nadaptation history:\n");
-  for (const auto& action : responder->history()) {
+  for (const auto& action : history) {
     std::printf("  t=%5.1fs  %s (smoothed loss %s)\n",
                 util::micros_to_seconds(action.at),
                 action.inserted ? "FEC inserted" : "FEC removed ",
@@ -147,5 +161,10 @@ int main() {
   std::printf("\noverall delivery after adaptation: %s (%llu packets)\n",
               util::percent(log.delivery_rate()).c_str(),
               static_cast<unsigned long long>(log.delivered()));
-  return 0;
+  // Back next to the access point, FEC must have come out again.
+  const bool ok = !history.empty() && history.front().inserted &&
+                  !controller.fec_active("mobile");
+  std::printf("%s\n", ok ? "FEC followed the walk in and out — done."
+                          : "FAILED: FEC did not follow the walk");
+  return ok ? 0 : 1;
 }

@@ -190,6 +190,14 @@ std::vector<FilterInfo> ControlManager::list_chain() {
   return out;
 }
 
+std::optional<std::size_t> ControlManager::find(const std::string& name) {
+  const auto infos = list_chain();
+  for (std::size_t i = 0; i < infos.size(); ++i) {
+    if (infos[i].name == name) return i;
+  }
+  return std::nullopt;
+}
+
 std::vector<std::string> ControlManager::list_available() {
   util::Writer req;
   req.u8(static_cast<std::uint8_t>(ControlOp::kListAvailable));

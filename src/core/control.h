@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,6 +117,8 @@ class ControlManager {
   static ControlManager local(std::shared_ptr<ControlServer> server);
 
   std::vector<FilterInfo> list_chain();
+  /// Position of the first filter named `name` in the chain, or nullopt.
+  std::optional<std::size_t> find(const std::string& name);
   std::vector<std::string> list_available();
   void insert(const FilterSpec& spec, std::size_t pos);
   void remove(std::size_t pos);

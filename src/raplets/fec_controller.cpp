@@ -9,17 +9,16 @@ namespace rapidware::raplets {
 
 namespace {
 
-std::optional<std::size_t> find_filter(core::ControlManager& manager,
-                                       const std::string& name) {
-  const auto infos = manager.list_chain();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    if (infos[i].name == name) return i;
-  }
-  return std::nullopt;
+// Insert and remove are idempotent per stage, so retrying an action a
+// failure left half done adds only the missing stages and never stacks a
+// second copy of one already in place.
+void insert_if_missing(core::ControlManager& manager,
+                       const core::FilterSpec& spec, std::size_t pos) {
+  if (!manager.find(spec.name)) manager.insert(spec, pos);
 }
 
 void remove_if_present(core::ControlManager& manager, const std::string& name) {
-  if (const auto pos = find_filter(manager, name)) manager.remove(*pos);
+  if (const auto pos = manager.find(name)) manager.remove(*pos);
 }
 
 }  // namespace
@@ -75,9 +74,17 @@ std::size_t AdaptiveFecController::tick(util::Micros now) {
   std::int64_t active = 0;
   for (auto& flow : flows_) {
     const double sample = flow->cfg.probe();
+    // update() commits the policy to its decision. Keep the state from
+    // before it: a failed actuation takes the decision back (and this
+    // tick's sample with it), so the next tick decides and acts again.
+    const FecPolicy before = flow->policy;
     const FecPolicy::Decision d = flow->policy.update(now, sample);
     if (d.action != FecPolicy::Action::kNone) {
-      if (apply_locked(*flow, d, now)) ++changed;
+      if (apply_locked(*flow, d, before.n(), now)) {
+        ++changed;
+      } else {
+        flow->policy = before;
+      }
     }
     if (flow->policy.active()) ++active;
   }
@@ -87,6 +94,7 @@ std::size_t AdaptiveFecController::tick(util::Micros now) {
 
 bool AdaptiveFecController::apply_locked(Flow& flow,
                                          const FecPolicy::Decision& d,
+                                         std::size_t applied_n,
                                          util::Micros now) {
   const bool interleave =
       config_.interleave_rows > 0 && config_.interleave_depth > 0;
@@ -101,45 +109,37 @@ bool AdaptiveFecController::apply_locked(Flow& flow,
         // Decoder side first: every FEC-framed packet that reaches the
         // receiver must find a decoder already in place.
         if (flow.cfg.decoder_control) {
-          flow.cfg.decoder_control->insert({"fec-decode", {}},
-                                           config_.decoder_pos);
+          insert_if_missing(*flow.cfg.decoder_control, {"fec-decode", {}},
+                            config_.decoder_pos);
           if (interleave) {
-            flow.cfg.decoder_control->insert({"deinterleave", il_params},
-                                             config_.decoder_pos);
+            insert_if_missing(*flow.cfg.decoder_control,
+                              {"deinterleave", il_params}, config_.decoder_pos);
           }
         }
-        flow.cfg.control.insert({"fec-encode",
-                                 {{"n", std::to_string(d.n)},
-                                  {"k", std::to_string(d.k)}}},
-                                config_.encoder_pos);
+        insert_if_missing(flow.cfg.control,
+                          {"fec-encode",
+                           {{"n", std::to_string(d.n)},
+                            {"k", std::to_string(d.k)}}},
+                          config_.encoder_pos);
         if (interleave) {
-          flow.cfg.control.insert({"interleave", il_params},
-                                  config_.encoder_pos + 1);
+          insert_if_missing(flow.cfg.control, {"interleave", il_params},
+                            config_.encoder_pos + 1);
         }
         if (inserts_) inserts_->add();
         break;
       case FecPolicy::Action::kRetune: {
         what << flow.cfg.name << " retune fec(" << d.n << "," << d.k << ")";
-        const auto infos = flow.cfg.control.list_chain();
-        std::size_t pos = infos.size();
-        for (std::size_t i = 0; i < infos.size(); ++i) {
-          if (infos[i].name == "fec-encode") pos = i;
-        }
-        if (pos == infos.size()) {
-          throw core::ControlError("fec-encode not in chain");
-        }
+        const auto pos = flow.cfg.control.find("fec-encode");
+        if (!pos) throw core::ControlError("fec-encode not in chain");
         // The encoder enforces n >= k on every individual set_param, so the
         // update order depends on direction: shrinking the group must lower
         // k first, growing it must raise n first.
-        const auto n_it = infos[pos].params.find("n");
-        const std::size_t cur_n =
-            n_it == infos[pos].params.end() ? 0 : std::stoul(n_it->second);
-        if (d.n < cur_n) {
-          flow.cfg.control.set_param(pos, "k", std::to_string(d.k));
-          flow.cfg.control.set_param(pos, "n", std::to_string(d.n));
+        if (d.n < applied_n) {
+          flow.cfg.control.set_param(*pos, "k", std::to_string(d.k));
+          flow.cfg.control.set_param(*pos, "n", std::to_string(d.n));
         } else {
-          flow.cfg.control.set_param(pos, "n", std::to_string(d.n));
-          flow.cfg.control.set_param(pos, "k", std::to_string(d.k));
+          flow.cfg.control.set_param(*pos, "n", std::to_string(d.n));
+          flow.cfg.control.set_param(*pos, "k", std::to_string(d.k));
         }
         if (retunes_) retunes_->add();
         break;

@@ -1,24 +1,24 @@
-// Closed-loop adaptive FEC controller: the polling counterpart of the
-// event-driven FecResponder, built for virtual-time operation.
+// Closed-loop adaptive FEC controller, built for virtual-time operation.
 //
-// Where FecResponder reacts to pushed "loss-rate" events, this controller
-// *polls*: each registered flow pairs a ControlManager (the reconfiguration
-// path into a live proxy chain) with a loss probe (typically a delta over
-// per-station obs:: STATS — attempted vs dropped counters). tick(now) polls
-// every flow once, feeds the sample through the flow's FecPolicy, and
-// actuates the resulting decision: insert fec-encode (+ optional
-// interleaver, + optional fec-decode on a receiver-side chain), retune n/k
-// in place via set_param, or remove everything when the link recovers.
+// The controller *polls*: each registered flow pairs a ControlManager (the
+// reconfiguration path into a live proxy chain) with a loss probe (a delta
+// over per-station obs:: STATS — attempted vs dropped counters — or a
+// LossObserver draining receiver reports). tick(now) polls every flow once,
+// feeds the sample through the flow's FecPolicy, and actuates the resulting
+// decision: insert fec-encode (+ optional interleaver, + optional
+// fec-decode on a receiver-side chain), retune n/k in place via set_param,
+// or remove everything when the link recovers.
 //
 // The controller has no thread or clock of its own — whoever owns the
 // cadence calls tick(). On virtual time that is one sim::PeriodicTask per
 // controller: `PeriodicTask(clock, period, [&](auto now){ ctl.tick(now); })`
 // (raplets must not depend on src/sim, so the glue lives with the caller);
-// on wall time a plain polling thread works the same way.
+// a sender loop can equally tick it every few packets.
 //
 // Actuation failures (a concurrent operator removed the chain, transport
 // died) are counted and traced, never thrown: the control loop must keep
-// servicing its other flows.
+// servicing its other flows. A decision stands only once its actuation
+// succeeded, so the next tick retries a failed one.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +107,9 @@ class AdaptiveFecController {
         : cfg(std::move(c)), policy(p) {}
   };
 
-  bool apply_locked(Flow& flow, const FecPolicy::Decision& d, util::Micros now)
-      RW_REQUIRES(mu_);
+  /// `applied_n` is the code the encoder runs now (0 when FEC is off).
+  bool apply_locked(Flow& flow, const FecPolicy::Decision& d,
+                    std::size_t applied_n, util::Micros now) RW_REQUIRES(mu_);
   Flow* find_locked(const std::string& name) RW_REQUIRES(mu_);
   const Flow* find_locked(const std::string& name) const RW_REQUIRES(mu_);
   void trace_locked(util::Micros now, const std::string& text)

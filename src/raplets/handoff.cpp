@@ -1,5 +1,6 @@
 #include "raplets/handoff.h"
 
+#include "raplets/transcode_responder.h"
 #include "util/logging.h"
 
 namespace rapidware::raplets {
@@ -13,22 +14,6 @@ void HandoffCoordinator::register_device(DeviceProfile profile) {
   devices_[profile.name] = std::move(profile);
 }
 
-int HandoffCoordinator::reduction_for(double stream_bps, double budget_bps) {
-  for (const int reduction : {1, 2, 4}) {
-    if (stream_bps / reduction <= budget_bps) return reduction;
-  }
-  return 4;
-}
-
-std::optional<std::size_t> HandoffCoordinator::find_filter(
-    const std::string& name) {
-  const auto infos = manager_.list_chain();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    if (infos[i].name == name) return i;
-  }
-  return std::nullopt;
-}
-
 void HandoffCoordinator::handoff_to(const std::string& device,
                                     double stream_bps) {
   rw::MutexLock lk(mu_);
@@ -38,7 +23,7 @@ void HandoffCoordinator::handoff_to(const std::string& device,
   // format it cannot afford. Transcode: insert, retune, or remove.
   const int reduction = reduction_for(stream_bps, profile.link_budget_bps);
   const std::string mode = reduction == 4 ? "mono+half" : "mono";
-  if (const auto pos = find_filter("audio-transcode")) {
+  if (const auto pos = manager_.find("audio-transcode")) {
     if (reduction == 1) {
       manager_.remove(*pos);
     } else {
@@ -49,7 +34,7 @@ void HandoffCoordinator::handoff_to(const std::string& device,
   }
 
   // FEC sits AFTER the transcoder (protect the bytes actually sent).
-  const auto fec_pos = find_filter("fec-encode");
+  const auto fec_pos = manager_.find("fec-encode");
   if (profile.wants_fec && !fec_pos) {
     manager_.insert({"fec-encode",
                      {{"n", std::to_string(profile.fec_n)},

@@ -55,10 +55,6 @@ class HandoffCoordinator {
   std::vector<Event> history() const;
 
  private:
-  /// Desired transcode factor for a budget (1, 2, or 4).
-  static int reduction_for(double stream_bps, double budget_bps);
-  std::optional<std::size_t> find_filter(const std::string& name) RW_REQUIRES(mu_);
-
   proxy::Proxy& proxy_;
   core::ControlManager manager_ RW_GUARDED_BY(mu_);
 

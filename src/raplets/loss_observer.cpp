@@ -1,6 +1,7 @@
 #include "raplets/loss_observer.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/logging.h"
 
@@ -14,54 +15,9 @@ LossObserver::LossObserver(std::shared_ptr<net::SimSocket> socket,
   }
 }
 
-LossObserver::~LossObserver() { stop(); }
-
-void LossObserver::set_sink(EventSink sink) {
-  rw::MutexLock lk(mu_);
-  sink_ = std::move(sink);
-}
-
-void LossObserver::start() {
-  rw::MutexLock lk(mu_);
-  if (running_) return;
-  running_ = true;
-  thread_ = std::thread([this] { service_loop(); });
-}
-
-void LossObserver::stop() {
-  std::thread reaper;
-  {
-    rw::MutexLock lk(mu_);
-    if (!running_) return;
-    running_ = false;
-    reaper = std::move(thread_);
-  }
-  socket_->close();
-  if (reaper.joinable()) reaper.join();
-}
-
-double LossObserver::loss_for(const std::string& receiver) const {
-  rw::MutexLock lk(mu_);
-  auto it = smoothed_.find(receiver);
-  return it == smoothed_.end() ? 0.0 : it->second;
-}
-
-double LossObserver::worst_loss() const {
-  rw::MutexLock lk(mu_);
-  double worst = 0.0;
-  for (const auto& [_, loss] : smoothed_) worst = std::max(worst, loss);
-  return worst;
-}
-
-std::uint64_t LossObserver::reports_seen() const {
-  rw::MutexLock lk(mu_);
-  return reports_;
-}
-
-void LossObserver::service_loop() {
-  for (;;) {
-    auto datagram = socket_->recv(-1);
-    if (!datagram) break;  // closed
+double LossObserver::poll() {
+  bool closed = false;
+  while (auto datagram = socket_->poll_recv(&closed)) {
     ReceiverReport report;
     try {
       report = ReceiverReport::parse(datagram->payload);
@@ -69,26 +25,28 @@ void LossObserver::service_loop() {
       RW_WARN("loss-observer") << "bad report: " << e.what();
       continue;
     }
-
-    Event event;
-    EventSink sink;
-    {
-      rw::MutexLock lk(mu_);
-      ++reports_;
-      // Prefer the raw link-loss measurement when the receiver supplies
-      // one; post-recovery loss hides the very condition FEC should react
-      // to (see ReceiverReport::raw_loss).
-      const double sample =
-          report.raw_loss >= 0.0 ? report.raw_loss : report.window_loss;
-      auto [it, created] = smoothed_.try_emplace(report.receiver, 0.0);
-      it->second =
-          created ? sample : alpha_ * sample + (1.0 - alpha_) * it->second;
-      event = Event{"loss-rate", report.receiver, it->second,
-                    datagram->deliver_at};
-      sink = sink_;
-    }
-    if (sink) sink(event);
+    ++reports_;
+    // Prefer the raw link-loss measurement when the receiver supplies one;
+    // post-recovery loss hides the very condition FEC should react to (see
+    // ReceiverReport::raw_loss).
+    const double sample =
+        report.raw_loss >= 0.0 ? report.raw_loss : report.window_loss;
+    auto [it, created] = smoothed_.try_emplace(report.receiver, 0.0);
+    it->second =
+        created ? sample : alpha_ * sample + (1.0 - alpha_) * it->second;
   }
+  return worst_loss();
+}
+
+double LossObserver::loss_for(const std::string& receiver) const {
+  auto it = smoothed_.find(receiver);
+  return it == smoothed_.end() ? 0.0 : it->second;
+}
+
+double LossObserver::worst_loss() const {
+  double worst = 0.0;
+  for (const auto& [_, loss] : smoothed_) worst = std::max(worst, loss);
+  return worst;
 }
 
 }  // namespace rapidware::raplets

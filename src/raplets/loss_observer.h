@@ -1,53 +1,47 @@
-// Loss observer raplet: a service thread that receives ReceiverReports on
-// a datagram socket, smooths per-receiver loss, and emits "loss-rate"
-// events toward its responder.
+// Loss observer raplet: folds the ReceiverReports queued on a datagram
+// socket into a smoothed loss per receiver.
+//
+// It has no thread: whoever owns the control cadence calls poll(), which
+// drains the socket without blocking. Wrapped in a lambda, poll() is an
+// AdaptiveFecController::LossProbe. One observer belongs to one caller, as
+// one FecPolicy does; it takes no lock.
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <thread>
+#include <memory>
+#include <string>
 
-#include "raplets/raplet.h"
 #include "raplets/receiver_report.h"
-#include "util/lock_rank.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace rapidware::raplets {
 
-class LossObserver final : public Observer {
+class LossObserver {
  public:
   /// `socket` must be bound where receivers send their reports. `alpha` is
   /// the exponential smoothing weight of new samples.
   explicit LossObserver(std::shared_ptr<net::SimSocket> socket,
                         double alpha = 0.4);
-  ~LossObserver() override;
 
-  void set_sink(EventSink sink) override;
-  void start() override;
-  void stop() override;
+  /// Drains every report queued on the socket, updating the sender's EWMA
+  /// once per report (malformed reports are logged and skipped), and
+  /// returns worst_loss().
+  double poll();
 
   /// Smoothed loss for one receiver (0 if unheard from).
   double loss_for(const std::string& receiver) const;
 
   /// Highest smoothed loss across receivers — what a multicast FEC
-  /// responder keys on (one parity stream must cover the worst receiver).
+  /// controller keys on (one parity stream must cover the worst receiver).
   double worst_loss() const;
 
-  std::uint64_t reports_seen() const;
+  std::uint64_t reports_seen() const noexcept { return reports_; }
 
  private:
-  void service_loop();
-
   const std::shared_ptr<net::SimSocket> socket_;
   const double alpha_;
-
-  mutable rw::Mutex mu_{"raplets/loss_observer", rw::lockrank::kRapletObserver};
-  EventSink sink_ RW_GUARDED_BY(mu_);
-  std::map<std::string, double> smoothed_ RW_GUARDED_BY(mu_);
-  std::uint64_t reports_ RW_GUARDED_BY(mu_) = 0;
-  // Moves out under mu_ in stop() so racing stops join exactly once.
-  std::thread thread_ RW_GUARDED_BY(mu_);
-  bool running_ RW_GUARDED_BY(mu_) = false;
+  std::map<std::string, double> smoothed_;
+  std::uint64_t reports_ = 0;
 };
 
 }  // namespace rapidware::raplets

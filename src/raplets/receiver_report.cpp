@@ -1,5 +1,7 @@
 #include "raplets/receiver_report.h"
 
+#include <cmath>
+
 #include "util/serial.h"
 
 namespace rapidware::raplets {
@@ -24,6 +26,12 @@ ReceiverReport ReceiverReport::parse(util::ByteSpan wire) {
   report.window_loss = r.f64();
   report.at_us = r.i64();
   report.raw_loss = r.f64();
+  // A NaN would poison the sender's EWMA for good (every comparison with
+  // it is false), so non-finite losses are rejected outright. A finite
+  // negative raw_loss means "unknown".
+  if (!std::isfinite(report.window_loss) || !std::isfinite(report.raw_loss)) {
+    throw util::SerialError("ReceiverReport: non-finite loss");
+  }
   if (report.window_loss < 0.0 || report.window_loss > 1.0 ||
       report.raw_loss > 1.0) {
     throw util::SerialError("ReceiverReport: loss out of range");

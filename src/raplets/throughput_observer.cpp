@@ -1,77 +1,33 @@
 #include "raplets/throughput_observer.h"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace rapidware::raplets {
 
-ThroughputObserver::ThroughputObserver(std::string source, ByteCounter counter,
-                                       int interval_ms, util::Clock* clock,
-                                       double alpha)
-    : source_(std::move(source)),
-      counter_(std::move(counter)),
-      interval_ms_(interval_ms),
-      clock_(clock != nullptr ? clock : &wall_),
-      alpha_(alpha) {
+ThroughputObserver::ThroughputObserver(ByteCounter counter,
+                                       const util::Clock& clock, double alpha)
+    : counter_(std::move(counter)), clock_(clock), alpha_(alpha) {
   if (!counter_) {
     throw std::invalid_argument("ThroughputObserver: null counter");
-  }
-  if (interval_ms_ <= 0) {
-    throw std::invalid_argument("ThroughputObserver: interval must be > 0");
   }
   if (alpha_ <= 0.0 || alpha_ > 1.0) {
     throw std::invalid_argument("ThroughputObserver: alpha in (0, 1]");
   }
-  rw::MutexLock lk(mu_);
   last_bytes_ = counter_();
-  last_at_ = clock_->now();
+  last_at_ = clock_.now();
 }
 
-ThroughputObserver::~ThroughputObserver() { stop(); }
-
-void ThroughputObserver::set_sink(EventSink sink) {
-  rw::MutexLock lk(mu_);
-  sink_ = std::move(sink);
-}
-
-void ThroughputObserver::start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  thread_ = std::thread([this] { poll_loop(); });
-}
-
-void ThroughputObserver::stop() {
-  running_.store(false);
-  if (thread_.joinable()) thread_.join();
-}
-
-void ThroughputObserver::poll_once() {
+double ThroughputObserver::poll() {
   const std::uint64_t bytes = counter_();
-  const util::Micros now = clock_->now();
-  double bps = 0.0;
-  EventSink sink;
-  {
-    rw::MutexLock lk(mu_);
-    if (now <= last_at_) return;  // virtual clock not advanced
-    const double sample = static_cast<double>(bytes - last_bytes_) * 1e6 /
-                          static_cast<double>(now - last_at_);
-    last_bytes_ = bytes;
-    last_at_ = now;
-    smoothed_ = primed_ ? alpha_ * sample + (1.0 - alpha_) * smoothed_
-                        : sample;
-    primed_ = true;
-    bps = smoothed_;
-    sink = sink_;
-  }
-  last_bps_.store(bps);
-  if (sink) sink(Event{"throughput-bps", source_, bps, now});
-}
-
-void ThroughputObserver::poll_loop() {
-  while (running_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms_));
-    poll_once();
-  }
+  const util::Micros now = clock_.now();
+  if (now <= last_at_) return smoothed_;  // virtual clock not advanced
+  const double sample = static_cast<double>(bytes - last_bytes_) * 1e6 /
+                        static_cast<double>(now - last_at_);
+  last_bytes_ = bytes;
+  last_at_ = now;
+  smoothed_ = primed_ ? alpha_ * sample + (1.0 - alpha_) * smoothed_ : sample;
+  primed_ = true;
+  return smoothed_;
 }
 
 }  // namespace rapidware::raplets

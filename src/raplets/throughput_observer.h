@@ -1,75 +1,48 @@
 // Throughput observer raplet: samples a byte counter (typically a
-// StatsFilter tap at a proxy's ingress) on a fixed interval and emits
-// "throughput-bps" events — the demand side of the bandwidth-adaptation
-// loop (the paper's "disparities among collaborating devices").
+// StatsFilter tap at a proxy's ingress) and smooths its rate — the demand
+// side of the bandwidth-adaptation loop (the paper's "disparities among
+// collaborating devices").
 //
-// Two driving modes share one sampling path:
-//   * start() spawns the classic wall-interval polling thread;
-//   * poll_once() takes a single sample immediately, for callers that own
-//     the cadence — a virtual-time control loop, or a deterministic test
-//     that advances a SimClock and polls explicitly (no thread, no sleeps,
-//     no flakiness).
-// Rates are always computed from the injected Clock, so virtual-time
-// callers get exact arithmetic, not scheduling noise.
+// It has no thread: whoever owns the cadence calls poll(), typically right
+// before feeding the result to TranscodeResponder::update(). Rates come from
+// the clock the caller passes, so a virtual-time loop or a deterministic
+// test gets exact arithmetic, not scheduling noise. One observer belongs to
+// one caller; it takes no lock.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <functional>
-#include <thread>
 
-#include "raplets/raplet.h"
 #include "util/clock.h"
-#include "util/lock_rank.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace rapidware::raplets {
 
-class ThroughputObserver final : public Observer {
+class ThroughputObserver {
  public:
   using ByteCounter = std::function<std::uint64_t()>;
 
   /// `counter` returns a monotonically increasing byte total; the observer
-  /// differentiates it per sample, smooths the rate with an EWMA (`alpha`
-  /// weight on the new sample, damping scheduling burstiness), and emits
-  /// the smoothed value. `source` labels events. The baseline (counter
-  /// value, clock reading) is taken here, at construction.
-  ThroughputObserver(std::string source, ByteCounter counter,
-                     int interval_ms = 100, util::Clock* clock = nullptr,
+  /// differentiates it per sample and smooths the rate with an EWMA
+  /// (`alpha` weight on the new sample, damping scheduling burstiness). The
+  /// baseline (counter value, clock reading) is taken here, at construction.
+  /// `clock` must outlive the observer.
+  ThroughputObserver(ByteCounter counter, const util::Clock& clock,
                      double alpha = 0.4);
-  ~ThroughputObserver() override;
 
-  void set_sink(EventSink sink) override;
-  void start() override;
-  void stop() override;
-
-  /// Takes one sample at clock->now(): differentiates the counter since the
-  /// previous sample, updates the EWMA, and emits one event. A no-op when
-  /// the clock has not advanced (virtual time standing still). Thread-safe;
-  /// the polling thread uses this same path.
-  void poll_once();
-
-  double last_bps() const { return last_bps_.load(); }
+  /// Takes one sample at clock.now(): differentiates the counter since the
+  /// previous sample, updates the EWMA and returns it, in bytes/second.
+  /// While the clock stands still it takes no sample and returns the
+  /// previous estimate.
+  double poll();
 
  private:
-  void poll_loop();
-
-  const std::string source_;
   const ByteCounter counter_;
-  const int interval_ms_;
-  util::Clock* const clock_;
+  const util::Clock& clock_;
   const double alpha_;
-  util::WallClock wall_;  // rw-lint: allow(RW003) stateless
-
-  mutable rw::Mutex mu_{"raplets/throughput_observer", rw::lockrank::kRapletObserver};
-  EventSink sink_ RW_GUARDED_BY(mu_);
-  std::uint64_t last_bytes_ RW_GUARDED_BY(mu_) = 0;
-  util::Micros last_at_ RW_GUARDED_BY(mu_) = 0;
-  double smoothed_ RW_GUARDED_BY(mu_) = 0.0;
-  bool primed_ RW_GUARDED_BY(mu_) = false;
-  std::atomic<double> last_bps_{0.0};
-  std::atomic<bool> running_{false};
-  std::thread thread_;  // rw-lint: allow(RW003) start/stop-only, serialized by caller
+  std::uint64_t last_bytes_ = 0;
+  util::Micros last_at_ = 0;
+  double smoothed_ = 0.0;
+  bool primed_ = false;
 };
 
 }  // namespace rapidware::raplets

@@ -4,6 +4,13 @@
 
 namespace rapidware::raplets {
 
+int reduction_for(double stream_bps, double budget_bps) {
+  for (const int reduction : {1, 2, 4}) {
+    if (stream_bps / reduction <= budget_bps) return reduction;
+  }
+  return 4;  // deepest available step
+}
+
 TranscodeResponder::TranscodeResponder(core::ControlManager manager,
                                        TranscodeResponderConfig config)
     : manager_(std::move(manager)), config_(config) {
@@ -15,34 +22,27 @@ TranscodeResponder::TranscodeResponder(core::ControlManager manager,
   }
 }
 
-int TranscodeResponder::desired_reduction(double demand_bps) const {
-  for (const int reduction : {1, 2, 4}) {
-    if (demand_bps / reduction <= config_.link_budget_bps) return reduction;
-  }
-  return 4;  // deepest available step
-}
-
-void TranscodeResponder::on_event(const Event& event) {
-  if (event.type != "throughput-bps") return;
+void TranscodeResponder::update(util::Micros now, double demand_bps) {
   rw::MutexLock lk(mu_);
-  if (ever_changed_ && event.at - last_change_ < config_.cooldown_us) return;
+  if (ever_changed_ && now - last_change_ < config_.cooldown_us) return;
 
-  const int desired = desired_reduction(event.value);
+  const int desired = reduction_for(demand_bps, config_.link_budget_bps);
   if (desired > reduction_) {
-    apply(desired, event);  // escalate promptly: the link is overrun
+    apply(desired, now, demand_bps);  // escalate promptly: the link is overrun
   } else if (desired < reduction_) {
     // De-escalate only with headroom: the shallower step must still fit
     // within the hysteresis fraction of the budget.
-    if (event.value / desired <=
+    if (demand_bps / desired <=
         config_.link_budget_bps * config_.hysteresis) {
-      apply(desired, event);
+      apply(desired, now, demand_bps);
     }
   }
 }
 
-void TranscodeResponder::apply(int reduction, const Event& event) {
+void TranscodeResponder::apply(int reduction, util::Micros now,
+                               double demand_bps) {
   try {
-    const auto pos = find_filter();
+    const auto pos = manager_.find("audio-transcode");
     if (reduction == 1) {
       if (pos) manager_.remove(*pos);
     } else {
@@ -64,18 +64,10 @@ void TranscodeResponder::apply(int reduction, const Event& event) {
   }
   reduction_ = reduction;
   ever_changed_ = true;
-  last_change_ = event.at;
-  history_.push_back({event.at, reduction, event.value});
+  last_change_ = now;
+  history_.push_back({now, reduction, demand_bps});
   RW_INFO("transcode-responder")
-      << "reduction x" << reduction << " at demand " << event.value << " B/s";
-}
-
-std::optional<std::size_t> TranscodeResponder::find_filter() {
-  const auto infos = manager_.list_chain();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    if (infos[i].name == "audio-transcode") return i;
-  }
-  return std::nullopt;
+      << "reduction x" << reduction << " at demand " << demand_bps << " B/s";
 }
 
 int TranscodeResponder::current_reduction() const {

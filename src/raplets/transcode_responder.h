@@ -1,21 +1,23 @@
 // Transcode responder raplet: matches a stream to a constrained client.
 //
-// Consumes "throughput-bps" events (stream demand) and escalates through a
-// transcoding ladder until the stream fits the client's link budget:
+// Fed the stream's demand (typically ThroughputObserver::poll()) by whoever
+// owns the cadence, it escalates through a transcoding ladder until the
+// stream fits the client's link budget:
 //
 //     off  ->  mono (2x smaller)  ->  mono+half (4x smaller)
 //
 // and de-escalates with hysteresis when demand drops. This is the paper's
 // "transcode the stream to a lower bandwidth format" proxy duty, run by a
 // responder instead of a human — the heterogeneity counterpart to the FEC
-// responder's loss adaptation.
+// controller's loss adaptation. It keeps its own ladder rather than a
+// FecPolicy because it follows a bandwidth law, not a loss law.
 #pragma once
 
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/control.h"
-#include "raplets/raplet.h"
+#include "util/clock.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -35,12 +37,20 @@ struct TranscodeResponderConfig {
   std::string bits = "8";
 };
 
-class TranscodeResponder final : public Responder {
+/// The transcode ladder: the smallest reduction — 1 (off), 2 (mono) or 4
+/// (mono+half) — that fits `stream_bps` into `budget_bps`, or 4 when even
+/// that does not fit.
+int reduction_for(double stream_bps, double budget_bps);
+
+class TranscodeResponder {
  public:
   TranscodeResponder(core::ControlManager manager,
                      TranscodeResponderConfig config = {});
 
-  void on_event(const Event& event) override;
+  /// Reacts to the stream's demand (bytes/second) observed at `now`:
+  /// escalates at once when the stream overruns the budget, de-escalates
+  /// only with headroom, and never changes twice within the cooldown.
+  void update(util::Micros now, double demand_bps);
 
   /// Current reduction factor: 1 (off), 2 (mono), or 4 (mono+half).
   int current_reduction() const;
@@ -53,10 +63,8 @@ class TranscodeResponder final : public Responder {
   std::vector<Action> history() const;
 
  private:
-  /// Smallest ladder step whose reduced rate fits the budget.
-  int desired_reduction(double demand_bps) const;
-  void apply(int reduction, const Event& event) RW_REQUIRES(mu_);
-  std::optional<std::size_t> find_filter() RW_REQUIRES(mu_);
+  void apply(int reduction, util::Micros now, double demand_bps)
+      RW_REQUIRES(mu_);
 
   core::ControlManager manager_ RW_GUARDED_BY(mu_);
   const TranscodeResponderConfig config_;

@@ -29,8 +29,7 @@ namespace rw::lockrank {
 inline constexpr int kUnranked = -1;
 
 // --- Adaptation plane (outermost) ------------------------------------------
-inline constexpr int kRapletObserver = 100;   // LossObserver, ThroughputObserver
-inline constexpr int kRapletResponder = 110;  // FecResponder, TranscodeResponder, HandoffCoordinator
+inline constexpr int kRapletResponder = 110;  // TranscodeResponder, HandoffCoordinator
 inline constexpr int kFecController = 120;    // AdaptiveFecController
 inline constexpr int kPavilionSession = 130;  // SessionMember
 inline constexpr int kPavilionFloor = 140;    // FloorControl

@@ -11,7 +11,6 @@
 #include "media/audio.h"
 #include "media/media_packet.h"
 #include "proxy/proxy.h"
-#include "raplets/adaptation_manager.h"
 #include "raplets/throughput_observer.h"
 #include "raplets/handoff.h"
 #include "raplets/transcode_responder.h"
@@ -23,58 +22,49 @@ namespace {
 // ThroughputObserver
 
 TEST(ThroughputObserver, RejectsBadArguments) {
-  EXPECT_THROW(ThroughputObserver("x", nullptr), std::invalid_argument);
-  EXPECT_THROW(ThroughputObserver("x", [] { return std::uint64_t{0}; }, 0),
-               std::invalid_argument);
+  util::SimClock clock;
+  EXPECT_THROW(ThroughputObserver(nullptr, clock), std::invalid_argument);
+  const auto counter = [] { return std::uint64_t{0}; };
+  EXPECT_THROW(ThroughputObserver(counter, clock, 0.0), std::invalid_argument);
+  EXPECT_THROW(ThroughputObserver(counter, clock, 1.5), std::invalid_argument);
 }
 
 TEST(ThroughputObserver, DifferentiatesCounter) {
-  // Deterministic: no polling thread, no wall sleeps. The test owns the
-  // clock and the cadence via poll_once(), so every computed rate is exact
-  // arithmetic instead of a scheduling-jitter ballpark.
+  // Deterministic: no thread, no wall sleeps. The test owns the clock and
+  // the cadence via poll(), so every computed rate is exact arithmetic
+  // instead of a scheduling-jitter ballpark.
   util::SimClock clock;
   std::uint64_t bytes = 0;
-  ThroughputObserver observer(
-      "tap", [&] { return bytes; }, 20, &clock, /*alpha=*/1.0);
-  std::vector<Event> events;
-  observer.set_sink([&](const Event& e) { events.push_back(e); });
+  ThroughputObserver observer([&] { return bytes; }, clock, /*alpha=*/1.0);
 
   // Feed exactly 1 MB/s: 20'000 bytes per 20 ms virtual interval.
   for (int i = 0; i < 8; ++i) {
     bytes += 20'000;
     clock.advance(20'000);
-    observer.poll_once();
+    EXPECT_DOUBLE_EQ(observer.poll(), 1'000'000.0);
   }
-  ASSERT_EQ(events.size(), 8u);
-  EXPECT_EQ(events[0].type, "throughput-bps");
-  EXPECT_EQ(events[0].source, "tap");
-  for (const auto& e : events) EXPECT_DOUBLE_EQ(e.value, 1'000'000.0);
-  EXPECT_DOUBLE_EQ(observer.last_bps(), 1'000'000.0);
 
-  // Polling while virtual time stands still is a no-op, not a div-by-zero.
-  observer.poll_once();
-  EXPECT_EQ(events.size(), 8u);
+  // Polling while virtual time stands still takes no sample (and divides
+  // by nothing): the estimate stays where it was.
+  bytes += 20'000;
+  EXPECT_DOUBLE_EQ(observer.poll(), 1'000'000.0);
 }
 
 TEST(ThroughputObserver, SmoothsRateStepsWithEwma) {
   util::SimClock clock;
   std::uint64_t bytes = 0;
-  ThroughputObserver observer(
-      "tap", [&] { return bytes; }, 20, &clock, /*alpha=*/0.5);
+  ThroughputObserver observer([&] { return bytes; }, clock, /*alpha=*/0.5);
 
   bytes += 20'000;  // 1 MB/s primes the EWMA directly
   clock.advance(20'000);
-  observer.poll_once();
-  EXPECT_DOUBLE_EQ(observer.last_bps(), 1'000'000.0);
+  EXPECT_DOUBLE_EQ(observer.poll(), 1'000'000.0);
 
   bytes += 60'000;  // step to 3 MB/s: EWMA moves halfway, not all the way
   clock.advance(20'000);
-  observer.poll_once();
-  EXPECT_DOUBLE_EQ(observer.last_bps(), 2'000'000.0);
+  EXPECT_DOUBLE_EQ(observer.poll(), 2'000'000.0);
 
   clock.advance(20'000);  // idle interval: decays halfway toward zero
-  observer.poll_once();
-  EXPECT_DOUBLE_EQ(observer.last_bps(), 1'000'000.0);
+  EXPECT_DOUBLE_EQ(observer.poll(), 1'000'000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -105,10 +95,6 @@ struct ResponderWorld {
   }
 };
 
-Event demand(double bps, util::Micros at) {
-  return Event{"throughput-bps", "tap", bps, at};
-}
-
 TEST(TranscodeResponder, ConfigValidation) {
   ResponderWorld w;
   TranscodeResponderConfig bad;
@@ -127,14 +113,14 @@ TEST(TranscodeResponder, EscalatesThroughLadder) {
   TranscodeResponder responder(w.manager(), config);
 
   // 16 kB/s demand over an 8 kB/s budget -> mono (2x).
-  responder.on_event(demand(16'000, 1000));
+  responder.update(1000, 16'000);
   EXPECT_EQ(responder.current_reduction(), 2);
   auto infos = w.manager().list_chain();
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_EQ(infos[0].description, "transcode(mono)");
 
   // 32 kB/s -> needs 4x: the existing filter is retuned, not duplicated.
-  responder.on_event(demand(32'000, 2000));
+  responder.update(2000, 32'000);
   EXPECT_EQ(responder.current_reduction(), 4);
   infos = w.manager().list_chain();
   ASSERT_EQ(infos.size(), 1u);
@@ -149,18 +135,18 @@ TEST(TranscodeResponder, DeEscalatesWithHysteresis) {
   config.cooldown_us = 0;
   TranscodeResponder responder(w.manager(), config);
 
-  responder.on_event(demand(30'000, 1000));
+  responder.update(1000, 30'000);
   EXPECT_EQ(responder.current_reduction(), 4);
 
   // Demand drops to just within budget at 2x — but not within the
   // hysteresis margin (15600/2 = 7800 > 8000*0.85 = 6800): stay at 4x.
-  responder.on_event(demand(15'600, 2000));
+  responder.update(2000, 15'600);
   EXPECT_EQ(responder.current_reduction(), 4);
 
   // Well within margin: de-escalate to 2x, then off.
-  responder.on_event(demand(13'000, 3000));
+  responder.update(3000, 13'000);
   EXPECT_EQ(responder.current_reduction(), 2);
-  responder.on_event(demand(6'000, 4000));
+  responder.update(4000, 6'000);
   EXPECT_EQ(responder.current_reduction(), 1);
   EXPECT_TRUE(w.manager().list_chain().empty());
 }
@@ -172,22 +158,13 @@ TEST(TranscodeResponder, CooldownLimitsChanges) {
   config.cooldown_us = 1'000'000;
   TranscodeResponder responder(w.manager(), config);
 
-  responder.on_event(demand(16'000, 1'000'000));
+  responder.update(1'000'000, 16'000);
   EXPECT_EQ(responder.current_reduction(), 2);
-  responder.on_event(demand(64'000, 1'200'000));  // within cooldown
+  responder.update(1'200'000, 64'000);  // within cooldown
   EXPECT_EQ(responder.current_reduction(), 2);
-  responder.on_event(demand(64'000, 2'100'000));
+  responder.update(2'100'000, 64'000);
   EXPECT_EQ(responder.current_reduction(), 4);
   EXPECT_EQ(responder.history().size(), 2u);
-}
-
-TEST(TranscodeResponder, IgnoresOtherEvents) {
-  ResponderWorld w;
-  TranscodeResponderConfig config;
-  config.cooldown_us = 0;
-  TranscodeResponder responder(w.manager(), config);
-  responder.on_event(Event{"loss-rate", "x", 0.5, 1000});
-  EXPECT_EQ(responder.current_reduction(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -204,12 +181,8 @@ TEST(BandwidthLoop, StreamIsReshapedToFitBudget) {
   config.link_budget_bps = 8'500;
   config.cooldown_us = 0;
   config.position = 1;  // after the tap
-  auto responder =
-      std::make_shared<TranscodeResponder>(w.manager(), config);
-  auto observer = std::make_shared<ThroughputObserver>(
-      "ingress-tap", [tap] { return tap->bytes(); }, 20, w.clock.get());
-  AdaptationManager adaptation(observer, responder);
-  adaptation.start();
+  TranscodeResponder responder(w.manager(), config);
+  ThroughputObserver observer([tap] { return tap->bytes(); }, *w.clock);
 
   auto rx = w.net.open(w.mobile, 5000);
   std::atomic<std::uint64_t> out_bytes{0};
@@ -223,6 +196,9 @@ TEST(BandwidthLoop, StreamIsReshapedToFitBudget) {
     }
   });
 
+  // The sender loop owns the cadence: every 25 packets (500 ms) it samples
+  // the tap and feeds the responder. A shorter period reacts to the tap's
+  // lag behind the sender rather than to the stream.
   auto tx = w.net.open(w.client);
   media::AudioSource audio;
   media::AudioPacketizer packetizer(audio);
@@ -230,18 +206,20 @@ TEST(BandwidthLoop, StreamIsReshapedToFitBudget) {
   for (int i = 0; i < kPackets; ++i) {
     tx->send_to({w.proxy_node, 4000}, packetizer.next().serialize());
     w.clock->advance(20'000);
-    if (i % 25 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (i % 25 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      responder.update(w.clock->now(), observer.poll());
+    }
   }
   receiver.join();
-  adaptation.stop();
 
   // The responder engaged transcoding. The exact steady state depends on
   // measurement noise: 2x (mono) fits the budget at ~98% utilization, so a
   // noisy sample can legitimately push the controller to 4x and hysteresis
   // keeps it there. What must hold: adaptation happened and stuck.
-  EXPECT_GE(responder->current_reduction(), 2);
-  ASSERT_FALSE(responder->history().empty());
-  EXPECT_GE(responder->history().back().reduction, 2);
+  EXPECT_GE(responder.current_reduction(), 2);
+  ASSERT_FALSE(responder.history().empty());
+  EXPECT_GE(responder.history().back().reduction, 2);
   // All packets still flow; total bytes shrank materially.
   EXPECT_EQ(out_packets.load(), static_cast<std::uint64_t>(kPackets));
   EXPECT_LT(out_bytes.load(), static_cast<std::uint64_t>(kPackets) * 333);

@@ -238,6 +238,18 @@ TEST(ControlProtocol, SetParamUnknownKeyReportsError) {
   EXPECT_THROW(h.manager->set_param(0, "bogus", "1"), ControlError);
 }
 
+TEST(ControlProtocol, FindReturnsFirstPositionOrNothing) {
+  ControlHarness h;
+  EXPECT_EQ(h.manager->find("dtag"), std::nullopt);  // empty chain
+  h.manager->insert({"null", {}}, 0);
+  h.manager->insert({"dtag", {{"tag", "1"}}}, 1);
+  h.manager->insert({"dtag", {{"tag", "2"}}}, 2);
+  EXPECT_EQ(h.manager->find("null"), std::optional<std::size_t>{0});
+  EXPECT_EQ(h.manager->find("dtag"), std::optional<std::size_t>{1})
+      << "the first of two matches";
+  EXPECT_EQ(h.manager->find("fec-encode"), std::nullopt);
+}
+
 TEST(ControlProtocol, ReorderViaManager) {
   ControlHarness h;
   h.manager->insert({"dtag", {{"tag", "1"}}}, 0);

@@ -19,7 +19,9 @@
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
 #include "filters/registry.h"
+#include "net/sim_network.h"
 #include "obs/metrics.h"
+#include "proxy/proxy.h"
 #include "raplets/fec_controller.h"
 #include "raplets/fec_policy.h"
 #include "sim/virtual_clock.h"
@@ -282,6 +284,124 @@ TEST(AdaptiveFecController, InterleaverRidesAlongWithTheEncoder) {
   }
   EXPECT_FALSE(ctl.fec_active("loop"));
   EXPECT_TRUE(w.names().empty());
+}
+
+// The decoder side lives on a second proxy (the receiver's), reached over
+// the network control transport like the encoder side: an insert puts
+// fec-decode there and fec-encode on the sender's proxy, a remove takes
+// both out.
+TEST(AdaptiveFecController, ManagesDecoderSideToo) {
+  filters::register_builtin_filters();
+  net::SimNetwork net(std::make_shared<util::SimClock>(), 17);
+  const auto admin = net.add_node("admin");
+  const auto sender_side = net.add_node("proxy");
+  const auto receiver_side = net.add_node("mobile");
+  proxy::ProxyConfig tx_config;
+  tx_config.ingress_port = 4000;
+  tx_config.egress_dst = {receiver_side, 5000};
+  proxy::Proxy encoder_proxy(net, sender_side, tx_config);
+  proxy::ProxyConfig rx_config;
+  rx_config.ingress_port = 5000;
+  rx_config.egress_dst = {receiver_side, 5001};
+  rx_config.control_port = 5999;
+  proxy::Proxy decoder_proxy(net, receiver_side, rx_config);
+  encoder_proxy.start();
+  decoder_proxy.start();
+  const auto manager = [&](const proxy::Proxy& px) {
+    return core::ControlManager(
+        proxy::network_control_transport(net, admin, px.control_address()));
+  };
+
+  double loss = 0.08;
+  AdaptiveFecControllerConfig config;
+  config.policy.cooldown_us = 0;
+  config.policy.alpha = 1.0;
+  AdaptiveFecController ctl(config);
+  ctl.add_flow({"mobile", manager(encoder_proxy), manager(decoder_proxy),
+                [&] { return loss; }});
+
+  ctl.tick(1 * kSecond);
+  EXPECT_TRUE(ctl.fec_active("mobile"));
+  auto rx_view = manager(decoder_proxy);
+  ASSERT_EQ(rx_view.list_chain().size(), 1u);
+  EXPECT_EQ(rx_view.list_chain()[0].name, "fec-decode");
+  EXPECT_EQ(manager(encoder_proxy).find("fec-encode"), 0u);
+
+  loss = 0.0;
+  ctl.tick(2 * kSecond);
+  EXPECT_FALSE(ctl.fec_active("mobile"));
+  EXPECT_TRUE(rx_view.list_chain().empty());
+  EXPECT_TRUE(manager(encoder_proxy).list_chain().empty());
+}
+
+// A control path into `server` that throws on the first INSERT it carries
+// while `fail_next_insert` is set: a transport that dies mid-actuation once.
+core::ControlManager flaky_manager(std::shared_ptr<core::ControlServer> server,
+                                   bool& fail_next_insert) {
+  return core::ControlManager([server = std::move(server),
+                               &fail_next_insert](util::ByteSpan request) {
+    if (fail_next_insert && !request.empty() &&
+        request[0] == static_cast<std::uint8_t>(core::ControlOp::kInsert)) {
+      fail_next_insert = false;
+      throw core::ControlError("transport lost");
+    }
+    return server->handle(request);
+  });
+}
+
+// A decision stands only once its actuation succeeded: a failed insert
+// leaves the flow inactive, starts no cooldown, and the next tick retries.
+TEST(AdaptiveFecController, FailedInsertIsRetriedOnTheNextTick) {
+  ChainWorld w;
+  obs::Registry registry;
+  bool fail_next_insert = true;
+  AdaptiveFecControllerConfig config;
+  config.policy.cooldown_us = 2 * kSecond;
+  AdaptiveFecController ctl(config);
+  ctl.bind_metrics(obs::Scope(registry, "fec-ctl"));
+  ctl.add_flow({"egress", flaky_manager(w.server, fail_next_insert),
+                std::nullopt, [] { return 0.08; }});
+
+  EXPECT_EQ(ctl.tick(1 * kSecond), 0u);
+  EXPECT_FALSE(ctl.fec_active("egress"));
+  EXPECT_TRUE(w.names().empty());
+  std::string stats = obs::render(registry.snapshot());
+  EXPECT_NE(stats.find("fec-ctl/failures=1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("fec-ctl/active_flows=0"), std::string::npos) << stats;
+
+  EXPECT_EQ(ctl.tick(1 * kSecond + 200'000), 1u);
+  EXPECT_TRUE(ctl.fec_active("egress"));
+  EXPECT_EQ(w.names(), (std::vector<std::string>{"fec-encode"}));
+  stats = obs::render(registry.snapshot());
+  EXPECT_NE(stats.find("fec-ctl/inserts=1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("fec-ctl/active_flows=1"), std::string::npos) << stats;
+}
+
+// The decoder-side stages of a failed insert are already in place when the
+// encoder side fails; the retry adds only what is missing.
+TEST(AdaptiveFecController, RetriedInsertDoesNotStackStages) {
+  ChainWorld w;
+  bool fail_next_insert = true;
+  AdaptiveFecControllerConfig config;
+  config.policy.cooldown_us = 0;
+  config.interleave_rows = 2;
+  config.interleave_depth = 2;
+  AdaptiveFecController ctl(config);
+  // Loopback topology, as in InterleaverRidesAlongWithTheEncoder: only the
+  // encoder side's control path fails.
+  ctl.add_flow({"loop", flaky_manager(w.server, fail_next_insert), w.manager(),
+                [] { return 0.04; }});
+
+  ctl.tick(1 * kSecond);
+  EXPECT_FALSE(ctl.fec_active("loop"));
+  EXPECT_EQ(w.names(),
+            (std::vector<std::string>{"deinterleave", "fec-decode"}));
+
+  ctl.tick(2 * kSecond);
+  EXPECT_TRUE(ctl.fec_active("loop"));
+  EXPECT_EQ(w.names(),
+            (std::vector<std::string>{"fec-encode", "interleave",
+                                      "deinterleave", "fec-decode"}));
 }
 
 // Property (c): reconfiguration never costs a byte. A sequence-stamped

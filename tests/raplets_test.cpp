@@ -1,10 +1,11 @@
-// Tests for the adaptation layer: receiver reports, the loss observer, the
-// demand-driven FEC responder, and the full closed loop — a mobile user
-// walks away from the access point, loss rises, the responder inserts FEC
-// into the running proxy, and delivery recovers (the paper's Section 3
-// scenario).
+// Tests for the adaptation layer: receiver reports, the loss observer, and
+// the full closed loop — a mobile user walks away from the access point,
+// loss rises, the adaptive FEC controller inserts FEC into the running
+// proxy, and delivery recovers (the paper's Section 3 scenario).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "fec/fec_group.h"
@@ -13,8 +14,7 @@
 #include "media/media_packet.h"
 #include "media/receiver_log.h"
 #include "proxy/proxy.h"
-#include "raplets/adaptation_manager.h"
-#include "raplets/fec_responder.h"
+#include "raplets/fec_controller.h"
 #include "raplets/loss_observer.h"
 #include "raplets/receiver_report.h"
 #include "wireless/mobility.h"
@@ -36,6 +36,21 @@ TEST(ReceiverReportTest, SerializationRoundTrips) {
 TEST(ReceiverReportTest, RejectsOutOfRangeLoss) {
   ReceiverReport r{"x", 1, 1, 2.0, 0};
   EXPECT_THROW(ReceiverReport::parse(r.serialize()), util::SerialError);
+
+  // Non-finite losses, in either field, are rejected too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    ReceiverReport window{"x", 1, 1, bad, 0};
+    EXPECT_THROW(ReceiverReport::parse(window.serialize()), util::SerialError)
+        << "window_loss " << bad;
+    ReceiverReport raw{"x", 1, 1, 0.0, 0, bad};
+    EXPECT_THROW(ReceiverReport::parse(raw.serialize()), util::SerialError)
+        << "raw_loss " << bad;
+  }
+  // A finite negative raw loss still means "unknown".
+  ReceiverReport unknown{"x", 1, 1, 0.0, 0, -1.0};
+  EXPECT_EQ(ReceiverReport::parse(unknown.serialize()), unknown);
 }
 
 struct ReportWorld {
@@ -84,69 +99,54 @@ TEST(ReportSenderTest, ZeroIntervalThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// LossObserver
+// LossObserver: direct poll() calls. Delivery on an unmodelled SimNetwork
+// link is synchronous, so a report is queued by the time send_to returns.
+
+void send_report(ReportWorld& w, const ReceiverReport& report) {
+  w.receiver_socket->send_to({w.observer_node, 7000}, report.serialize());
+}
 
 TEST(LossObserverTest, SmoothsAndEmitsEvents) {
   ReportWorld w;
-  auto observer = std::make_shared<LossObserver>(w.observer_socket, 0.5);
-  std::mutex mu;
-  std::vector<Event> events;
-  observer->set_sink([&](const Event& e) {
-    std::lock_guard lk(mu);
-    events.push_back(e);
-  });
-  observer->start();
+  LossObserver observer(w.observer_socket, 0.5);
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.0);  // nothing heard yet
 
-  auto send_report = [&](double loss) {
-    ReceiverReport r{"mobile", 0, 0, loss, 0};
-    w.receiver_socket->send_to({w.observer_node, 7000}, r.serialize());
-  };
-  send_report(0.2);
-  send_report(0.0);
+  send_report(w, {"mobile", 0, 0, 0.2, 0});
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.2);  // first sample unsmoothed
+  send_report(w, {"mobile", 0, 0, 0.0, 0});
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.1);  // then halved
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.1);  // no new report: unchanged
 
-  // Wait for both reports to be absorbed.
-  for (int i = 0; i < 100 && observer->reports_seen() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  observer->stop();
-
-  ASSERT_EQ(observer->reports_seen(), 2u);
-  EXPECT_DOUBLE_EQ(observer->loss_for("mobile"), 0.1);  // 0.2 then halved
-  std::lock_guard lk(mu);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].type, "loss-rate");
-  EXPECT_DOUBLE_EQ(events[0].value, 0.2);  // first sample unsmoothed
-  EXPECT_DOUBLE_EQ(events[1].value, 0.1);
+  // One EWMA step per report, however many queue up between polls.
+  send_report(w, {"mobile", 0, 0, 0.3, 0});
+  send_report(w, {"mobile", 0, 0, 0.3, 0});
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.25);  // 0.1 -> 0.2 -> 0.25
+  EXPECT_EQ(observer.reports_seen(), 4u);
+  EXPECT_DOUBLE_EQ(observer.loss_for("mobile"), 0.25);
 }
 
 TEST(LossObserverTest, WorstLossAcrossReceivers) {
   ReportWorld w;
-  auto observer = std::make_shared<LossObserver>(w.observer_socket);
-  observer->start();
-  ReceiverReport a{"near", 0, 0, 0.01, 0};
-  ReceiverReport b{"far", 0, 0, 0.2, 0};
-  w.receiver_socket->send_to({w.observer_node, 7000}, a.serialize());
-  w.receiver_socket->send_to({w.observer_node, 7000}, b.serialize());
-  for (int i = 0; i < 100 && observer->reports_seen() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  observer->stop();
-  EXPECT_DOUBLE_EQ(observer->worst_loss(), 0.2);
-  EXPECT_DOUBLE_EQ(observer->loss_for("unknown"), 0.0);
+  LossObserver observer(w.observer_socket);
+  send_report(w, {"near", 0, 0, 0.01, 0});
+  send_report(w, {"far", 0, 0, 0.2, 0});
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.2);
+  EXPECT_EQ(observer.reports_seen(), 2u);
+  EXPECT_DOUBLE_EQ(observer.worst_loss(), 0.2);
+  EXPECT_DOUBLE_EQ(observer.loss_for("near"), 0.01);
+  EXPECT_DOUBLE_EQ(observer.loss_for("unknown"), 0.0);
 }
 
 TEST(LossObserverTest, MalformedReportsIgnored) {
   ReportWorld w;
-  auto observer = std::make_shared<LossObserver>(w.observer_socket);
-  observer->start();
+  LossObserver observer(w.observer_socket);
   w.receiver_socket->send_to({w.observer_node, 7000}, util::to_bytes("junk"));
-  ReceiverReport ok{"m", 0, 0, 0.1, 0};
-  w.receiver_socket->send_to({w.observer_node, 7000}, ok.serialize());
-  for (int i = 0; i < 100 && observer->reports_seen() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  observer->stop();
-  EXPECT_EQ(observer->reports_seen(), 1u);
+  send_report(w, {"m", 0, 0, 0.1, 0});
+  // A NaN loss would stick in the EWMA and hide this receiver for good.
+  send_report(w, {"m", 0, 0, std::nan(""), 0});
+  EXPECT_DOUBLE_EQ(observer.poll(), 0.1);
+  EXPECT_EQ(observer.reports_seen(), 1u);
+  EXPECT_DOUBLE_EQ(observer.loss_for("m"), 0.1);
 }
 
 TEST(LossObserverTest, BadAlphaThrows) {
@@ -156,9 +156,9 @@ TEST(LossObserverTest, BadAlphaThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// FecResponder against a live proxy
+// A proxy to adapt, reached over its network control port
 
-struct ResponderWorld {
+struct ProxyWorld {
   std::shared_ptr<util::SimClock> clock = std::make_shared<util::SimClock>();
   net::SimNetwork net{clock, 17};
   net::NodeId sender = net.add_node("sender");
@@ -166,7 +166,7 @@ struct ResponderWorld {
   net::NodeId mobile = net.add_node("mobile");
   std::unique_ptr<proxy::Proxy> px;
 
-  ResponderWorld() {
+  ProxyWorld() {
     filters::register_builtin_filters();
     proxy::ProxyConfig c;
     c.ingress_port = 4000;
@@ -175,7 +175,7 @@ struct ResponderWorld {
     px = std::make_unique<proxy::Proxy>(net, proxy_node, c);
     px->start();
   }
-  ~ResponderWorld() { px->shutdown(); }
+  ~ProxyWorld() { px->shutdown(); }
 
   core::ControlManager manager() {
     return core::ControlManager(proxy::network_control_transport(
@@ -183,125 +183,29 @@ struct ResponderWorld {
   }
 };
 
-Event loss_event(double value, util::Micros at) {
-  return Event{"loss-rate", "mobile", value, at};
-}
-
-TEST(FecResponderTest, InsertsAboveThresholdRemovesBelow) {
-  ResponderWorld w;
-  FecResponderConfig config;
-  config.insert_threshold = 0.02;
-  config.remove_threshold = 0.005;
-  config.cooldown_us = 0;
-  FecResponder responder(w.manager(), std::nullopt, config);
-
-  responder.on_event(loss_event(0.01, 1000));  // below: nothing
-  EXPECT_FALSE(responder.fec_active());
-  EXPECT_TRUE(w.manager().list_chain().empty());
-
-  responder.on_event(loss_event(0.05, 2000));  // above: insert
-  EXPECT_TRUE(responder.fec_active());
-  auto infos = w.manager().list_chain();
-  ASSERT_EQ(infos.size(), 1u);
-  EXPECT_EQ(infos[0].name, "fec-encode");
-
-  responder.on_event(loss_event(0.01, 3000));  // hysteresis band: keep
-  EXPECT_TRUE(responder.fec_active());
-
-  responder.on_event(loss_event(0.001, 4000));  // below remove: remove
-  EXPECT_FALSE(responder.fec_active());
-  EXPECT_TRUE(w.manager().list_chain().empty());
-
-  const auto history = responder.history();
-  ASSERT_EQ(history.size(), 2u);
-  EXPECT_TRUE(history[0].inserted);
-  EXPECT_FALSE(history[1].inserted);
-}
-
-TEST(FecResponderTest, CooldownPreventsFlapping) {
-  ResponderWorld w;
-  FecResponderConfig config;
-  config.insert_threshold = 0.02;
-  config.remove_threshold = 0.01;
-  config.cooldown_us = 1'000'000;
-  FecResponder responder(w.manager(), std::nullopt, config);
-
-  responder.on_event(loss_event(0.05, 1'000'000));
-  EXPECT_TRUE(responder.fec_active());
-  responder.on_event(loss_event(0.0, 1'500'000));  // within cooldown
-  EXPECT_TRUE(responder.fec_active());
-  responder.on_event(loss_event(0.0, 2'100'000));  // cooldown passed
-  EXPECT_FALSE(responder.fec_active());
-}
-
-TEST(FecResponderTest, ManagesDecoderSideToo) {
-  ResponderWorld w;
-  // Second "receiver-side" proxy on the mobile node.
-  proxy::ProxyConfig rc;
-  rc.ingress_port = 5000;
-  rc.egress_dst = {w.mobile, 5001};
-  rc.control_port = 5999;
-  proxy::Proxy receiver_proxy(w.net, w.mobile, rc);
-  receiver_proxy.start();
-
-  FecResponderConfig config;
-  config.cooldown_us = 0;
-  FecResponder responder(
-      w.manager(),
-      core::ControlManager(proxy::network_control_transport(
-          w.net, w.sender, receiver_proxy.control_address())),
-      config);
-
-  responder.on_event(loss_event(0.08, 1000));
-  EXPECT_TRUE(responder.fec_active());
-  core::ControlManager rx_manager(proxy::network_control_transport(
-      w.net, w.sender, receiver_proxy.control_address()));
-  ASSERT_EQ(rx_manager.list_chain().size(), 1u);
-  EXPECT_EQ(rx_manager.list_chain()[0].name, "fec-decode");
-
-  responder.on_event(loss_event(0.0, 2000));
-  EXPECT_TRUE(rx_manager.list_chain().empty());
-  receiver_proxy.shutdown();
-}
-
-TEST(FecResponderTest, IgnoresUnrelatedEvents) {
-  ResponderWorld w;
-  FecResponderConfig config;
-  config.cooldown_us = 0;
-  FecResponder responder(w.manager(), std::nullopt, config);
-  responder.on_event({"battery-low", "mobile", 0.99, 1000});
-  EXPECT_FALSE(responder.fec_active());
-}
-
-TEST(FecResponderTest, BadThresholdsThrow) {
-  ResponderWorld w;
-  FecResponderConfig config;
-  config.insert_threshold = 0.01;
-  config.remove_threshold = 0.05;  // inverted
-  EXPECT_THROW(FecResponder(w.manager(), std::nullopt, config),
-               std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
-// Closed loop: walk away from the AP, observer + responder react, delivery
-// recovers. This is the paper's roaming scenario end to end.
+// Closed loop: walk away from the AP, the observer's loss rises, the
+// controller reacts, delivery recovers. This is the paper's roaming scenario
+// end to end.
 
 TEST(ClosedLoop, DemandDrivenFecReactsToRoaming) {
-  ResponderWorld w;
+  ProxyWorld w;
   wireless::WirelessLan wlan(w.net, w.proxy_node);
   wlan.add_station(w.mobile, 5.0);
 
-  // Observer service on the proxy node.
+  // Observer on the proxy node feeding a one-rung FEC(6,4) controller; the
+  // observer smooths once per report, so the policy takes samples as-is.
   auto observer_socket = w.net.open(w.proxy_node, 7000);
-  auto observer = std::make_shared<LossObserver>(observer_socket, 0.6);
-  FecResponderConfig config;
-  config.insert_threshold = 0.02;
-  config.remove_threshold = 0.002;
-  config.cooldown_us = 0;
-  auto responder =
-      std::make_shared<FecResponder>(w.manager(), std::nullopt, config);
-  AdaptationManager adaptation(observer, responder);
-  adaptation.start();
+  LossObserver observer(observer_socket, 0.6);
+  AdaptiveFecControllerConfig config;
+  config.policy.insert_threshold = 0.02;
+  config.policy.remove_threshold = 0.004;
+  config.policy.cooldown_us = 2'000'000;
+  config.policy.alpha = 1.0;
+  config.policy.rungs = {{0.0, 6, 4}};
+  AdaptiveFecController controller(config);
+  controller.add_flow({"mobile", w.manager(), std::nullopt,
+                       [&observer] { return observer.poll(); }});
 
   // Mobile receiver: permanent pass-through decoder + report sender.
   auto rx = w.net.open(w.mobile, 5000);
@@ -341,25 +245,28 @@ TEST(ClosedLoop, DemandDrivenFecReactsToRoaming) {
     }
   });
 
-  // Drive the walk: near (clean) -> far (lossy).
+  // Drive the walk: near (clean) -> far (lossy). The sender loop owns the
+  // control cadence: one tick every 10 packets (200 ms).
   auto tx = w.net.open(w.sender);
   media::AudioSource audio;
   media::AudioPacketizer packetizer(audio);
+  std::vector<bool> fec_after_change;
   constexpr int kPackets = 4000;
   for (int i = 0; i < kPackets; ++i) {
     if (i == 1000) wlan.set_distance(w.mobile, 38.0);  // step outdoors
     tx->send_to({w.proxy_node, 4000}, packetizer.next().serialize());
     w.clock->advance(20'000);
     if (i % 200 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (i % 10 == 0 && controller.tick(w.clock->now()) > 0) {
+      fec_after_change.push_back(controller.fec_active("mobile"));
+    }
   }
   receiver.join();
-  adaptation.stop();
 
-  // The responder must have switched FEC on after the loss rose.
-  const auto history = responder->history();
-  ASSERT_GE(history.size(), 1u);
-  EXPECT_TRUE(history[0].inserted);
-  EXPECT_TRUE(responder->fec_active());
+  // The controller must have switched FEC on after the loss rose.
+  ASSERT_GE(fec_after_change.size(), 1u);
+  EXPECT_TRUE(fec_after_change[0]);
+  EXPECT_TRUE(controller.fec_active("mobile"));
   // With FEC active for most of the lossy phase, overall delivery beats the
   // raw far-distance rate by a clear margin.
   const double far_loss = wlan.downlink_loss(w.mobile);

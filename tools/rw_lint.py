@@ -44,14 +44,15 @@ Rules
   RW008  No blocking calls in run-to-completion dispatch contexts: the
          virtual-time layer (src/sim/), the observability snapshot/render
          paths (src/obs/), the control-protocol dispatch code
-         (src/core/control.*), the worker loop and pool, and the filter
+         (src/core/control.*), the worker loop and pool, the filter
          library (src/filters/, whose drives run on a worker every chain
-         hosted there shares) must not join threads, wait on condition
-         variables, sleep (sleep_for/sleep_until), or receive with an
-         infinite timeout. These bodies run inline under a dispatcher's
-         lock, clock step or worker; one blocked callback stalls every
-         queued event behind it, and under sim::VirtualClock it wedges
-         virtual time itself. Pace with a timer instead (a filter defers
+         hosted there shares) and the adaptation raplets (src/raplets/,
+         ticked by whoever owns the control cadence) must not join
+         threads, wait on condition variables, sleep (sleep_for/
+         sleep_until), or receive with an infinite timeout. These bodies
+         run inline under a dispatcher's lock, clock step or worker; one
+         blocked callback stalls every queued event behind it, and under
+         sim::VirtualClock it wedges virtual time itself. Pace with a timer instead (a filter defers
          its next read: PacketFilter::input_delay). A worker thread that
          deliberately paces on a CV inside one of these directories (e.g.
          the stats log's wall-clock emitter) carries a reasoned waiver.
@@ -389,7 +390,7 @@ def check_rw007() -> None:
 
 RW008_CONTEXTS = ("src/sim/", "src/obs/", "src/core/control.",
                   "src/core/event_loop.", "src/core/worker_pool.",
-                  "src/filters/")
+                  "src/filters/", "src/raplets/")
 RW008_RE = re.compile(
     r"\.\s*join\s*\(\s*\)|\.\s*(wait|wait_for|wait_until)\s*\(|"
     r"\bsleep_(for|until)\s*\(|\brecv\s*\(\s*-1\b")
@@ -405,7 +406,8 @@ def check_rw008() -> None:
                 report(path, lineno, "RW008",
                        "blocking call in a run-to-completion dispatch "
                        "context (sim callbacks, obs snapshot paths, control "
-                       "dispatch, worker loop, filter drives); restructure "
+                       "dispatch, worker loop, filter drives, raplet "
+                       "ticks); restructure "
                        "so the dispatcher never blocks, or waive with the "
                        "reason it cannot stall the event loop", line)
 
@@ -480,6 +482,11 @@ SELF_CHECK_DIRTY = {
         "  emit(std::move(p));\n"
         "}\n"
     ),
+    "src/raplets/dirty_observer.cpp": (
+        "void Obs::service_loop() {\n"
+        "  while (auto d = socket_->recv(-1)) fold(*d);\n"
+        "}\n"
+    ),
 }
 
 # (file, rule) pairs the dirty tree must produce — nothing more, nothing less.
@@ -494,6 +501,7 @@ SELF_CHECK_EXPECTED = sorted([
     ("src/net/dirty_clock.cpp", "RW007"),
     ("src/sim/dirty_block.cpp", "RW008"),
     ("src/filters/dirty_pace.cpp", "RW008"),
+    ("src/raplets/dirty_observer.cpp", "RW008"),
 ])
 
 SELF_CHECK_CLEAN = {
@@ -550,6 +558,15 @@ SELF_CHECK_CLEAN = {
         "  std::this_thread::sleep_for(wait);"
         "  // rw-lint: allow(RW008) self-check fixture\n"
         "  emit(std::move(p));\n"
+        "}\n"
+    ),
+    "src/raplets/clean_observer.cpp": (
+        "double Obs::poll() {\n"
+        "  bool closed = false;\n"
+        "  while (auto d = socket_->poll_recv(&closed)) fold(*d);\n"
+        "  auto late = socket_->recv(-1);"
+        "  // rw-lint: allow(RW008) self-check fixture\n"
+        "  return worst();\n"
         "}\n"
     ),
 }
