@@ -4,6 +4,13 @@
 // framework must stay "lightweight" (Section 6's contrast with
 // cluster-based proxies).
 //
+// What a row prices: core::NullFilter is a ByteFilter, so each hop moves
+// the framed stream in chunks of up to 32 KiB without looking at frames.
+// That is not the per-frame hop every production PacketFilter pays (read
+// one frame, on_packet, write it whole). On small frames a byte hop
+// carries many frames per chunk and runs well ahead of a packet hop
+// (EXPERIMENTS.md, "What bench_chain_overhead prices").
+//
 // Every row first checks packet conservation: the sink must receive
 // exactly the packets pushed, or the bench reports the row and exits
 // non-zero (a chain that drops data must never print a throughput).

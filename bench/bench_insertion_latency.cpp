@@ -4,15 +4,20 @@
 // connection"; the price of a splice is a brief stall of the stream while
 // the left stream pauses, drains, and reconnects. This bench measures
 // insert and remove latency on a live stream versus chain length and
-// packet size, and verifies the no-loss guarantee each time.
+// packet size. Every packet carries its sequence number, and each row
+// checks that the sink received exactly 0..N-1 in order: a row that lost,
+// duplicated or reordered a packet is named and the run exits 1.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_json.h"
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
+#include "util/serial.h"
 #include "util/stats.h"
 
 using namespace rapidware;
@@ -28,7 +33,9 @@ double now_us() {
 struct Result {
   util::RunningStats insert_us;
   util::RunningStats remove_us;
-  bool lossless = false;
+  std::uint32_t sent = 0;
+  std::size_t delivered = 0;
+  bool in_order = false;  // the sink received exactly 0..sent-1, in order
 };
 
 Result run(std::size_t chain_len, std::size_t packet_bytes, int cycles) {
@@ -44,12 +51,16 @@ Result run(std::size_t chain_len, std::size_t packet_bytes, int cycles) {
   }
 
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> produced{0};
+  std::uint32_t produced = 0;  // producer-owned until join()
   std::thread producer([&] {
     util::Bytes packet(packet_bytes, 0xab);
     while (!stop.load(std::memory_order_acquire)) {
+      // Sequence number, little-endian, in the first four payload bytes.
+      for (int i = 0; i < 4; ++i) {
+        packet[i] = static_cast<std::uint8_t>(produced >> (8 * i));
+      }
+      ++produced;
       source->push(packet);
-      produced.fetch_add(1, std::memory_order_relaxed);
       // ~16 KB/s media cadence scaled up: keep the pipe busy but not full.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -74,7 +85,13 @@ Result run(std::size_t chain_len, std::size_t packet_bytes, int cycles) {
   stop.store(true, std::memory_order_release);
   producer.join();
   chain->shutdown();
-  result.lossless = sink->count() == produced.load();
+  const std::vector<util::Bytes> got = sink->packets();
+  result.sent = produced;
+  result.delivered = got.size();
+  result.in_order = got.size() == produced;
+  for (std::uint32_t i = 0; result.in_order && i < produced; ++i) {
+    result.in_order = got[i].size() >= 4 && util::Reader(got[i]).u32() == i;
+  }
   return result;
 }
 
@@ -84,24 +101,36 @@ int main() {
   std::printf("=== Hot insertion / removal latency (live stream) ===\n\n");
   std::printf("%10s %10s %14s %14s %14s %14s %9s\n", "chain len", "pkt B",
               "insert mean", "insert max", "remove mean", "remove max",
-              "lossless");
+              "in order");
   constexpr int kCycles = 200;
   rwbench::JsonSummary json("insertion_latency");
   json.meta("cycles", kCycles);
+  std::vector<std::string> failed;
   for (const std::size_t len : {0u, 2u, 4u, 8u}) {
     for (const std::size_t bytes : {256u, 4096u}) {
       const Result r = run(len, bytes, kCycles);
+      const std::string row =
+          "chain/" + std::to_string(len) + "/" + std::to_string(bytes);
       std::printf("%10zu %10zu %11.1f us %11.1f us %11.1f us %11.1f us %9s\n",
                   len, bytes, r.insert_us.mean(), r.insert_us.max(),
                   r.remove_us.mean(), r.remove_us.max(),
-                  r.lossless ? "yes" : "NO");
-      json.row({{"chain_len", len},
+                  r.in_order ? "yes" : "NO");
+      if (!r.in_order) {
+        std::printf("SPLICE DISTURBED THE STREAM: %s sent %u packets, the "
+                    "sink got %zu, not 0..%u in order\n",
+                    row.c_str(), r.sent, r.delivered, r.sent - 1);
+        failed.push_back(row);
+      }
+      json.row({{"name", row},
+                {"chain_len", len},
                 {"packet_bytes", bytes},
                 {"insert_mean_us", r.insert_us.mean()},
                 {"insert_max_us", r.insert_us.max()},
                 {"remove_mean_us", r.remove_us.mean()},
                 {"remove_max_us", r.remove_us.max()},
-                {"lossless", r.lossless}});
+                {"sent", r.sent},
+                {"delivered", r.delivered},
+                {"in_order", r.in_order}});
     }
   }
   json.write();
@@ -110,5 +139,11 @@ int main() {
       "chain length (only the splice point pauses; the rest keeps flowing),\n"
       "and removal costs more than insertion (it drains the filter twice —\n"
       "its input pipe, then its flushed output).\n");
+  if (!failed.empty()) {
+    std::printf("\nFAILED:");
+    for (const std::string& row : failed) std::printf(" %s", row.c_str());
+    std::printf("\n");
+    return 1;
+  }
   return 0;
 }

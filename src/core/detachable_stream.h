@@ -318,8 +318,8 @@ class DetachableOutputStream final : public util::ByteSink {
   /// Non-blocking partial write: accepts what fits now, returns the count,
   /// and arms the writable watcher on any shortfall. Byte chunks may split
   /// across a reconnect (order is still preserved); framed data must use
-  /// try_write_vec.
-  std::size_t try_write_some(util::ByteSpan in) override;
+  /// try_write_vec. ByteFilter's drive is the one caller.
+  std::size_t try_write_some(util::ByteSpan in);
 
   /// Installs (or removes) the watcher fired when an armed try_write_*
   /// would now make progress. Travels with this DOS across reconnects.

@@ -1,8 +1,6 @@
 #include "core/endpoint.h"
 
 #include <chrono>
-#include <cstring>
-#include <stdexcept>
 
 #include "util/buffer_pool.h"
 #include "util/frame_reader.h"
@@ -88,7 +86,14 @@ Filter::Drive PacketWriterEndpoint::on_ready() {
     // Count before delivery: a caller woken by the sink (e.g. wait_for(n))
     // must never read a metric that lags what the sink already handed out.
     packets_.fetch_add(1, std::memory_order_relaxed);
-    sink_->deliver(*packet);
+    try {
+      sink_->deliver(*packet);
+    } catch (...) {
+      // The sink did not take the packet: STATS must not report a hop
+      // delivering what it lost. The drive's catch then ends the run.
+      packets_.fetch_sub(1, std::memory_order_relaxed);
+      throw;
+    }
     util::BufferPool::local().release(std::move(*packet));
   }
   return Drive::kMore;
@@ -98,160 +103,6 @@ void PacketWriterEndpoint::register_metrics(obs::Scope scope) {
   Filter::register_metrics(scope);
   scope.callback("packets",
                  [this] { return static_cast<double>(packets_written()); });
-}
-
-ByteReaderEndpoint::ByteReaderEndpoint(std::string name,
-                                       std::shared_ptr<util::ByteSource> source,
-                                       std::size_t chunk)
-    : Filter(std::move(name)),
-      source_(std::move(source)),
-      chunk_(chunk) {
-  if (!source_->pollable()) {
-    throw std::invalid_argument("ByteReaderEndpoint " + this->name() +
-                                ": source is not pollable (a worker drive "
-                                "cannot block in read_some)");
-  }
-}
-
-void ByteReaderEndpoint::event_start() {
-  ev_watch_.bind(event_scheduler());
-  source_->set_ready_watcher(&ev_watch_);
-  ev_buf_.clear();
-  ev_off_ = 0;
-  ev_parked_ = false;
-}
-
-void ByteReaderEndpoint::event_stop() {
-  source_->set_ready_watcher(nullptr);
-  util::BufferPool::local().release(std::move(ev_buf_));
-  ev_off_ = 0;
-  ev_parked_ = false;
-}
-
-bool ByteReaderEndpoint::flush_ev_parked() {
-  if (!ev_parked_) return true;
-  const std::size_t w =
-      dos().try_write_some(util::ByteSpan(ev_buf_).subspan(ev_off_));
-  ev_off_ += w;
-  if (ev_off_ < ev_buf_.size()) return false;  // writable watcher armed
-  ev_parked_ = false;
-  ev_off_ = 0;
-  return true;
-}
-
-Filter::Drive ByteReaderEndpoint::on_ready() {
-  // Backpressure first: parked bytes must reach the ring before any new
-  // read, or the stream would reorder.
-  if (!flush_ev_parked()) return Drive::kIdle;
-  if (ev_buf_.capacity() == 0) {
-    // Lazily acquired on the loop thread so the buffer cycles through the
-    // worker's own arena, not the control thread's.
-    ev_buf_ = util::BufferPool::local().acquire(chunk_);
-  }
-  for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool end = false;
-    ev_buf_.resize(chunk_);
-    const std::size_t n = source_->poll_read_borrow(
-        chunk_,
-        [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          std::memcpy(ev_buf_.data(), a.data(), a.size());
-          if (!b.empty()) {
-            std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
-          }
-          return a.size() + b.size();
-        },
-        &end);
-    if (n == 0) {
-      ev_buf_.clear();
-      // Exhausted: kDone without closing the DOS (removal protocol);
-      // empty-and-open armed the watcher.
-      return end ? Drive::kDone : Drive::kIdle;
-    }
-    ev_buf_.resize(n);
-    const std::size_t w = dos().try_write_some(ev_buf_);
-    if (w < n) {
-      ev_parked_ = true;
-      ev_off_ = w;
-      return Drive::kIdle;  // writable watcher armed by the short write
-    }
-  }
-  return Drive::kMore;
-}
-
-ByteWriterEndpoint::ByteWriterEndpoint(std::string name,
-                                       std::shared_ptr<util::ByteSink> sink,
-                                       std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {
-  if (!sink_->pollable()) {
-    throw std::invalid_argument("ByteWriterEndpoint " + this->name() +
-                                ": sink is not pollable (a worker drive "
-                                "cannot block in write)");
-  }
-}
-
-namespace {
-constexpr std::size_t kWriterChunk = 4096;
-}  // namespace
-
-void ByteWriterEndpoint::event_start() {
-  ev_watch_.bind(event_scheduler());
-  sink_->set_ready_watcher(&ev_watch_);
-  ev_buf_.clear();
-  ev_off_ = 0;
-  ev_parked_ = false;
-}
-
-void ByteWriterEndpoint::event_stop() {
-  sink_->set_ready_watcher(nullptr);
-  util::BufferPool::local().release(std::move(ev_buf_));
-  ev_off_ = 0;
-  ev_parked_ = false;
-}
-
-bool ByteWriterEndpoint::flush_ev_parked() {
-  if (!ev_parked_) return true;
-  const std::size_t w =
-      sink_->try_write_some(util::ByteSpan(ev_buf_).subspan(ev_off_));
-  ev_off_ += w;
-  if (ev_off_ < ev_buf_.size()) return false;  // sink watcher armed
-  ev_parked_ = false;
-  ev_off_ = 0;
-  return true;
-}
-
-Filter::Drive ByteWriterEndpoint::on_ready() {
-  if (!flush_ev_parked()) return Drive::kIdle;
-  if (ev_buf_.capacity() == 0) {
-    ev_buf_ = util::BufferPool::local().acquire(kWriterChunk);
-  }
-  for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool end = false;
-    ev_buf_.resize(kWriterChunk);
-    const std::size_t n = dis().poll_read_borrow(
-        kWriterChunk,
-        [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          std::memcpy(ev_buf_.data(), a.data(), a.size());
-          if (!b.empty()) {
-            std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
-          }
-          return a.size() + b.size();
-        },
-        &end);
-    if (n == 0) {
-      ev_buf_.clear();
-      if (!end) return Drive::kIdle;  // readable watcher armed
-      sink_->flush();
-      return Drive::kDone;
-    }
-    ev_buf_.resize(n);
-    const std::size_t w = sink_->try_write_some(ev_buf_);
-    if (w < n) {
-      ev_parked_ = true;
-      ev_off_ = w;
-      return Drive::kIdle;  // sink's ready watcher armed by the short write
-    }
-  }
-  return Drive::kMore;
 }
 
 std::optional<util::Bytes> QueuePacketSource::poll_packet(bool* finished) {

@@ -1,11 +1,14 @@
 // EndPoint objects (paper, Section 4): special filters that bridge the
-// chain's detachable streams to the outside world. A reader endpoint pulls
-// from a source and writes into its DOS; a writer endpoint reads its DIS and
-// pushes into a sink. Two endpoints plus a ControlThread form a null proxy.
+// chain's detachable streams to the outside world. A reader endpoint polls
+// packets from a PacketSource and writes them into its DOS as frames; a
+// writer endpoint reads frames from its DIS and delivers each payload to a
+// PacketSink. Two endpoints plus a ControlThread form a null proxy.
 //
-// Network-backed endpoints (the paper's EndPointSocketReader/Writer) live in
-// src/proxy, built on these generic classes; here we depend only on the
-// abstract byte/packet source and sink interfaces.
+// This one endpoint pair carries every chain: the proxy's socket legs (the
+// paper's EndPointSocketReader/Writer, built on these classes in
+// src/proxy), the per-flow queue legs, the benches, the examples and the
+// stress harness (src/testing). Byte stages in between (ByteFilter) may
+// cut frames anywhere; the writer endpoint's FrameReader reassembles them.
 #pragma once
 
 #include <deque>
@@ -117,10 +120,10 @@ class PacketWriterEndpoint final : public Filter {
 };
 
 /// Adapts a util::ReadyWatcher fire into a core::Scheduler re-drive —
-/// the bridge that lets endpoints watch any pollable util::ByteSource /
-/// ByteSink or net::SimSocket (which cannot reference core::Scheduler from
-/// the lower layers). Fired possibly under the source/sink's lock: only
-/// posts, per both contracts.
+/// the bridge that lets a packet source watch a net::SimSocket, which
+/// cannot reference core::Scheduler from the lower layers
+/// (proxy::SocketPacketSource). Fired possibly under the socket's lock:
+/// only posts, per both contracts.
 class IoReadyForwarder final : public util::ReadyWatcher {
  public:
   void bind(Scheduler* target) noexcept { target_ = target; }
@@ -130,65 +133,6 @@ class IoReadyForwarder final : public util::ReadyWatcher {
 
  private:
   Scheduler* target_ = nullptr;
-};
-
-/// Byte-oriented reader endpoint over a pollable util::ByteSource (the
-/// paper's EndPointStreamReader): file, in-memory buffer, generator.
-class ByteReaderEndpoint final : public Filter {
- public:
-  /// Throws std::invalid_argument when `source` is not pollable(): a
-  /// worker drive cannot wait in a blocking read_some().
-  ByteReaderEndpoint(std::string name, std::shared_ptr<util::ByteSource> source,
-                     std::size_t chunk = 4096);
-
- protected:
-  /// The drive: poll the source into the recycled chunk buffer, push it
-  /// downstream with try_write_some, park the unwritten suffix on
-  /// backpressure (input is not consumed while anything is parked). EOF
-  /// drains the park, then kDone.
-  Drive on_ready() override;
-  void event_start() override;
-  void event_stop() override;
-
- private:
-  bool flush_ev_parked();
-
-  std::shared_ptr<util::ByteSource> source_;
-  std::size_t chunk_;
-  // Run state; loop-thread-only between the first drive and the final one
-  // (the chunk buffer is acquired lazily ON the loop thread so it comes
-  // from — and returns to — the worker's arena).
-  IoReadyForwarder ev_watch_;
-  util::Bytes ev_buf_;
-  std::size_t ev_off_ = 0;  // written prefix of the parked ev_buf_
-  bool ev_parked_ = false;
-};
-
-/// Byte-oriented writer endpoint over a pollable util::ByteSink.
-class ByteWriterEndpoint final : public Filter {
- public:
-  /// Throws std::invalid_argument when `sink` is not pollable().
-  ByteWriterEndpoint(std::string name, std::shared_ptr<util::ByteSink> sink,
-                     std::size_t buffer_capacity =
-                         DetachableInputStream::kDefaultCapacity);
-
- protected:
-  /// The drive: batched poll_read_borrow pulls from the chain, pushed
-  /// into the sink with try_write_some; a short sink write parks the
-  /// suffix until the sink's ready watcher fires. EOF flushes, then kDone.
-  Drive on_ready() override;
-  void event_start() override;
-  void event_stop() override;
-
- private:
-  bool flush_ev_parked();
-
-  std::shared_ptr<util::ByteSink> sink_;
-  // Run state; loop-thread-only (see ByteReaderEndpoint).
-  IoReadyForwarder ev_watch_;
-  util::Bytes ev_buf_;
-  std::size_t ev_off_ = 0;
-  bool ev_parked_ = false;
 };
 
 /// In-memory packet source backed by a queue; push() feeds the endpoint,

@@ -178,7 +178,6 @@ void ByteFilter::event_start() {
   ev_buf_ = util::BufferPool::local().acquire(kChunk);
   ev_out_.clear();
   ev_out_off_ = 0;
-  ev_tail_done_ = false;
 }
 
 void ByteFilter::event_stop() {
@@ -219,13 +218,9 @@ Filter::Drive ByteFilter::on_ready() {
         &end);
     if (n == 0) {
       ev_buf_.clear();
-      if (!end) return Drive::kIdle;  // readable watcher armed
-      if (!ev_tail_done_) {
-        ev_tail_done_ = true;
-        util::Bytes tail = flush_tail();  // rw-lint: allow(RW006) once at stream end, not per chunk
-        if (!tail.empty()) ev_out_.push_back(std::move(tail));
-      }
-      return flush_ev_out() ? Drive::kDone : Drive::kIdle;
+      // Nothing is parked here (a park returns kIdle at once), so EOF ends
+      // the run; otherwise the readable watcher is armed.
+      return end ? Drive::kDone : Drive::kIdle;
     }
     ev_buf_.resize(n);
     util::Bytes out = process(std::move(ev_buf_));

@@ -10,10 +10,13 @@
 // idle filter holds no thread at all.
 //
 // Two processing styles:
-//   * ByteFilter   — process() transforms raw byte chunks;
 //   * PacketFilter — on_packet() handles whole length-prefixed frames
 //     (util::framing), which is how stream-type-specific insertion points
-//     ("frame boundaries", Section 3) are honoured.
+//     ("frame boundaries", Section 3) are honoured. Every production
+//     filter is one, and so are the endpoints (core/endpoint.h);
+//   * ByteFilter   — process() transforms raw byte chunks, cutting the
+//     framed stream at arbitrary byte offsets: NullFilter and the stress
+//     harness's pass-through stages.
 //
 // Removal protocol: the chain marks the filter's DIS with a soft EOF; the
 // drive observes end-of-stream, calls the flush hook (e.g. emit a partial
@@ -174,7 +177,9 @@ class Filter {
   std::shared_ptr<detail::FilterEventCore> event_core_;
 };
 
-/// Transforms raw byte chunks.
+/// Transforms raw byte chunks. It never looks at frame boundaries: a chunk
+/// may end mid-header, and the next packet stage downstream (at the latest
+/// the writer endpoint) reassembles the frames with its FrameReader.
 class ByteFilter : public Filter {
  public:
   using Filter::Filter;
@@ -192,10 +197,6 @@ class ByteFilter : public Filter {
   /// passes data through unchanged.
   virtual util::Bytes process(util::Bytes in) { return in; }
 
-  /// Called when the input reports EOF (hard or detach); emit any buffered
-  /// tail here by returning it.
-  virtual util::Bytes flush_tail() { return {}; }
-
   /// Chunk size for reads. Sized to drain a default 64 KiB stream buffer
   /// in a couple of reads: every read is a lock acquisition, so bigger
   /// chunks directly cut per-byte synchronization on pass-through hops.
@@ -209,7 +210,6 @@ class ByteFilter : public Filter {
   util::Bytes ev_buf_;                 // recycled read/process buffer
   std::deque<util::Bytes> ev_out_;     // output parked behind backpressure
   std::size_t ev_out_off_ = 0;         // bytes of ev_out_.front() written
-  bool ev_tail_done_ = false;          // flush_tail() already ran this run
 };
 
 /// Transforms whole framed packets; may emit zero or more packets per input.

@@ -145,8 +145,6 @@ void FloorControl::service_loop() {
 
     switch (message.type) {
       case FloorMsg::kRequest: {
-        std::function<void(const std::string&)> notify;
-        bool granted = false;
         std::uint64_t seq = 0;
         {
           rw::MutexLock lk(mu_);
@@ -154,16 +152,12 @@ void FloorControl::service_loop() {
           if (grant_policy_ && !grant_policy_(message.member)) break;
           leader_ = false;  // hand over the floor
           seq = seq_;
-          granted = true;
         }
-        if (granted) {
-          FloorMessage grant;
-          grant.type = FloorMsg::kGrant;
-          grant.member = message.member;
-          grant.seq = seq;
-          control_->send_to(message.reply_to, grant.serialize());
-        }
-        (void)notify;
+        FloorMessage grant;
+        grant.type = FloorMsg::kGrant;
+        grant.member = message.member;
+        grant.seq = seq;
+        control_->send_to(message.reply_to, grant.serialize());
         break;
       }
       case FloorMsg::kGrant: {

@@ -11,8 +11,8 @@
 //   * smoothed loss crosses a ladder rung -> Retune(n,k)
 //   * loss falls to remove_threshold      -> Remove
 // Hysteresis (insert > remove) plus a cooldown between actions keeps the
-// controller from flapping on Gilbert-Elliott bursts — the same protections
-// FecResponder uses, now with an explicit strength ladder on top.
+// controller from flapping on Gilbert-Elliott bursts, with an explicit
+// strength ladder on top.
 //
 // Not thread-safe by design: one policy instance belongs to one control
 // loop (the controller serializes calls under its own lock; the fleet sim

@@ -3,13 +3,13 @@
 // The paper's central guarantee — a DIS/DOS pair can be paused,
 // disconnected, reconnected, and restarted on a live stream without losing,
 // duplicating, or reordering a byte — only means something if it holds on
-// hostile schedules: short reads, fragmented writes, threads descheduled at
-// the worst moment, peers that throw mid-transfer, and links that drop or
-// reorder packets. FaultInjector is the single seeded policy object that
-// decides when each of those faults fires; the wrapper classes below apply
-// it to the abstract I/O interfaces (util::ByteSource / util::ByteSink) and
-// to the channel layer (net::LossModel), so any component written against
-// those interfaces can be stressed without modification.
+// hostile schedules: short reads, threads descheduled at the worst moment,
+// peers that throw mid-transfer, and links that drop or reorder packets.
+// FaultInjector is the single seeded policy object that decides when each
+// of those faults fires. The wrappers below apply it to a blocking
+// util::ByteSource and to the channel layer (net::LossModel); the chain
+// stress harness's packet source and sink (testing/sequence_stream.h)
+// consult it for delays and throws on the endpoints' worker.
 //
 // Everything is driven by util::Rng from one seed: a failing schedule is
 // replayed exactly by re-running with the same seed. Wall-clock sleeps are
@@ -38,8 +38,6 @@ namespace rapidware::testing {
 struct FaultPlan {
   /// P(a read is truncated to a random shorter length).
   double short_read_p = 0.5;
-  /// P(a write is fragmented into multiple smaller writes).
-  double fragment_write_p = 0.5;
   /// P(a yield/sleep is inserted before an I/O call or control op), to
   /// perturb the thread schedule ("delayed wakeup").
   double delay_p = 0.25;
@@ -85,21 +83,21 @@ class FaultInjector {
   /// Maybe yield or sleep (plan.delay_p / plan.max_delay_us).
   void maybe_delay();
 
+  /// One plan.throw_p draw: true (and counted in throws()) when the caller
+  /// should fail the I/O call it is about to make.
+  bool inject_throw();
+
   /// Advances the injector's virtual clock (and lets tests observe it).
   util::SimClock& sim_clock() noexcept { return sim_clock_; }
 
   // Fired-fault counters.
   std::uint64_t short_reads() const noexcept { return short_reads_.load(); }
-  std::uint64_t fragmented_writes() const noexcept {
-    return fragmented_writes_.load();
-  }
   std::uint64_t delays() const noexcept { return delays_.load(); }
   std::uint64_t throws() const noexcept { return throws_.load(); }
   std::uint64_t link_drops() const noexcept { return link_drops_.load(); }
 
  private:
   friend class FaultyByteSource;
-  friend class FaultyByteSink;
   friend class LinkFaults;
 
   rw::Mutex mu_{"testing/fault_injector", rw::lockrank::kFaultInjector};
@@ -109,16 +107,15 @@ class FaultInjector {
   util::SimClock sim_clock_;  // rw-lint: allow(RW003) internally atomic
 
   std::atomic<std::uint64_t> short_reads_{0};
-  std::atomic<std::uint64_t> fragmented_writes_{0};
   std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> throws_{0};
   std::atomic<std::uint64_t> link_drops_{0};
 };
 
-/// Wraps a ByteSource: truncates reads, injects delays, and (if armed)
-/// throws core::StreamError. EOF (0) from the inner source always passes
-/// through untouched, so wrapping never changes stream length by itself.
-/// Pollable exactly when the inner source is; polls get the same faults.
+/// Wraps a blocking ByteSource: truncates reads, injects delays, and (if
+/// armed) throws core::StreamError. EOF (0) from the inner source always
+/// passes through untouched, so wrapping never changes stream length by
+/// itself.
 class FaultyByteSource final : public util::ByteSource {
  public:
   FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
@@ -126,38 +123,8 @@ class FaultyByteSource final : public util::ByteSource {
 
   std::size_t read_some(util::MutableByteSpan out) override;
 
-  bool pollable() const noexcept override { return inner_->pollable(); }
-  void set_ready_watcher(util::ReadyWatcher* watcher) override {
-    inner_->set_ready_watcher(watcher);
-  }
-  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
-                               bool* end) override;
-
  private:
   std::shared_ptr<util::ByteSource> inner_;
-  std::shared_ptr<FaultInjector> faults_;
-};
-
-/// Wraps a ByteSink: fragments writes into several smaller calls with
-/// scheduling noise between them, and (if armed) throws core::BrokenPipe.
-/// Fragmentation preserves content and order exactly. Pollable exactly
-/// when the inner sink is; try_write_some gets the same faults.
-class FaultyByteSink final : public util::ByteSink {
- public:
-  FaultyByteSink(std::shared_ptr<util::ByteSink> inner,
-                 std::shared_ptr<FaultInjector> faults);
-
-  void write(util::ByteSpan in) override;
-  void flush() override;
-
-  bool pollable() const noexcept override { return inner_->pollable(); }
-  void set_ready_watcher(util::ReadyWatcher* watcher) override {
-    inner_->set_ready_watcher(watcher);
-  }
-  std::size_t try_write_some(util::ByteSpan in) override;
-
- private:
-  std::shared_ptr<util::ByteSink> inner_;
   std::shared_ptr<FaultInjector> faults_;
 };
 

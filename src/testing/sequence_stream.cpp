@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "testing/fault_injector.h"
+#include "util/buffer_pool.h"
 #include "util/serial.h"
 
 namespace rapidware::testing {
@@ -39,42 +41,6 @@ void fill_pattern(std::uint64_t seed, std::uint64_t start,
 }
 
 // ---------------------------------------------------------------------------
-// SequenceGenerator
-
-SequenceGenerator::SequenceGenerator(std::uint64_t seed, std::uint64_t total)
-    : seed_(seed), total_(total) {}
-
-std::size_t SequenceGenerator::read_some(util::MutableByteSpan out) {
-  if (next_ >= total_ || out.empty()) return 0;
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(out.size(), total_ - next_));
-  fill_pattern(seed_, next_, out.first(n));
-  next_ += n;
-  return n;
-}
-
-std::size_t SequenceGenerator::poll_read_borrow(std::size_t max,
-                                                util::SpanVisitor visit,
-                                                bool* end) {
-  if (next_ >= total_) {
-    *end = true;
-    return 0;
-  }
-  *end = false;
-  std::uint8_t tmp[4096];
-  std::size_t want = sizeof tmp;
-  if (max != 0 && max < want) want = max;
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(want, total_ - next_));
-  fill_pattern(seed_, next_, util::MutableByteSpan(tmp, n));
-  const std::size_t consumed = visit(util::ByteSpan(tmp, n), util::ByteSpan());
-  // Only the consumed prefix leaves the stream: the pattern is recomputed
-  // from the offset, so partial consumption needs no retained tail.
-  next_ += consumed;
-  return consumed;
-}
-
-// ---------------------------------------------------------------------------
 // SequenceChecker
 
 SequenceChecker::SequenceChecker(std::uint64_t seed) : seed_(seed) {}
@@ -93,16 +59,6 @@ void SequenceChecker::write(util::ByteSpan in) {
   received_.store(offset, std::memory_order_release);
 }
 
-std::size_t SequenceChecker::try_write_some(util::ByteSpan in) {
-  write(in);  // verification is immediate; nothing ever refuses bytes
-  return in.size();
-}
-
-bool SequenceChecker::try_write_vec(std::span<const util::ByteSpan> segments) {
-  for (const util::ByteSpan seg : segments) write(seg);
-  return true;
-}
-
 std::string SequenceChecker::report() const {
   if (clean()) return "";
   std::ostringstream os;
@@ -111,6 +67,62 @@ std::string SequenceChecker::report() const {
      << int(divergence_->actual) << std::dec << " (" << received()
      << " bytes received)";
   return os.str();
+}
+
+// ---------------------------------------------------------------------------
+// SequencePacketSource / SequencePacketSink
+
+namespace {
+// Keeps the size draws apart from other Rng streams keyed by the same seed
+// (the stress driver's control-op draws).
+constexpr std::uint64_t kSizeSalt = 0x5e9a1e5ULL;
+}  // namespace
+
+SequencePacketSource::SequencePacketSource(
+    std::uint64_t seed, std::uint64_t total,
+    std::shared_ptr<FaultInjector> faults)
+    : seed_(seed),
+      total_(total),
+      faults_(std::move(faults)),
+      sizes_(seed ^ kSizeSalt) {}
+
+std::optional<util::Bytes> SequencePacketSource::poll_packet(bool* finished) {
+  if (faults_) {
+    faults_->maybe_delay();
+    if (faults_->inject_throw()) {
+      throw core::StreamError("SequencePacketSource: injected read failure");
+    }
+  }
+  *finished = next_ >= total_ || interrupted_.load(std::memory_order_relaxed);
+  if (*finished) return std::nullopt;
+  // Uniform below a bound drawn from 2, 4, ..., 2048 (capped at
+  // kMaxPacket). Small packets are common enough that a stream takes many
+  // polls, which keeps it in flight while the stress driver's control ops
+  // run.
+  const std::uint64_t bound =
+      std::min<std::uint64_t>(std::uint64_t{2} << sizes_.next_below(11),
+                              kMaxPacket);
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(1 + sizes_.next_below(bound), total_ - next_));
+  util::Bytes packet = util::BufferPool::local().acquire(n);
+  fill_pattern(seed_, next_, packet);
+  next_ += n;
+  return packet;
+}
+
+SequencePacketSink::SequencePacketSink(std::uint64_t seed,
+                                       std::shared_ptr<FaultInjector> faults)
+    : faults_(std::move(faults)), checker_(seed) {}
+
+void SequencePacketSink::deliver(util::ByteSpan packet) {
+  if (faults_) {
+    faults_->maybe_delay();
+    if (faults_->inject_throw()) {
+      throw core::BrokenPipe("SequencePacketSink: injected write failure");
+    }
+  }
+  checker_.write(packet);
+  packets_.fetch_add(1, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@
 // has a distinct expected value, ANY loss, duplication, reordering, or
 // corruption shifts or perturbs the stream and is caught at the first
 // divergent offset — the checker doesn't need to understand framing or
-// filters, only offsets. A generator produces the stream at one end, a
-// checker consumes it at the other; equality of (bytes delivered, bytes
-// expected) plus a clean checker proves end-to-end integrity.
+// filters, only offsets. For a chain, SequencePacketSource slices the
+// stream into packets for the reader endpoint and SequencePacketSink feeds
+// what the writer endpoint delivers into a SequenceChecker; equality of
+// (bytes delivered, bytes expected) plus a clean checker proves end-to-end
+// integrity, however the byte stages in between cut the frames.
 //
 // For packet (datagram) paths, where loss is legitimate, StampedPacket /
 // PacketLedger do the per-packet equivalent: each packet carries its
@@ -18,14 +20,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 
+#include "core/endpoint.h"
 #include "util/bytes.h"
-#include "util/io.h"
+#include "util/rng.h"
 
 namespace rapidware::testing {
+
+class FaultInjector;
 
 /// Expected value of the byte at offset `p` in the stream keyed by `seed`.
 std::uint8_t pattern_byte(std::uint64_t seed, std::uint64_t p) noexcept;
@@ -34,46 +40,16 @@ std::uint8_t pattern_byte(std::uint64_t seed, std::uint64_t p) noexcept;
 void fill_pattern(std::uint64_t seed, std::uint64_t start,
                   util::MutableByteSpan out) noexcept;
 
-/// Finite ByteSource producing exactly `total` pattern bytes, then EOF.
-/// Single-reader, as the ByteSource contract requires.
-class SequenceGenerator final : public util::ByteSource {
- public:
-  SequenceGenerator(std::uint64_t seed, std::uint64_t total);
-
-  std::size_t read_some(util::MutableByteSpan out) override;
-
-  /// Pollable with no watcher: a computed source always makes progress
-  /// (bytes until total_, then EOF), so a poll can never would-block —
-  /// which is what lets a ByteReaderEndpoint's drive read it.
-  bool pollable() const noexcept override { return true; }
-  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
-                               bool* end) override;
-
-  std::uint64_t produced() const noexcept { return next_; }
-  std::uint64_t total() const noexcept { return total_; }
-
- private:
-  const std::uint64_t seed_;
-  const std::uint64_t total_;
-  std::uint64_t next_ = 0;
-};
-
-/// ByteSink verifying that byte i of the concatenated input equals
+/// Verifies that byte i of the concatenated input equals
 /// pattern_byte(seed, i). Records the first divergence and keeps counting
 /// bytes afterwards, so a failure report shows both where the stream broke
 /// and how much arrived. One writer; received() may be polled from another
 /// thread while the stream runs, the verdict read once it has ended.
-class SequenceChecker final : public util::ByteSink {
+class SequenceChecker {
  public:
   explicit SequenceChecker(std::uint64_t seed);
 
-  void write(util::ByteSpan in) override;
-
-  /// Pollable with no watcher: the checker consumes any amount
-  /// immediately, so a try_write never comes up short.
-  bool pollable() const noexcept override { return true; }
-  std::size_t try_write_some(util::ByteSpan in) override;
-  bool try_write_vec(std::span<const util::ByteSpan> segments) override;
+  void write(util::ByteSpan in);
 
   struct Divergence {
     std::uint64_t offset;
@@ -95,6 +71,64 @@ class SequenceChecker final : public util::ByteSink {
   const std::uint64_t seed_;
   std::atomic<std::uint64_t> received_{0};
   std::optional<Divergence> divergence_;
+};
+
+/// Computed PacketSource: the first `total` bytes of the pattern stream
+/// keyed by `seed`, sliced into packets of 1..kMaxPacket bytes, then end
+/// of stream. The sizes are drawn from the same seed, spread evenly over
+/// the power-of-two size classes: many small packets, and a few larger
+/// than any stress ring. A poll always makes progress, so the source
+/// needs no scheduler. Each packet is acquired
+/// from the polling thread's arena (util::BufferPool::local(): the
+/// worker's, which the reader endpoint recycles it into). With `faults`,
+/// every poll may first be delayed or throw core::StreamError.
+class SequencePacketSource final : public core::PacketSource {
+ public:
+  /// Above the stress harness's largest ring (1 KiB), so a frame also
+  /// meets a pass-through stage whose ring must grow to take it whole.
+  static constexpr std::size_t kMaxPacket = 1500;
+
+  SequencePacketSource(std::uint64_t seed, std::uint64_t total,
+                       std::shared_ptr<FaultInjector> faults = nullptr);
+
+  std::optional<util::Bytes> poll_packet(bool* finished) override;
+  /// Ends the stream at the next poll.
+  void interrupt() override {
+    interrupted_.store(true, std::memory_order_relaxed);
+  }
+
+  std::uint64_t total() const noexcept { return total_; }
+
+ private:
+  const std::uint64_t seed_;
+  const std::uint64_t total_;
+  const std::shared_ptr<FaultInjector> faults_;
+  std::atomic<bool> interrupted_{false};
+  // Poller-only (the reader endpoint's drive).
+  util::Rng sizes_;
+  std::uint64_t next_ = 0;
+};
+
+/// PacketSink feeding every payload, in arrival order, into a
+/// SequenceChecker. With `faults`, every delivery may first be delayed or
+/// throw core::BrokenPipe; a packet the sink threw on is not checked.
+class SequencePacketSink final : public core::PacketSink {
+ public:
+  explicit SequencePacketSink(std::uint64_t seed,
+                              std::shared_ptr<FaultInjector> faults = nullptr);
+
+  void deliver(util::ByteSpan packet) override;
+
+  const SequenceChecker& checker() const noexcept { return checker_; }
+  /// Packets accepted (delivered without a throw).
+  std::uint64_t packets() const noexcept {
+    return packets_.load(std::memory_order_acquire);
+  }
+
+ private:
+  const std::shared_ptr<FaultInjector> faults_;
+  SequenceChecker checker_;
+  std::atomic<std::uint64_t> packets_{0};
 };
 
 /// Builds a datagram payload: u32 sequence number + pattern bytes keyed by

@@ -7,9 +7,12 @@
 //    reconnect() cycles against the live pipe. This hammers the paper's
 //    Section 4 protocol at the smallest scale.
 //
-//  * StressDriver — a full FilterChain between a sequence-stamped source
-//    and checker, with fault-injecting wrappers on both ends and
-//    small-buffer pass-through filters in between. While data flows, the
+//  * StressDriver — a full FilterChain between the packet endpoints every
+//    real chain runs: a SequencePacketSource slices the sequence-stamped
+//    stream into packets of seed-drawn sizes, a SequencePacketSink checks
+//    what the writer endpoint delivers, and each consults its own fault
+//    injector. In between run small-ring byte pass-through filters, which
+//    cut the frames at arbitrary byte offsets. While data flows, the
 //    control thread executes a random schedule of insert / remove /
 //    reorder / pause+reconnect / set_param operations, then the chain is
 //    drained and the checker proves the delivered stream is byte-exact.
@@ -71,8 +74,9 @@ struct StressOptions {
   /// Control operations attempted per schedule.
   int ops_per_schedule = 10;
   std::uint64_t bytes_per_schedule = 8 * 1024;
-  /// Ring capacity of the pass-through filters and the tail endpoint; small
-  /// so every pipe in the chain exercises its blocking paths.
+  /// Ring capacity of the tail endpoint (the pass-through filters draw
+  /// 256, 512 or 1024 bytes); small so every pipe in the chain exercises
+  /// its backpressure paths.
   std::size_t ring_capacity = 768;
   std::size_t max_filters = 4;
   FaultPlan faults;
@@ -101,6 +105,9 @@ struct StressOptions {
 struct ScheduleResult {
   std::uint64_t schedule_seed = 0;
   std::vector<std::string> ops;  // executed control ops, in order
+  /// Ops after which the sink still lacked bytes: they ran against a
+  /// stream in flight, not a drained one.
+  std::uint64_t ops_in_flight = 0;
   std::uint64_t bytes_delivered = 0;
   std::uint64_t faults_fired = 0;  // injector events that actually happened
   bool ok = false;
@@ -114,6 +121,7 @@ struct StressSummary {
   int failures = 0;
   std::uint64_t bytes_total = 0;
   std::uint64_t control_ops = 0;
+  std::uint64_t ops_in_flight = 0;
   std::uint64_t faults_fired = 0;
   std::vector<ScheduleResult> failed;  // capped at 8 entries
 

@@ -44,9 +44,10 @@ class FrameReader {
   /// ends mid-frame (torn frame).
   std::optional<Bytes> next();
 
-  /// Non-blocking next() for event-driven consumers over a pollable source:
-  /// nullopt with *end == false means would-block (the source armed its
-  /// readiness watcher — re-drive from the callback); nullopt with
+  /// Non-blocking next() for event-driven consumers, over a source that
+  /// implements poll_read_borrow() (a DetachableInputStream): nullopt with
+  /// *end == false means would-block (the source armed its read
+  /// scheduler — re-drive from the callback); nullopt with
   /// *end == true is clean end-of-stream. Torn-frame and corruption errors
   /// throw exactly like next().
   std::optional<Bytes> poll(bool* end);

@@ -54,7 +54,7 @@ std::size_t ByteSource::poll_read_borrow(std::size_t max, SpanVisitor visit,
   (void)max;
   (void)visit;
   (void)end;
-  throw std::logic_error("poll_read_borrow: source is not pollable");
+  throw std::logic_error("poll_read_borrow: this source cannot poll");
 }
 
 void ByteSink::write_vec(std::span<const ByteSpan> segments) {
@@ -76,12 +76,7 @@ void ByteSink::write_vec(std::span<const ByteSpan> segments) {
 
 bool ByteSink::try_write_vec(std::span<const ByteSpan> segments) {
   (void)segments;
-  throw std::logic_error("try_write_vec: sink is not pollable");
-}
-
-std::size_t ByteSink::try_write_some(ByteSpan in) {
-  (void)in;
-  throw std::logic_error("try_write_some: sink is not pollable");
+  throw std::logic_error("try_write_vec: this sink cannot poll");
 }
 
 }  // namespace rapidware::util

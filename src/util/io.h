@@ -1,6 +1,9 @@
 // Abstract byte-stream interfaces. The detachable stream classes in
 // src/core implement these; framing and filters are written against them so
-// they are testable without threads.
+// they are testable without threads. Only the detachable streams implement
+// the non-blocking halves (poll_read_borrow, try_write_vec): every drive a
+// worker runs reads and writes a chain stream, and the outside world meets
+// the chain through the packet endpoints (core/endpoint.h).
 #pragma once
 
 #include <cstddef>
@@ -35,14 +38,14 @@ class SpanVisitor {
   std::size_t (*call_)(void*, ByteSpan, ByteSpan);
 };
 
-/// Readiness callback a pollable ByteSource/ByteSink arms when a poll
-/// comes up empty: the next transition (data arrives, space frees, EOF)
-/// fires on_io_ready() exactly once — the one-shot arm-under-the-lock
-/// protocol detachable streams use for parked threads, exposed here so
-/// byte endpoints can watch ANY pollable source or sink from a worker.
-/// Fired from the thread that caused the transition, possibly under the
-/// stream's lock: implementations must only post (never block, never
-/// re-enter the stream).
+/// Readiness callback an I/O object below src/core arms when a poll comes
+/// up empty (net::SimSocket::poll_recv): the next transition (a datagram
+/// arrives, the socket closes) fires on_io_ready() exactly once — the
+/// one-shot arm-under-the-lock protocol detachable streams use for parked
+/// threads, exposed at this layer because net:: cannot name
+/// core::Scheduler (core::IoReadyForwarder bridges the two). Fired from
+/// the thread that caused the transition: implementations must only post
+/// (never block, never re-enter the object).
 class ReadyWatcher {
  public:
   virtual ~ReadyWatcher() = default;
@@ -53,17 +56,6 @@ class ReadyWatcher {
 class ByteSource {
  public:
   virtual ~ByteSource() = default;
-
-  /// True when poll_read_borrow() is implemented — the source can be
-  /// consumed without a blocking thread. Pairs with set_ready_watcher().
-  virtual bool pollable() const noexcept { return false; }
-
-  /// Registers (nullptr clears) the watcher an empty-and-open
-  /// poll_read_borrow() arms. Call before the first poll and clear only
-  /// when no poll can be in flight. Default: no-op, for sources that are
-  /// pollable but never block (a computed or memory-backed source whose
-  /// polls always make progress has nothing to watch).
-  virtual void set_ready_watcher(ReadyWatcher* watcher) { (void)watcher; }
 
   /// Blocks until at least one byte is available or the stream ends.
   /// Returns the number of bytes placed in `out`; 0 means end-of-stream.
@@ -95,10 +87,10 @@ class ByteSource {
   /// Non-blocking read_borrow for event-driven consumers. Offers whatever
   /// is immediately available exactly like read_borrow(); when nothing is
   /// buffered it returns 0 without blocking and sets `*end` to whether the
-  /// stream has ended. A pollable source arms its registered readiness
-  /// watcher on the empty-and-open case so the consumer is re-driven when
-  /// data (or EOF) arrives. Sources that cannot poll keep the throwing
-  /// default — only the detachable streams implement this today.
+  /// stream has ended. The empty-and-open case arms the stream's read
+  /// scheduler so the consumer is re-driven when data (or EOF) arrives.
+  /// Other sources keep the throwing default — only
+  /// core::DetachableInputStream implements this.
   virtual std::size_t poll_read_borrow(std::size_t max, SpanVisitor visit,
                                        bool* end);
 };
@@ -107,14 +99,6 @@ class ByteSource {
 class ByteSink {
  public:
   virtual ~ByteSink() = default;
-
-  /// True when the try_write_* calls are implemented — the sink can be
-  /// fed without a blocking thread. Pairs with set_ready_watcher().
-  virtual bool pollable() const noexcept { return false; }
-
-  /// Registers (nullptr clears) the watcher a refused/short try_write
-  /// arms. Same contract as ByteSource::set_ready_watcher.
-  virtual void set_ready_watcher(ReadyWatcher* watcher) { (void)watcher; }
 
   /// Blocks until all of `in` is accepted.
   virtual void write(ByteSpan in) = 0;
@@ -133,15 +117,10 @@ class ByteSink {
   /// Non-blocking all-or-nothing vectored write for event-driven producers:
   /// either every segment lands back to back (one transaction, same
   /// atomicity as write_vec) and the call returns true, or nothing is
-  /// accepted and the call returns false after arming the sink's registered
-  /// writable watcher. Sinks that cannot poll keep the throwing default.
+  /// accepted and the call returns false after arming the sink's write
+  /// scheduler. Other sinks keep the throwing default — only
+  /// core::DetachableOutputStream implements this.
   virtual bool try_write_vec(std::span<const ByteSpan> segments);
-
-  /// Non-blocking partial write: accepts as much of `in` as fits right now
-  /// and returns the count (0 when nothing fits). A short write arms the
-  /// writable watcher. Byte streams may legally split a chunk across a
-  /// reconnect this way; framed data must use try_write_vec instead.
-  virtual std::size_t try_write_some(ByteSpan in);
 };
 
 }  // namespace rapidware::util

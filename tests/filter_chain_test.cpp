@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "core/control.h"
@@ -351,73 +350,20 @@ TEST(FilterChain, ReorderSwapsTraversalOrder) {
 // Byte filters in chains
 
 TEST(FilterChain, ByteFilterTransformsStream) {
-  // Byte-oriented chain: string source -> uppercase -> collecting sink.
-  // The source is gated: it yields no bytes until released, so the filter
-  // is guaranteed to be spliced in before any data flows (otherwise the
-  // endpoints could race the whole string past the insertion point).
-  class StringSource final : public util::ByteSource {
-   public:
-    explicit StringSource(std::string s) : data_(to_bytes(s)) {}
-    std::size_t read_some(util::MutableByteSpan) override {
-      ADD_FAILURE() << "the endpoint polls; it never reads blocking";
-      return 0;
-    }
-    bool pollable() const noexcept override { return true; }
-    void set_ready_watcher(util::ReadyWatcher* watcher) override {
-      std::lock_guard lk(mu_);
-      watcher_ = watcher;
-    }
-    std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
-                                 bool* end) override {
-      std::lock_guard lk(mu_);
-      *end = released_ && pos_ == data_.size();
-      if (!released_ || *end) {
-        armed_ = !released_;
-        return 0;
-      }
-      const util::ByteSpan rest = util::ByteSpan(data_).subspan(pos_);
-      const std::size_t n = visit(rest.first(std::min(max, rest.size())), {});
-      pos_ += n;
-      return n;
-    }
-    void release() {
-      std::lock_guard lk(mu_);
-      released_ = true;
-      if (armed_ && watcher_ != nullptr) watcher_->on_io_ready();
-      armed_ = false;
-    }
-
-   private:
-    std::mutex mu_;
-    Bytes data_;
-    std::size_t pos_ = 0;
-    bool released_ = false;
-    bool armed_ = false;
-    util::ReadyWatcher* watcher_ = nullptr;
-  };
-  class StringSink final : public util::ByteSink {
-   public:
-    void write(util::ByteSpan in) override { try_write_some(in); }
-    bool pollable() const noexcept override { return true; }
-    std::size_t try_write_some(util::ByteSpan in) override {
-      std::lock_guard lk(mu_);
-      data_.insert(data_.end(), in.begin(), in.end());
-      return in.size();
-    }
-    std::mutex mu_;
-    Bytes data_;
-  };
-
-  auto source = std::make_shared<StringSource>("hello rapidware");
-  auto sink = std::make_shared<StringSink>();
-  FilterChain chain(std::make_shared<ByteReaderEndpoint>("in", source),
-                    std::make_shared<ByteWriterEndpoint>("out", sink));
-  chain.start();
-  chain.insert(std::make_shared<UppercaseFilter>(), 0);
-  source->release();
-  chain.shutdown();
-  std::lock_guard lk(sink->mu_);
-  EXPECT_EQ(to_string(sink->data_), "HELLO RAPIDWARE");
+  // A byte stage between the packet endpoints transforms the framed stream,
+  // frame headers included. The headers come through unchanged: the magic
+  // is "WR" (0x57 0x52), and a payload shorter than 97 bytes has no length
+  // byte in 'a'..'z'. Inserting before the push splices the filter in
+  // before any data flows.
+  Harness h;
+  h.chain->start();
+  h.chain->insert(std::make_shared<UppercaseFilter>(), 0);
+  h.source->push(to_bytes("hello rapidware"));
+  h.source->finish();
+  h.chain->shutdown();
+  const auto packets = h.sink->packets();
+  ASSERT_EQ(packets.size(), 1u);
+  EXPECT_EQ(to_string(packets[0]), "HELLO RAPIDWARE");
 }
 
 // ---------------------------------------------------------------------------

@@ -142,9 +142,13 @@ TEST(ChainStress, RandomizedScheduleSweepIsByteExact) {
   const auto summary = driver.run_all();
   EXPECT_EQ(summary.failures, 0) << summary.describe();
   EXPECT_EQ(summary.schedules_run, opts.schedules);
-  // The sweep must be genuinely hostile, not a no-op pass.
+  // The sweep must be genuinely hostile, not a no-op pass: faults fired,
+  // and at least three in four control ops ran while the sink still lacked
+  // bytes (a harness whose data outran its ops would pass vacuously).
   EXPECT_GT(summary.control_ops, 0u);
   EXPECT_GT(summary.faults_fired, 0u);
+  EXPECT_GE(summary.ops_in_flight * 4, summary.control_ops * 3)
+      << summary.describe();
   EXPECT_EQ(summary.bytes_total,
             std::uint64_t(opts.schedules) * opts.bytes_per_schedule);
 }
@@ -267,20 +271,15 @@ TEST(ChainStress, InjectedSinkFailuresTerminateCleanly) {
                  << "replay with fault schedule seed 0x" << std::hex << seed);
 
     auto faults = std::make_shared<FaultInjector>(seed, FaultPlan{
-        .short_read_p = 0.5,
-        .fragment_write_p = 0.5,
         .delay_p = 0.2,
         .throw_p = 0.02,  // armed: sink/source may throw mid-transfer
     });
-    auto generator =
-        std::make_shared<testing::SequenceGenerator>(seed, 32 * 1024);
-    auto source = std::make_shared<testing::FaultyByteSource>(generator, faults);
-    auto checker = std::make_shared<SequenceChecker>(seed);
-    auto sink = std::make_shared<testing::FaultyByteSink>(checker, faults);
+    auto source =
+        std::make_shared<testing::SequencePacketSource>(seed, 32 * 1024, faults);
+    auto sink = std::make_shared<testing::SequencePacketSink>(seed, faults);
 
-    auto head =
-        std::make_shared<core::ByteReaderEndpoint>("head", source, 512);
-    auto tail = std::make_shared<core::ByteWriterEndpoint>("tail", sink, 1024);
+    auto head = std::make_shared<core::PacketReaderEndpoint>("head", source);
+    auto tail = std::make_shared<core::PacketWriterEndpoint>("tail", sink, 1024);
     core::FilterChain chain(head, tail);
     chain.start();
 
@@ -295,8 +294,11 @@ TEST(ChainStress, InjectedSinkFailuresTerminateCleanly) {
     }
     chain.shutdown();  // must always complete
 
-    EXPECT_TRUE(checker->clean()) << checker->report();
-    EXPECT_LE(checker->received(), generator->total());
+    const SequenceChecker& checker = sink->checker();
+    EXPECT_TRUE(checker.clean()) << checker.report();
+    EXPECT_LE(checker.received(), source->total());
+    // A packet the sink threw on is not counted as written.
+    EXPECT_EQ(tail->packets_written(), sink->packets());
   }
 }
 
@@ -339,25 +341,20 @@ TEST(PipeStress, RegressionCloseWakesBlockedWriter) {
 // Pinned regression: a tail whose drive died must release backpressure so
 // upstream stages (and chain teardown) do not wedge against its full ring.
 TEST(ChainStress, RegressionDeadTailReleasesBackpressure) {
-  struct ThrowingSink final : util::ByteSink {
-    void write(util::ByteSpan) override {
-      throw core::StreamError("sink died");
-    }
-    bool pollable() const noexcept override { return true; }
-    std::size_t try_write_some(util::ByteSpan) override {
+  struct ThrowingSink final : core::PacketSink {
+    void deliver(util::ByteSpan) override {
       throw core::StreamError("sink died");
     }
   };
-  auto generator =
-      std::make_shared<testing::SequenceGenerator>(0x7e57ULL, 1 << 20);
-  auto head = std::make_shared<core::ByteReaderEndpoint>("head", generator,
-                                                         4096);
-  auto tail = std::make_shared<core::ByteWriterEndpoint>(
+  auto head = std::make_shared<core::PacketReaderEndpoint>(
+      "head", std::make_shared<testing::SequencePacketSource>(0x7e57ULL,
+                                                              1 << 20));
+  auto tail = std::make_shared<core::PacketWriterEndpoint>(
       "tail", std::make_shared<ThrowingSink>(), 2048);
   core::FilterChain chain(head, tail);
   chain.start();
 
-  // The tail dies on its first chunk; the head (1 MiB to push through a
+  // The tail dies on its first packet; the head (1 MiB to push through a
   // 2 KiB ring) must observe BrokenPipe instead of blocking forever.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30);
