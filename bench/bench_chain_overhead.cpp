@@ -19,10 +19,12 @@
 //   * vs_memcpy            — MB/s normalized by a same-run memcpy baseline,
 //                            the machine-independent number CI gates on
 //                            (tools/bench_compare.py --rwbench);
-//   * allocs_per_10k_packets — global operator-new calls during the run.
-//     The harness itself owns ~2 allocations per packet (QueuePacketSource
-//     copy-in, CollectingPacketSink copy-out); the per-hop cost on top of
-//     that is what util::BufferPool is meant to hold at zero.
+//   * allocs_per_10k_packets — global operator-new calls from the first
+//     push to the last delivery. The sink (bench_sink.h's
+//     CountingPacketSink) counts packets without copying or storing them;
+//     the harness's one remaining allocation per packet is
+//     QueuePacketSource's copy-in, and the per-hop cost on top of that is
+//     what util::BufferPool is meant to hold at zero.
 //   * pool_hit_rate        — acquire hit rate of the pool the chain
 //                            recycles through (chain->recycle_pool(): the
 //                            worker's arena when event-hosted).
@@ -36,6 +38,7 @@
 #include <thread>
 
 #include "bench_json.h"
+#include "bench_sink.h"
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
 #include "obs/metrics.h"
@@ -72,16 +75,19 @@ struct Result {
   double mbytes_per_sec;
   double allocs_per_10k;
   double pool_hit_rate;
-  std::size_t delivered;  // fewest packets the sink received over the reps
+  std::uint64_t delivered;        // packets the sink received (last rep)
+  std::uint64_t delivered_bytes;  // and their bytes
 };
 
-Result run_once(std::size_t chain_len, std::size_t packet_bytes,
-                int packets) {
+Result run_once(const std::string& row, std::size_t chain_len,
+                std::size_t packet_bytes, int packets) {
   // The registry must outlive the chain: the chain's destructor unbinds
   // its metrics scope into it.
   obs::Registry metrics;
   auto source = std::make_shared<core::QueuePacketSource>();
-  auto sink = std::make_shared<core::CollectingPacketSink>();
+  auto sink = std::make_shared<rwbench::CountingPacketSink>();
+  rwbench::Countdown all_delivered(1);
+  sink->arrive_at(static_cast<std::uint64_t>(packets), all_delivered);
   auto chain = std::make_shared<core::FilterChain>(
       std::make_shared<core::PacketReaderEndpoint>("in", source),
       std::make_shared<core::PacketWriterEndpoint>("out", sink));
@@ -105,13 +111,14 @@ Result run_once(std::size_t chain_len, std::size_t packet_bytes,
     source->finish();
   });
   producer.join();
-  chain->shutdown();
+  rwbench::await_or_exit(all_delivered, row);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const std::uint64_t allocs =
       g_allocs.load(std::memory_order_relaxed) - allocs0;
   const util::BufferPool::Stats pool1 = pool.stats();
+  chain->shutdown();
   const std::uint64_t pool_hits = pool1.hits - pool0.hits;
   const std::uint64_t pool_total =
       pool_hits + (pool1.misses - pool0.misses);
@@ -123,23 +130,24 @@ Result run_once(std::size_t chain_len, std::size_t packet_bytes,
   r.pool_hit_rate = pool_total == 0
                         ? 0.0
                         : static_cast<double>(pool_hits) / pool_total;
-  r.delivered = sink->count();
+  r.delivered = sink->packets();
+  r.delivered_bytes = sink->bytes();
   return r;
 }
 
 /// Best throughput of `reps` runs: on a single-core shared host the
 /// end-to-end chain is scheduling-dominated, and the fastest run is the one
-/// least distorted by unrelated wakeups (same envelope logic as
+/// least distorted by unrelated wake-ups (same envelope logic as
 /// bench_stream_throughput). Alloc/pool numbers come from the last run —
-/// they are deterministic, not timing-sensitive.
-Result run(std::size_t chain_len, std::size_t packet_bytes, int packets,
-           int reps) {
+/// they are deterministic, not timing-sensitive. Every rep must deliver
+/// every packet: a rep that loses any never completes its countdown.
+Result run(const std::string& row, std::size_t chain_len,
+           std::size_t packet_bytes, int packets, int reps) {
   Result best{};
   for (int i = 0; i < reps; ++i) {
-    Result r = run_once(chain_len, packet_bytes, packets);
+    Result r = run_once(row, chain_len, packet_bytes, packets);
     r.packets_per_sec = std::max(r.packets_per_sec, best.packets_per_sec);
     r.mbytes_per_sec = std::max(r.mbytes_per_sec, best.mbytes_per_sec);
-    if (i > 0) r.delivered = std::min(r.delivered, best.delivered);
     best = r;
   }
   return best;
@@ -184,21 +192,21 @@ int main(int argc, char** argv) {
   std::printf("%10s %10s %16s %14s %11s %12s %9s\n", "filters", "pkt B",
               "packets/s", "MB/s", "vs_memcpy", "allocs/10k", "pool hit");
   const int reps = quick ? 1 : 3;
-  bool conserved = true;
+  bool all_conserved = true;
   const auto bench = [&](std::size_t len, std::size_t bytes, int packets) {
-    const Result r = run(len, bytes, packets, reps);
-    if (r.delivered != static_cast<std::size_t>(packets)) {
-      std::printf("CONSERVATION FAILED: %zu filters, %zu B: delivered %zu of "
-                  "%d packets\n",
-                  len, bytes, r.delivered, packets);
-      conserved = false;
+    const std::string row =
+        "chain/" + std::to_string(len) + "/" + std::to_string(bytes);
+    const Result r = run(row, len, bytes, packets, reps);
+    const auto sent = static_cast<std::uint64_t>(packets);
+    if (!rwbench::conserved(row, sent, sent * bytes, r.delivered,
+                            r.delivered_bytes)) {
+      all_conserved = false;
     }
     const double ratio = r.mbytes_per_sec / memcpy_ref;
     std::printf("%10zu %10zu %16.0f %14.1f %10.4fx %12.0f %8.2f%%\n", len,
                 bytes, r.packets_per_sec, r.mbytes_per_sec, ratio,
                 r.allocs_per_10k, r.pool_hit_rate * 100.0);
-    json.row({{"name", "chain/" + std::to_string(len) + "/" +
-                           std::to_string(bytes)},
+    json.row({{"name", row},
               {"filters", static_cast<long long>(len)},
               {"packet_bytes", static_cast<long long>(bytes)},
               {"packets", packets},
@@ -229,10 +237,10 @@ int main(int argc, char** argv) {
       "hop on the chain's worker, so throughput stays within the same order\n"
       "of magnitude even at 16 filters — orders of magnitude above the\n"
       "2 Mbps WaveLAN the proxy actually feeds. allocs/10k counts the whole\n"
-      "process including the bench harness (~2 allocs/packet of\n"
-      "copy-in/copy-out); the pool keeps the per-hop contribution near\n"
-      "zero.\n");
-  if (!conserved) {
+      "process including the bench harness (~1 alloc/packet of copy-in;\n"
+      "the counting sink stores nothing); the pool keeps the per-hop\n"
+      "contribution near zero.\n");
+  if (!all_conserved) {
     std::printf("\nFAILED: a row lost packets (see above)\n");
     return 1;
   }

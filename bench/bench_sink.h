@@ -1,8 +1,9 @@
-// Delivery accounting for the multi-chain benches (bench_many_chains,
-// bench_worker_scaling). The chains hosted on one worker share that
-// worker's counting sink, so no counter bounces between cores, and the main
-// thread sleeps on a completion signal with a deadline instead of spinning
-// on a shared atomic while the workers need every core.
+// Delivery accounting for the chain benches (bench_chain_overhead,
+// bench_many_chains, bench_worker_scaling). A counting sink stores nothing,
+// so a row prices the chain, not its harness. The chains hosted on one
+// worker share that worker's counting sink, so no counter bounces between
+// cores, and the main thread sleeps on a completion signal with a deadline
+// instead of spinning on a shared atomic while the workers need every core.
 #pragma once
 
 #include <atomic>

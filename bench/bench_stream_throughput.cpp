@@ -1,30 +1,35 @@
-// Microbenchmarks of the detachable-stream data plane: what the
-// pause/reconnect capability costs relative to the machine's own memory
-// bandwidth. Every throughput row is normalized against a same-run memcpy
-// baseline ("vs_memcpy"), so the committed baseline JSON compares across
-// machines: "framed transport used to run at 0.7x memcpy on whatever host
-// produced the baseline, now it is 0.4x" is a code regression no matter the
-// hardware (tools/bench_compare.py --rwbench enforces this in CI).
+// Microbenchmarks of the detachable-stream data plane: what one stream hop
+// costs relative to the machine's own memory bandwidth. Each row prices a
+// hop the way a chain on one worker runs it, with no thread: the upstream
+// stage writes until the ring refuses, then the downstream stage drains it
+// until would-block. Every throughput row is normalized against a same-run
+// memcpy baseline ("vs_memcpy"), so the committed baseline JSON compares
+// across machines: "framed transport used to run at 0.7x memcpy on whatever
+// host produced the baseline, now it is 0.4x" is a code regression no
+// matter the hardware (tools/bench_compare.py --rwbench enforces this in
+// CI). Every row checks that it delivered exactly the bytes written before
+// it reports a throughput.
 //
 // Rows:
-//   * memcpy              — the floor: move bytes with no concurrency
-//   * raw_pipe            — one writer thread + one reader thread (read_some)
-//   * framed_legacy       — length-prefix codec, one read_frame() per frame
-//   * framed_batched      — util::FrameReader, many frames per lock trip
-//   * framed_wbatch8      — 8 frames per write_vec transaction + FrameReader
-//   * pause_reconnect     — the control-plane primitive by itself
+//   * memcpy           — the floor: move bytes with no stream
+//   * pipe             — try_write_some chunks, drained by poll_read_borrow
+//                        into a reused buffer (a ByteFilter hop)
+//   * framed           — one try_write_frame per frame, drained by
+//                        util::FrameReader::poll (a PacketFilter hop)
+//   * framed_wbatch8   — 8 frames per try_write_vec transaction, same reader
+//   * pause_reconnect  — the control-plane primitive by itself
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.h"
 #include "core/detachable_stream.h"
 #include "obs/metrics.h"
+#include "util/buffer_pool.h"
 #include "util/frame_reader.h"
 #include "util/framing.h"
 
@@ -77,92 +82,117 @@ double bench_memcpy(std::size_t chunk, std::int64_t total_chunks, int reps) {
   });
 }
 
-double bench_raw_pipe(std::size_t chunk, std::int64_t total_chunks, int reps) {
+double bench_pipe(std::size_t chunk, std::int64_t total_chunks, int reps) {
   const double total =
       static_cast<double>(chunk) * static_cast<double>(total_chunks);
   return best_mbps(reps, total, [&] {
     core::DetachableInputStream dis;
     core::DetachableOutputStream dos;
     core::connect(dos, dis);
-    std::thread writer([&] {
-      util::Bytes data(chunk, 0x5a);
-      for (std::int64_t i = 0; i < total_chunks; ++i) dos.write(data);
-      dos.close();
-    });
+    const util::Bytes data(chunk, 0x5a);
     util::Bytes buf(chunk);
+    std::int64_t written = 0;
     std::int64_t delivered = 0;
-    while (const std::size_t n = dis.read_some(buf)) {
-      delivered += static_cast<std::int64_t>(n);
+    // The downstream stage's turn: copy out everything buffered, one
+    // chunk-sized read at a time, until would-block (or EOF: true).
+    const auto drain = [&] {
+      bool end = false;
+      while (const std::size_t n = dis.poll_read_borrow(
+                 chunk,
+                 [&](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
+                   std::memcpy(buf.data(), a.data(), a.size());
+                   if (!b.empty()) {
+                     std::memcpy(buf.data() + a.size(), b.data(), b.size());
+                   }
+                   return a.size() + b.size();
+                 },
+                 &end)) {
+        delivered += static_cast<std::int64_t>(n);
+      }
+      return end;
+    };
+    for (std::int64_t i = 0; i < total_chunks; ++i) {
+      util::ByteSpan rest(data);
+      while (!rest.empty()) {
+        const std::size_t n = dos.try_write_some(rest);
+        written += static_cast<std::int64_t>(n);
+        rest = rest.subspan(n);
+        if (!rest.empty()) drain();  // the ring refused: the reader's turn
+      }
     }
-    writer.join();
-    check_delivered("raw_pipe/" + std::to_string(chunk), delivered,
-                    static_cast<std::int64_t>(chunk) * total_chunks);
+    dos.close();
+    while (!drain()) {
+    }
+    check_delivered("pipe/" + std::to_string(chunk), delivered, written);
   });
 }
 
-enum class Reader { kLegacy, kBatched };
-
 /// Framed transport: `batch` frames per writer transaction (batch == 1 is
-/// one write_frame call per frame; batch > 1 packs [header, payload] pairs
-/// into a single write_vec, which the stream commits atomically).
+/// one try_write_frame per frame; batch > 1 packs [header, payload] pairs
+/// into a single try_write_vec, which the stream commits atomically). The
+/// reader recycles each payload through its own pool, as a pass-through
+/// PacketFilter returns it to its worker's arena.
 double bench_framed(const std::string& series, std::size_t payload,
-                    std::int64_t total_frames, std::size_t batch,
-                    Reader reader, int reps,
-                    double* batching_factor = nullptr) {
+                    std::int64_t total_frames, std::size_t batch, int reps,
+                    double* batching_factor) {
   const double total =
       static_cast<double>(payload) * static_cast<double>(total_frames);
   return best_mbps(reps, total, [&] {
     core::DetachableInputStream dis;
     core::DetachableOutputStream dos;
     core::connect(dos, dis);
-    std::thread writer([&] {
-      util::Bytes data(payload, 0x5a);
-      if (batch <= 1) {
-        for (std::int64_t i = 0; i < total_frames; ++i) {
-          util::write_frame(dos, data);
-        }
-      } else {
-        std::uint8_t header[util::kFrameHeaderSize];
-        header[0] = static_cast<std::uint8_t>(util::kFrameMagic & 0xff);
-        header[1] = static_cast<std::uint8_t>(util::kFrameMagic >> 8);
-        const auto len = static_cast<std::uint32_t>(payload);
-        header[2] = static_cast<std::uint8_t>(len & 0xff);
-        header[3] = static_cast<std::uint8_t>((len >> 8) & 0xff);
-        header[4] = static_cast<std::uint8_t>((len >> 16) & 0xff);
-        header[5] = static_cast<std::uint8_t>((len >> 24) & 0xff);
-        std::vector<util::ByteSpan> segments;
-        for (std::int64_t sent = 0; sent < total_frames;) {
-          const auto now = std::min<std::int64_t>(
-              static_cast<std::int64_t>(batch), total_frames - sent);
-          segments.clear();
-          for (std::int64_t i = 0; i < now; ++i) {
-            segments.emplace_back(header, sizeof header);
-            segments.emplace_back(data.data(), data.size());
-          }
-          dos.write_vec(segments);
-          sent += now;
-        }
-      }
-      dos.close();
-    });
+    const util::Bytes data(payload, 0x5a);
+    std::uint8_t header[util::kFrameHeaderSize];
+    header[0] = static_cast<std::uint8_t>(util::kFrameMagic & 0xff);
+    header[1] = static_cast<std::uint8_t>(util::kFrameMagic >> 8);
+    const auto len = static_cast<std::uint32_t>(payload);
+    header[2] = static_cast<std::uint8_t>(len & 0xff);
+    header[3] = static_cast<std::uint8_t>((len >> 8) & 0xff);
+    header[4] = static_cast<std::uint8_t>((len >> 16) & 0xff);
+    header[5] = static_cast<std::uint8_t>((len >> 24) & 0xff);
+    std::vector<util::ByteSpan> segments;
+    util::BufferPool pool;
+    util::FrameReader fr(dis, pool);
+    std::int64_t written = 0;
     std::int64_t delivered = 0;
-    if (reader == Reader::kLegacy) {
-      while (const auto frame = util::read_frame(dis)) {
+    // The downstream stage's turn: decode until would-block (or EOF: true).
+    const auto drain = [&] {
+      bool end = false;
+      while (auto frame = fr.poll(&end)) {
         delivered += static_cast<std::int64_t>(frame->size());
+        pool.release(std::move(*frame));
       }
-    } else {
-      util::FrameReader fr(dis);
-      while (const auto frame = fr.next()) {
-        delivered += static_cast<std::int64_t>(frame->size());
+      return end;
+    };
+    for (std::int64_t sent = 0; sent < total_frames;) {
+      const auto now = std::min<std::int64_t>(
+          static_cast<std::int64_t>(batch), total_frames - sent);
+      bool landed = false;
+      if (batch <= 1) {
+        landed = util::try_write_frame(dos, data);
+      } else {
+        segments.clear();
+        for (std::int64_t i = 0; i < now; ++i) {
+          segments.emplace_back(header, sizeof header);
+          segments.emplace_back(data.data(), data.size());
+        }
+        landed = dos.try_write_vec(segments);
       }
-      if (batching_factor != nullptr && fr.refills() > 0) {
-        *batching_factor = static_cast<double>(fr.frames()) /
-                           static_cast<double>(fr.refills());
+      if (!landed) {
+        drain();  // the ring refused: the reader's turn
+        continue;
       }
+      sent += now;
+      written += now * static_cast<std::int64_t>(payload);
     }
-    writer.join();
-    check_delivered(series, delivered,
-                    static_cast<std::int64_t>(payload) * total_frames);
+    dos.close();
+    while (!drain()) {
+    }
+    if (fr.refills() > 0) {
+      *batching_factor = static_cast<double>(fr.frames()) /
+                         static_cast<double>(fr.refills());
+    }
+    check_delivered(series, delivered, written);
   });
 }
 
@@ -223,27 +253,22 @@ int main(int argc, char** argv) {
   emit("memcpy/4096", 4096, bench_memcpy(4096, 16384 * scale, reps));
   emit("memcpy/65536", 65536, memcpy_ref);
 
-  emit("raw_pipe/4096", 4096, bench_raw_pipe(4096, 8192 * scale, reps));
-  emit("raw_pipe/65536", 65536, bench_raw_pipe(65536, 1024 * scale, reps));
+  emit("pipe/4096", 4096, bench_pipe(4096, 8192 * scale, reps));
+  emit("pipe/65536", 65536, bench_pipe(65536, 1024 * scale, reps));
 
   const std::int64_t small_frames = 32768 * scale;
   const std::int64_t big_frames = 8192 * scale;
   const auto framed = [&](const std::string& series, std::size_t payload,
-                          std::int64_t frames, std::size_t batch,
-                          Reader reader, bool report_batching) {
+                          std::int64_t frames, std::size_t batch) {
     double batching = 0.0;
-    const double mbps = bench_framed(series, payload, frames, batch, reader,
-                                     reps, &batching);
-    rwbench::JsonFields extra;
-    if (report_batching) extra.push_back({"frames_per_refill", batching});
-    emit(series, payload, mbps, std::move(extra));
+    const double mbps =
+        bench_framed(series, payload, frames, batch, reps, &batching);
+    emit(series, payload, mbps, {{"frames_per_refill", batching}});
   };
-  framed("framed_legacy/320", 320, small_frames, 1, Reader::kLegacy, false);
-  framed("framed_legacy/4096", 4096, big_frames, 1, Reader::kLegacy, false);
-  framed("framed_batched/320", 320, small_frames, 1, Reader::kBatched, true);
-  framed("framed_batched/4096", 4096, big_frames, 1, Reader::kBatched, true);
-  framed("framed_wbatch8/320", 320, small_frames, 8, Reader::kBatched, false);
-  framed("framed_wbatch8/4096", 4096, big_frames, 8, Reader::kBatched, false);
+  framed("framed/320", 320, small_frames, 1);
+  framed("framed/4096", 4096, big_frames, 1);
+  framed("framed_wbatch8/320", 320, small_frames, 8);
+  framed("framed_wbatch8/4096", 4096, big_frames, 8);
 
   const double pause_us = bench_pause_reconnect_us(quick ? 20'000 : 100'000);
   std::printf("%-24s %12.2f us/cycle\n", "pause_reconnect", pause_us);
@@ -251,9 +276,10 @@ int main(int argc, char** argv) {
 
   json.write();
   std::printf(
-      "\nshape check: raw_pipe approaches memcpy at large chunks (two copies\n"
-      "plus synchronization); framed_batched beats framed_legacy by\n"
-      "amortizing one lock trip over many frames; wbatch8 additionally\n"
-      "amortizes the writer side. CI gates on vs_memcpy, not absolute MB/s.\n");
+      "\nshape check: a hop is two copies (into the ring, out of it) plus\n"
+      "one lock trip per write and per refill, so pipe approaches half of\n"
+      "memcpy at large chunks; framed decodes every frame a refill finds,\n"
+      "and wbatch8 also amortizes the writer's lock trip over eight\n"
+      "frames. CI gates on vs_memcpy, not absolute MB/s.\n");
   return 0;
 }

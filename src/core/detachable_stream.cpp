@@ -1,7 +1,5 @@
 #include "core/detachable_stream.h"
 
-#include <chrono>
-
 #include "obs/metrics.h"  // for the RW_OBS_ENABLED compile-out switch
 #include "util/framing.h"
 
@@ -16,73 +14,6 @@ DetachableInputStream::DetachableInputStream(std::size_t capacity)
     : st_(std::make_shared<InputState>(capacity)) {}
 
 DetachableInputStream::~DetachableInputStream() { close(); }
-
-std::size_t DetachableInputStream::read_some(util::MutableByteSpan out) {
-  if (out.empty()) return 0;
-  rw::MutexLock lk(st_->mu);
-  for (;;) {
-    if (!st_->ring.empty()) {
-      const std::size_t n = st_->ring.read(out);
-      st_->bytes_out += n;
-      st_->notify_data_writable();
-      if (st_->ring.empty()) st_->notify_drained();
-      return n;
-    }
-    if (st_->write_closed || st_->soft_eof || st_->reader_closed) return 0;
-    // Buffer empty: tell any pauser, then wait for data or a state change.
-    st_->notify_drained();
-    ++st_->readers_waiting;
-    st_->readable.wait(st_->mu, [st = st_.get()] {
-      st->mu.assert_held();
-      return !st->ring.empty() || st->write_closed || st->soft_eof ||
-             st->reader_closed;
-    });
-    --st_->readers_waiting;
-  }
-}
-
-std::size_t DetachableInputStream::read_borrow(std::size_t max,
-                                               util::SpanVisitor visit) {
-  rw::MutexLock lk(st_->mu);
-  for (;;) {
-    if (!st_->ring.empty()) {
-      auto spans = st_->ring.read_spans();
-      if (max != 0 && max < spans[0].size() + spans[1].size()) {
-        if (max <= spans[0].size()) {
-          spans[0] = spans[0].first(max);
-          spans[1] = {};
-        } else {
-          spans[1] = spans[1].first(max - spans[0].size());
-        }
-      }
-      // The visitor runs under st_->mu; it sees the ring's storage in
-      // place and must not call back into this stream (documented).
-      const std::size_t consumed = visit(spans[0], spans[1]);
-      if (consumed == 0) {
-        // Distinguishable from EOF only by erroring: a zero return here
-        // would falsely signal end-of-stream to the caller.
-        throw StreamError("DIS::read_borrow: visitor made no progress");
-      }
-      if (consumed > spans[0].size() + spans[1].size()) {
-        throw StreamError("DIS::read_borrow: visitor over-consumed");
-      }
-      st_->ring.consume(consumed);
-      st_->bytes_out += consumed;
-      st_->notify_data_writable();
-      if (st_->ring.empty()) st_->notify_drained();
-      return consumed;
-    }
-    if (st_->write_closed || st_->soft_eof || st_->reader_closed) return 0;
-    st_->notify_drained();
-    ++st_->readers_waiting;
-    st_->readable.wait(st_->mu, [st = st_.get()] {
-      st->mu.assert_held();
-      return !st->ring.empty() || st->write_closed || st->soft_eof ||
-             st->reader_closed;
-    });
-    --st_->readers_waiting;
-  }
-}
 
 std::size_t DetachableInputStream::poll_read_borrow(std::size_t max,
                                                     util::SpanVisitor visit,
@@ -108,7 +39,7 @@ std::size_t DetachableInputStream::poll_read_borrow(std::size_t max,
     }
     st_->ring.consume(consumed);
     st_->bytes_out += consumed;
-    st_->notify_data_writable();
+    st_->fire_writable();
     if (st_->ring.empty()) st_->notify_drained();
     return consumed;
   }
@@ -117,8 +48,8 @@ std::size_t DetachableInputStream::poll_read_borrow(std::size_t max,
     return 0;
   }
   // Empty but open: report would-block. Tell a pending pauser the buffer is
-  // drained (exactly like the blocking paths), then arm the watcher so the
-  // next arrival — or EOF/splice — re-drives the owner.
+  // drained, then arm the watcher so the next arrival — or EOF/splice —
+  // re-drives the owner.
   st_->notify_drained();
   if (st_->read_sched != nullptr) st_->read_armed = true;
   return 0;
@@ -169,8 +100,7 @@ void DetachableInputStream::close() {
 void DetachableInputStream::mark_soft_eof() {
   rw::MutexLock lk(st_->mu);
   st_->soft_eof = true;
-  st_->readable.notify_all();
-  st_->fire_readable();  // a polling owner must drain and observe EOF
+  st_->fire_readable();  // the owner must drain and observe EOF
 }
 
 std::uint64_t DetachableInputStream::bytes_received() const {
@@ -183,16 +113,6 @@ std::uint64_t DetachableInputStream::bytes_delivered() const {
   return st_->bytes_out;
 }
 
-std::uint64_t DetachableInputStream::wakeups() const {
-  rw::MutexLock lk(st_->mu);
-  return st_->wakeups;
-}
-
-std::uint64_t DetachableInputStream::wakeups_suppressed() const {
-  rw::MutexLock lk(st_->mu);
-  return st_->wakeups_suppressed;
-}
-
 // ---------------------------------------------------------------------------
 // DetachableOutputStream
 
@@ -201,105 +121,6 @@ DetachableOutputStream::~DetachableOutputStream() {
     close();
   } catch (...) {
     // Destructors must not throw (C++ Core Guidelines C.36).
-  }
-}
-
-void DetachableOutputStream::writer_done() {
-  rw::MutexLock lk(mu_);
-  --active_writers_;
-  // Only a pause() (or close-time barrier) ever waits on writers_cv_, and
-  // it registers itself first — so the per-write notify is skipped in
-  // steady state instead of paying a futex syscall per packet.
-  if (pause_waiters_ > 0) writers_cv_.notify_all();
-}
-
-void DetachableOutputStream::write(util::ByteSpan in) {
-  const util::ByteSpan segments[1] = {in};
-  write_segments(segments);
-}
-
-void DetachableOutputStream::write_vec(
-    std::span<const util::ByteSpan> segments) {
-  write_segments(segments);
-}
-
-void DetachableOutputStream::write_segments(
-    std::span<const util::ByteSpan> segments) {
-  std::shared_ptr<InputState> st;
-  {
-    rw::MutexLock lk(mu_);
-    const auto ready = [this] {
-      mu_.assert_held();
-      return closed_ || (connected_ && !swflag_);
-    };
-    if (!ready()) {
-      // Only time the wait when it actually blocks: the fast path must not
-      // read the clock (overhead contract in src/obs/metrics.h).
-#if RW_OBS_ENABLED
-      const auto t0 = std::chrono::steady_clock::now();
-#endif
-      state_cv_.wait(mu_, ready);
-#if RW_OBS_ENABLED
-      blocked_us_ += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-#endif
-    }
-    if (closed_) throw BrokenPipe("DOS::write: stream closed");
-    st = sink_;
-    ++active_writers_;
-  }
-  // Deliver every segment, back to back, to this one sink. pause() waits
-  // for us, so the logical (possibly vectored) write is never split across
-  // two different sinks and no splice lands between segments.
-  try {
-    rw::MutexLock slk(st->mu);
-    for (util::ByteSpan seg : segments) {
-      while (!seg.empty()) {
-        if (st->ring.full()) {
-          ++st->writers_waiting;
-          st->writable.wait(st->mu, [st = st.get()] {
-            st->mu.assert_held();
-            return st->reader_closed || st->write_closed || !st->ring.full();
-          });
-          --st->writers_waiting;
-        }
-        if (st->reader_closed) {
-          throw BrokenPipe("DOS::write: reader closed the stream");
-        }
-        if (st->write_closed) {
-          // close() ran while this write was blocked on a full ring; without
-          // this check the writer would sleep forever once the reader stops
-          // draining (close-while-blocked).
-          throw BrokenPipe("DOS::write: stream closed during write");
-        }
-        const std::size_t n = st->ring.write(seg);
-        seg = seg.subspan(n);
-        st->bytes_in += n;
-#if RW_OBS_ENABLED
-        bytes_sent_.fetch_add(n, std::memory_order_relaxed);
-#endif
-        st->notify_data_readable();
-      }
-    }
-  } catch (...) {
-    writer_done();
-    throw;
-  }
-  writer_done();
-}
-
-void DetachableOutputStream::flush() {
-  std::shared_ptr<InputState> st;
-  {
-    rw::MutexLock lk(mu_);
-    st = sink_;
-  }
-  if (st) {
-    rw::MutexLock slk(st->mu);
-    st->readable.notify_all();
-    st->fire_readable();
   }
 }
 
@@ -345,7 +166,7 @@ bool DetachableOutputStream::try_write_vec(
 #if RW_OBS_ENABLED
   bytes_sent_.fetch_add(total, std::memory_order_relaxed);
 #endif
-  st->notify_data_readable();
+  st->fire_readable();
   return true;
 }
 
@@ -370,7 +191,7 @@ std::size_t DetachableOutputStream::try_write_some(util::ByteSpan in) {
 #if RW_OBS_ENABLED
     bytes_sent_.fetch_add(n, std::memory_order_relaxed);
 #endif
-    st->notify_data_readable();
+    st->fire_readable();
   }
   if (n < in.size() && st->write_sched != nullptr) st->write_armed = true;
   return n;
@@ -396,45 +217,31 @@ void DetachableOutputStream::pause() {
       if (swflag_) return;  // already paused: idempotent
       throw StreamError("DOS::pause: not connected");
     }
-    swflag_ = true;  // new writes now block in state_cv_
-    st = sink_;
-    {
-      // Lock order: DOS::mu_ before InputState::mu (always).
-      rw::MutexLock slk(st->mu);
-      st->swflag = true;
-      st->writable.notify_all();
-      st->readable.notify_all();
-      // A polling reader must drain the ring so this pause can
-      // complete; a hosted writer re-polls, sees swflag, and re-arms at
-      // the DOS level where reconnect() will fire it.
-      st->fire_readable();
-      st->fire_writable();
-    }
-    // Let in-flight writes land in full. Register first so writer_done's
-    // suppressed notify fires for us.
-    ++pause_waiters_;
-    writers_cv_.wait(mu_, [this] {
-      mu_.assert_held();
-      return active_writers_ == 0;
-    });
-    --pause_waiters_;
+    // Every try_write_* holds mu_ for its whole transaction, so no write is
+    // in flight here, and every later one sees swflag_ and arms at this
+    // DOS, where reconnect() or close() fires it.
+    swflag_ = true;
     ++pauses_;
     connected_ = false;
-    sink_.reset();
-  }
-  {
-    // Wait for the reader to drain the buffer (the paper's checkBuf/wait).
+    st = std::move(sink_);
+    // Lock order: DOS::mu_ before InputState::mu (always).
     rw::MutexLock slk(st->mu);
-    st->readable.notify_all();
+    st->swflag = true;
+    // The reader must drain the ring so this pause can complete; a writer
+    // armed on the full ring re-polls and re-arms at this DOS.
     st->fire_readable();
-    ++st->drain_waiting;
-    st->drained.wait(st->mu, [st = st.get()] {
-      st->mu.assert_held();
-      return st->ring.empty() || st->reader_closed;
-    });
-    --st->drain_waiting;
-    st->detach_source();
+    st->fire_writable();
   }
+  // Wait for the reader to drain the buffer (the paper's checkBuf/wait),
+  // outside mu_: the reader may share a worker with this DOS's writer.
+  rw::MutexLock slk(st->mu);
+  ++st->drain_waiting;
+  st->drained.wait(st->mu, [st = st.get()] {
+    st->mu.assert_held();
+    return st->ring.empty() || st->reader_closed;
+  });
+  --st->drain_waiting;
+  st->detach_source();
 }
 
 void DetachableOutputStream::reconnect(DetachableInputStream& dis) {
@@ -459,15 +266,12 @@ void DetachableOutputStream::reconnect(DetachableInputStream& dis) {
     // reader on the new sink may now have data (or a source to wait on)
     // and is re-driven to find out.
     st->write_sched = write_sched_;
-    st->readable.notify_all();
-    st->writable.notify_all();
     st->fire_readable();
     st->fire_writable();
   }
   sink_ = st;
   connected_ = true;
   swflag_ = false;
-  state_cv_.notify_all();
   // A hosted writer that armed while we were detached can write again.
   fire_write_ready_locked();
 }
@@ -481,15 +285,16 @@ void DetachableOutputStream::close() {
     st = sink_;
     sink_.reset();
     connected_ = false;
-    state_cv_.notify_all();
     // A hosted writer armed at this DOS must observe BrokenPipe, not park.
     fire_write_ready_locked();
   }
   if (st) {
     rw::MutexLock slk(st->mu);
     st->write_closed = true;
+    // Fire before detach_source() uninstalls the writable watcher: a
+    // writer armed on the full ring must retry and observe BrokenPipe.
+    st->wake_all();
     st->detach_source();
-    st->wake_all();  // including an in-flight write blocked on space
   }
 }
 
@@ -505,11 +310,6 @@ std::uint64_t DetachableOutputStream::bytes_sent() const noexcept {
 std::uint64_t DetachableOutputStream::pauses() const {
   rw::MutexLock lk(mu_);
   return pauses_;
-}
-
-std::uint64_t DetachableOutputStream::blocked_micros() const {
-  rw::MutexLock lk(mu_);
-  return blocked_us_;
 }
 
 void connect(DetachableOutputStream& dos, DetachableInputStream& dis) {

@@ -4,11 +4,10 @@
 // like a piped byte stream, with the buffer held at the input side. Unlike
 // ordinary piped streams, the pair can be:
 //
-//   * paused      — new writes block, in-flight writes complete in full,
-//                   the reader drains the buffer, then both halves are
-//                   marked disconnected;
+//   * paused      — new writes are refused, the reader drains the buffer,
+//                   then both halves are marked disconnected;
 //   * reconnected — either half may be attached to a *different* peer,
-//                   waking any reader/writer that blocked while paused;
+//                   re-driving any reader/writer that waited while paused;
 //   * restarted   — data flows again with no byte lost, duplicated, or
 //                   reordered.
 //
@@ -16,13 +15,12 @@
 // proxy filters on a running data stream. As in the paper, pause() and
 // reconnect() invoked on a DIS are reference calls forwarded to the peer DOS.
 //
-// Concurrency contract: one consumer per DIS and one producer per DOS.
-// Inside a chain that is a filter's non-blocking drive on its worker
-// (poll_read_borrow / try_write_*); outside one it may be an external
-// thread using the blocking read_some()/write() calls the paper defines.
-// Any thread may invoke control operations (pause/reconnect/close), but
-// concurrent control operations on the same stream must be serialized by
-// the caller (FilterChain does this).
+// Concurrency contract: one consumer per DIS and one producer per DOS, each
+// a non-blocking drive (poll_read_borrow / try_write_*) that waits for a
+// one-shot readiness watcher instead of parking a thread. Any thread may
+// invoke control operations (pause/reconnect/close), but concurrent
+// control operations on the same stream must be serialized by the caller
+// (FilterChain does this).
 #pragma once
 
 #include <atomic>
@@ -111,60 +109,23 @@ struct InputState {
     }
   }
 
-  /// Wakes every waiter class: readers, blocked writers, and a pauser
-  /// waiting for the ring to drain. The shared tail of the close paths.
+  /// Fires both watchers and wakes a pauser waiting for the ring to
+  /// drain. The shared tail of the close paths.
   void wake_all() RW_REQUIRES(mu) {
-    readable.notify_all();
-    writable.notify_all();
-    drained.notify_all();
+    notify_drained();
     fire_readable();
-    fire_writable();
-  }
-
-  /// Data-path notify with wakeup suppression: the one-reader contract
-  /// means at most one thread can be parked on `readable`, and the waiting
-  /// count (maintained around every wait) tells us whether it is parked
-  /// right now. When it is not, the notify — and its futex syscall — is
-  /// skipped entirely. Control paths (pause/reconnect/close) do NOT use
-  /// this; they notify_all unconditionally.
-  void notify_data_readable() RW_REQUIRES(mu) {
-    if (readers_waiting > 0) {
-      readable.notify_one();
-      ++wakeups;
-    } else {
-      ++wakeups_suppressed;
-    }
-    fire_readable();
-  }
-
-  /// Same suppression for the single writer parked on `writable`.
-  void notify_data_writable() RW_REQUIRES(mu) {
-    if (writers_waiting > 0) {
-      writable.notify_one();
-      ++wakeups;
-    } else {
-      ++wakeups_suppressed;
-    }
     fire_writable();
   }
 
   /// A pauser waiting in drained is rare; when none is registered the
-  /// reader's became-empty notification is skipped (previously this fired
-  /// on every transition to empty — once per packet on a latency-bound
-  /// pipe). notify_all: concurrent pause() and close() may both wait.
+  /// reader's became-empty notification is skipped. notify_all: concurrent
+  /// pause() and close() may both wait.
   void notify_drained() RW_REQUIRES(mu) {
-    if (drain_waiting > 0) {
-      drained.notify_all();
-      ++wakeups;
-    } else {
-      ++wakeups_suppressed;
-    }
+    if (drain_waiting > 0) drained.notify_all();
   }
 
   rw::Mutex mu{"core/stream_input", rw::lockrank::kStreamInput};
-  rw::CondVar readable;  // data arrived / state changed
-  rw::CondVar writable;  // space freed / reader closed
-  rw::CondVar drained;   // ring became empty
+  rw::CondVar drained;  // ring became empty (pause() waits on it)
   util::ByteRing ring RW_GUARDED_BY(mu);
 
   DetachableOutputStream* source RW_GUARDED_BY(mu) = nullptr;
@@ -176,27 +137,21 @@ struct InputState {
                                                 // reconnect (filter removal)
   bool reader_closed RW_GUARDED_BY(mu) = false;
 
-  // Readiness watchers (event-driven mode). The readable watcher is
-  // installed by the DIS owner and stays for the filter's hosted lifetime;
-  // the writable watcher follows the connected DOS across reconnects. The
-  // armed flags implement the one-shot contract: set by a would-block poll
-  // under mu, cleared by the fire under the same mu — the serialization
-  // that makes lost wakeups impossible.
+  // Readiness watchers. The readable watcher is installed by the DIS owner
+  // and stays for the filter's hosted lifetime; the writable watcher
+  // follows the connected DOS across reconnects. The armed flags implement
+  // the one-shot contract: set by a would-block poll under mu, cleared by
+  // the fire under the same mu — the serialization that makes a lost
+  // wake-up impossible.
   Scheduler* read_sched RW_GUARDED_BY(mu) = nullptr;
   bool read_armed RW_GUARDED_BY(mu) = false;
   Scheduler* write_sched RW_GUARDED_BY(mu) = nullptr;
   bool write_armed RW_GUARDED_BY(mu) = false;
 
-  // Parked-thread registry for the suppression helpers above. Maintained
-  // (++/-- under mu) around every predicate wait on the matching CV.
-  int readers_waiting RW_GUARDED_BY(mu) = 0;
-  int writers_waiting RW_GUARDED_BY(mu) = 0;
-  int drain_waiting RW_GUARDED_BY(mu) = 0;
+  int drain_waiting RW_GUARDED_BY(mu) = 0;  // pausers parked in drained
 
   std::uint64_t bytes_in RW_GUARDED_BY(mu) = 0;
   std::uint64_t bytes_out RW_GUARDED_BY(mu) = 0;
-  std::uint64_t wakeups RW_GUARDED_BY(mu) = 0;  // data-path notifies issued
-  std::uint64_t wakeups_suppressed RW_GUARDED_BY(mu) = 0;  // ...skipped
 };
 
 }  // namespace detail
@@ -212,24 +167,15 @@ class DetachableInputStream final : public util::ByteSource {
   DetachableInputStream(const DetachableInputStream&) = delete;
   DetachableInputStream& operator=(const DetachableInputStream&) = delete;
 
-  /// Blocks until data is available, the stream reports EOF (returns 0), or
-  /// the pipe is paused-and-later-reconnected (in which case it keeps
-  /// waiting transparently — this is what makes filter insertion invisible
-  /// to downstream readers).
-  std::size_t read_some(util::MutableByteSpan out) override;
-
-  /// Zero-copy batched read: blocks like read_some(), then offers the whole
-  /// buffered contents as the ring's (up to) two contiguous spans, under a
-  /// single lock acquisition. Only the bytes the visitor reports consumed
-  /// are removed; the rest stay buffered for the next read. The visitor
-  /// runs with the stream lock held — it must not call back into this
-  /// stream or its peer, and must consume at least one byte.
-  std::size_t read_borrow(std::size_t max, util::SpanVisitor visit) override;
-
-  /// Non-blocking read for the event-driven drive mode: like read_borrow()
-  /// when data is buffered; otherwise returns 0 immediately, reporting
-  /// end-of-stream via `*end` and arming the readable watcher when the
-  /// stream is merely empty (so the owning worker is re-driven on arrival).
+  /// Offers the buffered bytes to `visit` as the ring's (up to) two
+  /// contiguous spans, at most `max` of them (0: no limit), under one lock
+  /// acquisition, and removes only the bytes the visitor reports consumed.
+  /// The visitor runs with the stream lock held: it must not call back into
+  /// this stream or its peer, and must consume at least one byte and no
+  /// more than offered (StreamError otherwise, buffer untouched). An empty
+  /// ring returns 0 at once: with `*end` set on EOF (hard, soft or reader
+  /// closed), otherwise arming the readable watcher so the next arrival,
+  /// EOF or splice re-drives the owner.
   std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
                                bool* end) override;
 
@@ -256,21 +202,14 @@ class DetachableInputStream final : public util::ByteSource {
   /// Reader abandons the stream; connected/future writers get BrokenPipe.
   void close();
 
-  /// Control-plane detach: once the buffer drains, read_some() returns 0
-  /// exactly as on EOF, letting the owning filter flush and exit its loop
-  /// without closing its output. Cleared by the next reconnect.
+  /// Control-plane detach: once the buffer drains, poll_read_borrow()
+  /// reports end-of-stream exactly as on EOF, letting the owning filter
+  /// flush and finish its run without closing its output. Cleared by the
+  /// next reconnect.
   void mark_soft_eof();
 
   std::uint64_t bytes_received() const;
   std::uint64_t bytes_delivered() const;
-
-  /// Data-path CV notifies actually issued on this pipe (both directions).
-  std::uint64_t wakeups() const;
-
-  /// Data-path notifies skipped because no thread was parked. The ratio
-  /// suppressed/(issued+suppressed) is exported per filter as
-  /// rw_filter_wakeups_suppressed (docs/observability.md).
-  std::uint64_t wakeups_suppressed() const;
 
  private:
   friend class DetachableOutputStream;
@@ -286,33 +225,17 @@ class DetachableOutputStream final : public util::ByteSink {
   DetachableOutputStream(const DetachableOutputStream&) = delete;
   DetachableOutputStream& operator=(const DetachableOutputStream&) = delete;
 
-  /// Writes all of `in`. If the stream is paused or disconnected, blocks
-  /// until a reconnect supplies a new sink. A write that has begun always
-  /// lands contiguously in a single sink: pause() waits for it, so framed
-  /// messages are never torn across a splice.
-  void write(util::ByteSpan in) override;
-
-  /// Single-transaction vectored write: every segment lands back to back in
-  /// the same sink under ONE in-flight-write window and (space permitting)
-  /// one lock acquisition — pause() cannot splice between segments, so a
-  /// frame header and its payload written as two segments are as atomic as
-  /// a pre-assembled copy, without the assembly.
-  void write_vec(std::span<const util::ByteSpan> segments) override;
-
-  /// Wakes the reader so buffered bytes are noticed promptly.
-  void flush() override;
-
-  /// Non-blocking all-or-nothing vectored write (event-driven drive mode):
-  /// every segment lands back to back under one lock transaction, or
-  /// nothing lands and the writable watcher is armed (paused/disconnected
-  /// arms at this DOS; a full ring arms at the sink). Because mu_ is held
-  /// across the whole transaction, a concurrent pause() can never splice
-  /// between segments — the no-torn-frames contract without the in-flight
-  /// writer window. A write larger than the sink ring (a big frame) waits
-  /// for the ring to drain, which then raises its bound to the write's
-  /// size.
-  /// Throws BrokenPipe like write(); throws StreamError for a write larger
-  /// than the largest frame (util::kMaxFrameSize plus its header).
+  /// All-or-nothing vectored write: every segment lands back to back under
+  /// one lock transaction, or nothing lands and the writable watcher is
+  /// armed (paused/disconnected arms at this DOS; a full ring arms at the
+  /// sink). Because mu_ is held across the whole transaction, a concurrent
+  /// pause() can never splice between segments: a frame's header and
+  /// payload always land in one sink. A write larger than the sink ring (a
+  /// big frame) waits for the ring to drain, which then raises its bound to
+  /// the write's size.
+  /// Throws BrokenPipe once this DOS or the sink's reader has closed;
+  /// throws StreamError for a write larger than the largest frame
+  /// (util::kMaxFrameSize plus its header).
   bool try_write_vec(std::span<const util::ByteSpan> segments) override;
 
   /// Non-blocking partial write: accepts what fits now, returns the count,
@@ -329,19 +252,20 @@ class DetachableOutputStream final : public util::ByteSink {
   /// symmetry with the paper's connect()/reconnect() pair).
   void connect(DetachableInputStream& dis) { reconnect(dis); }
 
-  /// Pauses the pipe: blocks new writes, completes in-flight writes, waits
-  /// for the reader to drain the buffer, then marks both halves
-  /// disconnected. Idempotent when already paused. Requires an active
-  /// reader (or an already-empty buffer) to drain.
+  /// Pauses the pipe: refuses new writes (no write is ever in flight: each
+  /// holds mu_ for its whole transaction), waits for the reader to drain
+  /// the buffer, then marks both halves disconnected. Idempotent when
+  /// already paused. Requires an active reader (or an already-empty
+  /// buffer) to drain.
   void pause();
 
   /// Attaches this DOS to `dis`. Both halves must be disconnected.
   void reconnect(DetachableInputStream& dis);
 
   /// Hard EOF: the current sink's reader sees end-of-stream after draining;
-  /// subsequent writes throw BrokenPipe. An in-flight write blocked on a
-  /// full ring is woken and also throws (its already-buffered prefix is
-  /// still delivered to the reader before EOF).
+  /// subsequent writes throw BrokenPipe. A writer armed on a full ring is
+  /// fired, and its retry throws (what it already buffered is still
+  /// delivered to the reader before EOF).
   void close();
 
   bool connected() const;
@@ -352,22 +276,8 @@ class DetachableOutputStream final : public util::ByteSink {
   /// Completed pause() calls that actually detached the pipe.
   std::uint64_t pauses() const;
 
-  /// Cumulative microseconds writers spent blocked in write() waiting for a
-  /// connect/unpause — the per-splice disruption the paper's Figure 7
-  /// measures, accumulated as a running total.
-  std::uint64_t blocked_micros() const;
-
  private:
   friend class DetachableInputStream;
-
-  /// Retires one in-flight write and wakes a pending pause(); the shared
-  /// tail of every write() exit path (normal and exceptional).
-  void writer_done() RW_EXCLUDES(mu_);
-
-  /// Common body of write() and write_vec(): one ready-wait, one in-flight
-  /// window, all segments delivered contiguously to a single sink.
-  void write_segments(std::span<const util::ByteSpan> segments)
-      RW_EXCLUDES(mu_);
 
   /// Fires the armed DOS-level writable watcher (paused/disconnected arm
   /// site); the sink-level arm site lives in InputState.
@@ -380,16 +290,12 @@ class DetachableOutputStream final : public util::ByteSink {
 
   // Lock order: mu_ BEFORE the sink's InputState::mu (always).
   mutable rw::Mutex mu_{"core/stream_output", rw::lockrank::kStreamOutput};
-  rw::CondVar state_cv_;    // writers wait for connect/unpause
-  rw::CondVar writers_cv_;  // pause waits for in-flight writes
   std::shared_ptr<detail::InputState> sink_ RW_GUARDED_BY(mu_);
   bool swflag_ RW_GUARDED_BY(mu_) = false;
   bool connected_ RW_GUARDED_BY(mu_) = false;
   bool closed_ RW_GUARDED_BY(mu_) = false;
-  int active_writers_ RW_GUARDED_BY(mu_) = 0;
-  int pause_waiters_ RW_GUARDED_BY(mu_) = 0;  // pauses parked in writers_cv_
 
-  // Writable watcher of a polling producer. Armed here when a try_write_*
+  // Writable watcher of the producer. Armed here when a try_write_*
   // found the stream paused or disconnected (no sink to arm); reconnect()
   // and close() fire it. While connected the same watcher is mirrored into
   // the sink's InputState so a full-ring arm is fired by the draining
@@ -399,7 +305,6 @@ class DetachableOutputStream final : public util::ByteSink {
 
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::uint64_t pauses_ RW_GUARDED_BY(mu_) = 0;
-  std::uint64_t blocked_us_ RW_GUARDED_BY(mu_) = 0;
 };
 
 /// Convenience: connect a fresh pair.

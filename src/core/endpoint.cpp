@@ -118,7 +118,7 @@ std::optional<util::Bytes> QueuePacketSource::poll_packet(bool* finished) {
     return std::nullopt;
   }
   // Would-block: arm the one-shot wakeup. push()/finish() fire it under
-  // this same mutex, so the arm/fire pair serializes — no lost wakeups.
+  // this same mutex, so the arm/fire pair serializes — no lost wake-up.
   if (sched_) sched_armed_ = true;
   return std::nullopt;
 }

@@ -25,7 +25,7 @@ struct FilterEventCore final : Scheduler,
 
   /// Coalescing re-drive: at most one task in flight per core. The flag
   /// clears at task START, so a fire during a drive posts a fresh task —
-  /// the armed-under-the-stream-lock protocol makes lost wakeups
+  /// the armed-under-the-stream-lock protocol makes a lost wake-up
   /// impossible.
   void schedule() {
     if (scheduled.exchange(true, std::memory_order_acq_rel)) return;
@@ -113,7 +113,8 @@ void Filter::drive(detail::FilterEventCore& core) {
     drive = Drive::kDone;
   } catch (const std::exception& e) {
     // A dead stage must not wedge the chain either: closing its input
-    // turns upstream backpressure into BrokenPipe.
+    // turns upstream backpressure into BrokenPipe. STATS shows the death.
+    failures_.fetch_add(1, std::memory_order_relaxed);
     RW_ERROR(name_) << "filter loop failed: " << e.what();
     dis_->close();
     drive = Drive::kDone;
@@ -165,12 +166,8 @@ void Filter::register_metrics(obs::Scope scope) {
                  [dos] { return static_cast<double>(dos->bytes_sent()); });
   scope.callback("pauses",
                  [dos] { return static_cast<double>(dos->pauses()); });
-  scope.callback("blocked_us",
-                 [dos] { return static_cast<double>(dos->blocked_micros()); });
-  scope.callback("wakeups",
-                 [dis] { return static_cast<double>(dis->wakeups()); });
-  scope.callback("wakeups_suppressed", [dis] {
-    return static_cast<double>(dis->wakeups_suppressed());
+  scope.callback("failures", [this] {
+    return static_cast<double>(failures_.load(std::memory_order_relaxed));
   });
 }
 
@@ -248,11 +245,26 @@ void PacketFilter::event_start() {
 
 void PacketFilter::event_stop() { ev_frames_.reset(); }
 
+bool PacketFilter::try_send(util::ByteSpan packet) {
+  // Count before the frame becomes observable downstream, so a STATS read
+  // triggered by its arrival never sees the counter lagging it, and take
+  // the count back when the frame did not land: a parked packet is counted
+  // when it lands, and one lost to a closed reader never.
+  packets_out_.fetch_add(1, std::memory_order_relaxed);
+  bool landed = false;
+  try {
+    landed = util::try_write_frame(dos(), packet);
+  } catch (...) {
+    packets_out_.fetch_sub(1, std::memory_order_relaxed);
+    throw;
+  }
+  if (!landed) packets_out_.fetch_sub(1, std::memory_order_relaxed);
+  return landed;
+}
+
 bool PacketFilter::flush_ev_pending() {
   while (!ev_pending_.empty()) {
-    if (!util::try_write_frame(dos(), ev_pending_.front())) {
-      return false;  // writable watcher armed
-    }
+    if (!try_send(ev_pending_.front())) return false;  // writable watcher armed
     util::BufferPool::local().release(std::move(ev_pending_.front()));
     ev_pending_.pop_front();
   }
@@ -290,14 +302,11 @@ void PacketFilter::emit(util::ByteSpan packet) {
 }
 
 void PacketFilter::emit(util::Bytes&& packet) {
-  // Count before the frame becomes observable downstream so a STATS read
-  // triggered by the packet's arrival never sees the counter lagging it.
-  packets_out_.fetch_add(1, std::memory_order_relaxed);
   // Frames stay whole: all-or-nothing try_write_frame, with the packet
   // parked (move, no copy) when downstream is full or mid-splice. Input is
   // not consumed while anything is parked, so the backlog is bounded by
   // one on_packet()'s emissions.
-  if (ev_pending_.empty() && util::try_write_frame(dos(), packet)) {
+  if (ev_pending_.empty() && try_send(packet)) {
     util::BufferPool::local().release(std::move(packet));
     return;
   }

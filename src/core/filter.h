@@ -175,6 +175,9 @@ class Filter {
   // after the write; loop tasks hold their own shared_ptr copy.
   std::atomic<bool> running_{false};
   std::shared_ptr<detail::FilterEventCore> event_core_;
+  // Drives that died on an exception other than BrokenPipe (published as
+  // the `failures` gauge); relaxed, read by STATS snapshots.
+  std::atomic<std::uint64_t> failures_{0};
 };
 
 /// Transforms raw byte chunks. It never looks at frame boundaries: a chunk
@@ -260,6 +263,9 @@ class PacketFilter : public Filter {
   }
 
  private:
+  /// One write attempt of a whole frame, counted in packets_out only if it
+  /// lands. Throws what try_write_frame throws.
+  bool try_send(util::ByteSpan packet);
   bool flush_ev_pending();
 
   // Atomic so snapshot readers can observe them while the loop runs.

@@ -26,7 +26,7 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
 
 /// After a failed splice, reattach `left` directly to `right`; if the right
 /// side is itself dead (reader closed), close left's DOS instead so the
-/// upstream writer observes BrokenPipe rather than blocking forever on a
+/// upstream writer observes BrokenPipe rather than waiting forever on a
 /// stream nobody will ever reconnect.
 void restore_or_abandon_splice(Filter& left, Filter& right) {
   try {

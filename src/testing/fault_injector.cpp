@@ -59,18 +59,25 @@ FaultyByteSource::FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
                                    std::shared_ptr<FaultInjector> faults)
     : inner_(std::move(inner)), faults_(std::move(faults)) {}
 
-std::size_t FaultyByteSource::read_some(util::MutableByteSpan out) {
+std::size_t FaultyByteSource::poll_read_borrow(std::size_t max,
+                                               util::SpanVisitor visit,
+                                               bool* end) {
   faults_->maybe_delay();
   if (faults_->roll(faults_->plan().throw_p)) {
     faults_->throws_.fetch_add(1, std::memory_order_relaxed);
     throw core::StreamError("FaultyByteSource: injected read failure");
   }
-  util::MutableByteSpan window = out;
-  if (!out.empty() && faults_->roll(faults_->plan().short_read_p)) {
-    faults_->short_reads_.fetch_add(1, std::memory_order_relaxed);
-    window = out.first(faults_->cut(out.size()));
-  }
-  return inner_->read_some(window);
+  return inner_->poll_read_borrow(
+      max,
+      [&](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
+        const std::size_t offered = a.size() + b.size();
+        if (!faults_->roll(faults_->plan().short_read_p)) return visit(a, b);
+        faults_->short_reads_.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t n = faults_->cut(offered);
+        if (n <= a.size()) return visit(a.first(n), {});
+        return visit(a, b.first(n - a.size()));
+      },
+      end);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@
 // hostile schedules: short reads, threads descheduled at the worst moment,
 // peers that throw mid-transfer, and links that drop or reorder packets.
 // FaultInjector is the single seeded policy object that decides when each
-// of those faults fires. The wrappers below apply it to a blocking
-// util::ByteSource and to the channel layer (net::LossModel); the chain
-// stress harness's packet source and sink (testing/sequence_stream.h)
-// consult it for delays and throws on the endpoints' worker.
+// of those faults fires. The wrappers below apply it to a util::ByteSource
+// and to the channel layer (net::LossModel); the chain stress harness's
+// packet source and sink (testing/sequence_stream.h) consult it for delays
+// and throws on the endpoints' worker.
 //
 // Everything is driven by util::Rng from one seed: a failing schedule is
 // replayed exactly by re-running with the same seed. Wall-clock sleeps are
@@ -112,16 +112,18 @@ class FaultInjector {
   std::atomic<std::uint64_t> link_drops_{0};
 };
 
-/// Wraps a blocking ByteSource: truncates reads, injects delays, and (if
-/// armed) throws core::StreamError. EOF (0) from the inner source always
-/// passes through untouched, so wrapping never changes stream length by
-/// itself.
+/// Wraps a ByteSource: offers the visitor a shortened prefix of what the
+/// inner source holds (a short read), injects delays, and (if armed)
+/// throws core::StreamError. Would-block and EOF from the inner source
+/// always pass through untouched, so wrapping never changes stream length
+/// by itself.
 class FaultyByteSource final : public util::ByteSource {
  public:
   FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
                    std::shared_ptr<FaultInjector> faults);
 
-  std::size_t read_some(util::MutableByteSpan out) override;
+  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
+                               bool* end) override;
 
  private:
   std::shared_ptr<util::ByteSource> inner_;

@@ -60,6 +60,8 @@ PipeStressResult run_pipe_schedule(std::uint64_t seed,
   std::string reader_error;
   SequenceChecker checker(seed);
 
+  // Writer and reader poll the way a drive does; where a drive would
+  // return would-block and wait for its watcher, they yield and poll again.
   std::thread writer([&] {
     try {
       util::Rng rng(seed ^ 0xabcdULL);
@@ -70,7 +72,13 @@ PipeStressResult run_pipe_schedule(std::uint64_t seed,
             rng.next_below(chunk.size()) + 1, opts.total_bytes - sent));
         fill_pattern(seed, sent, util::MutableByteSpan(chunk.data(), n));
         writer_faults->maybe_delay();
-        dos.write(util::ByteSpan(chunk.data(), n));
+        // A chunk may split across a splice; the byte order holds.
+        for (std::size_t off = 0; off < n;) {
+          const std::size_t w =
+              dos.try_write_some(util::ByteSpan(chunk.data() + off, n - off));
+          if (w == 0) std::this_thread::yield();
+          off += w;
+        }
         sent += n;
       }
     } catch (const std::exception& e) {
@@ -82,15 +90,21 @@ PipeStressResult run_pipe_schedule(std::uint64_t seed,
   std::thread reader([&] {
     try {
       util::Rng rng(seed ^ 0xd15cULL);
-      util::Bytes buf(1024);
       for (;;) {
-        const std::size_t want = static_cast<std::size_t>(
-            rng.next_below(buf.size()) + 1);
+        const std::size_t want =
+            static_cast<std::size_t>(rng.next_below(1024) + 1);
         reader_faults->maybe_delay();
-        const std::size_t n =
-            dis.read_some(util::MutableByteSpan(buf.data(), want));
-        if (n == 0) break;
-        checker.write(util::ByteSpan(buf.data(), n));
+        bool end = false;
+        const std::size_t n = dis.poll_read_borrow(
+            want,
+            [&](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
+              checker.write(a);
+              checker.write(b);
+              return a.size() + b.size();
+            },
+            &end);
+        if (end) break;
+        if (n == 0) std::this_thread::yield();
       }
     } catch (const std::exception& e) {
       reader_error = e.what();

@@ -3,9 +3,10 @@
 // Two drivers, both seeded and reproducible:
 //
 //  * run_pipe_schedule() — one bare DIS/DOS pair with dedicated writer and
-//    reader threads while the calling (control) thread runs pause() /
-//    reconnect() cycles against the live pipe. This hammers the paper's
-//    Section 4 protocol at the smallest scale.
+//    reader threads, polling try_write_some / poll_read_borrow as a drive
+//    does and yielding on would-block, while the calling (control) thread
+//    runs pause() / reconnect() cycles against the live pipe. This hammers
+//    the paper's Section 4 protocol at the smallest scale.
 //
 //  * StressDriver — a full FilterChain between the packet endpoints every
 //    real chain runs: a SequencePacketSource slices the sequence-stamped

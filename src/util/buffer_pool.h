@@ -1,13 +1,13 @@
 // Capacity-bucketed free list of Bytes buffers — the data plane's
 // allocation recycler.
 //
-// Every packet crossing a filter hop used to cost at least one fresh heap
-// allocation (`read_frame` building its payload vector). The pool turns
-// that into a pop from a per-size-class free list: acquire(n) returns a
-// buffer of size n whose capacity came from an earlier release(), and
-// release() files a spent buffer back under its capacity class. Steady
-// state, a pass-through packet hop allocates nothing (asserted by the
-// pool hit-rate test in tests/filter_chain_test.cpp).
+// Every packet crossing a filter hop would otherwise cost at least one
+// fresh heap allocation (FrameReader building its payload vector). The
+// pool turns that into a pop from a per-size-class free list: acquire(n)
+// returns a buffer of size n whose capacity came from an earlier
+// release(), and release() files a spent buffer back under its capacity
+// class. Steady state, a pass-through packet hop allocates nothing
+// (asserted by the pool hit-rate test in tests/filter_chain_test.cpp).
 //
 // Size classes are powers of two from kMinCapacity up to max_capacity;
 // a buffer in bucket b always has capacity >= 2^b, so acquire can hand out

@@ -50,9 +50,22 @@ Graph& graph() {
 
 std::atomic<bool> g_enabled{true};
 
-thread_local std::vector<Held> t_held;
-thread_local std::unordered_set<std::uint64_t> t_seen_edges;
-thread_local std::uint64_t t_generation = 0;
+// Per-thread checker state. It is destroyed before the thread_local
+// objects constructed ahead of it and, on the main thread, before every
+// static destructor, and those may still lock (the function-local static
+// default WorkerPool stops its loops at exit). t_state_gone is trivially
+// destructible, so it stays readable to the end: the hooks leave such late
+// locks unchecked instead of touching destroyed containers.
+thread_local bool t_state_gone = false;
+
+struct ThreadState {
+  std::vector<Held> held;
+  std::unordered_set<std::uint64_t> seen_edges;
+  std::uint64_t generation = 0;
+  ~ThreadState() { t_state_gone = true; }
+};
+
+thread_local ThreadState t_state;
 
 std::uint64_t edge_hash(const char* from, const char* to) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a over both names
@@ -68,7 +81,7 @@ std::string site_str(const char* file, unsigned line) {
 
 void print_held_stack() {
   std::fprintf(stderr, "  held stack (outermost first):\n");
-  for (const Held& h : t_held) {
+  for (const Held& h : t_state.held) {
     std::fprintf(stderr, "    \"%s\" (rank %d) acquired at %s:%u\n",
                  h.name ? h.name : "<unnamed>", h.rank, h.file, h.line);
   }
@@ -113,11 +126,11 @@ void record_edge(const Held& outer, const char* name,
   const std::uint64_t key = edge_hash(outer.name, name);
   Graph& g = graph();
   const std::uint64_t gen = g.generation.load(std::memory_order_acquire);
-  if (t_generation != gen) {
-    t_seen_edges.clear();
-    t_generation = gen;
+  if (t_state.generation != gen) {
+    t_state.seen_edges.clear();
+    t_state.generation = gen;
   }
-  if (t_seen_edges.contains(key)) return;  // steady state: no global lock
+  if (t_state.seen_edges.contains(key)) return;  // steady state: no global lock
 
   std::lock_guard<std::mutex> lk(g.mu);  // rw-lint: allow(RW001) checker internals
   const std::pair<std::string, std::string> edge_key(outer.name, name);
@@ -148,17 +161,17 @@ void record_edge(const Held& outer, const char* name,
                          site_str(site.file_name(), site.line())});
     g.adjacent[outer.name].insert(name);
   }
-  t_seen_edges.insert(key);
+  t_state.seen_edges.insert(key);
 }
 
 }  // namespace
 
 void pre_lock(const void* mu, const char* name, int rank,
               const std::source_location& site) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
+  if (!g_enabled.load(std::memory_order_relaxed) || t_state_gone) return;
 
   const Held* worst = nullptr;  // highest-ranked lock already held
-  for (const Held& h : t_held) {
+  for (const Held& h : t_state.held) {
     if (h.mu == mu) {
       std::fprintf(stderr,
                    "rw::deadlock: REENTRANT ACQUIRE (self-deadlock)\n"
@@ -192,7 +205,7 @@ void pre_lock(const void* mu, const char* name, int rank,
   // Acquisition-order edge from the innermost *named* held lock. Direct
   // edges are enough: transitivity is recovered by the cycle search.
   if (name) {
-    for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
+    for (auto it = t_state.held.rbegin(); it != t_state.held.rend(); ++it) {
       if (it->name) {
         record_edge(*it, name, site);
         break;
@@ -200,21 +213,21 @@ void pre_lock(const void* mu, const char* name, int rank,
     }
   }
 
-  t_held.push_back(Held{mu, name, rank, site.file_name(), site.line()});
+  t_state.held.push_back(Held{mu, name, rank, site.file_name(), site.line()});
 }
 
 void post_acquire(const void* mu, const char* name, int rank,
                   const std::source_location& site) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
-  t_held.push_back(Held{mu, name, rank, site.file_name(), site.line()});
+  if (!g_enabled.load(std::memory_order_relaxed) || t_state_gone) return;
+  t_state.held.push_back(Held{mu, name, rank, site.file_name(), site.line()});
 }
 
 void post_unlock(const void* mu) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
+  if (!g_enabled.load(std::memory_order_relaxed) || t_state_gone) return;
   // Split-scope protocols may release out of LIFO order: search from the top.
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
+  for (auto it = t_state.held.rbegin(); it != t_state.held.rend(); ++it) {
     if (it->mu == mu) {
-      t_held.erase(std::next(it).base());
+      t_state.held.erase(std::next(it).base());
       return;
     }
   }
@@ -241,11 +254,11 @@ void reset_for_test() {
   g.edges.clear();
   g.adjacent.clear();
   g.generation.fetch_add(1, std::memory_order_acq_rel);
-  t_seen_edges.clear();
-  t_held.clear();
+  t_state.seen_edges.clear();
+  t_state.held.clear();
 }
 
-std::size_t held_count() { return t_held.size(); }
+std::size_t held_count() { return t_state.held.size(); }
 
 }  // namespace rw::deadlock
 

@@ -103,23 +103,6 @@ void FrameReader::throw_torn() const {
                     std::to_string(stash_.size()) + " byte tail)");
 }
 
-std::optional<Bytes> FrameReader::next() {
-  while (true) {
-    if (ready_pos_ < ready_.size()) return take_ready();
-    if (eof_) {
-      if (!stash_.empty()) throw_torn();
-      return std::nullopt;
-    }
-    ++refills_;
-    const std::size_t n =
-        source_.read_borrow(0, [this](ByteSpan a, ByteSpan b) -> std::size_t {
-          ingest(a, b);
-          return a.size() + b.size();  // everything parsed or stashed
-        });
-    if (n == 0) eof_ = true;
-  }
-}
-
 std::optional<Bytes> FrameReader::poll(bool* end) {
   *end = false;
   while (true) {

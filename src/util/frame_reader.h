@@ -1,17 +1,17 @@
 // Batched frame decoder over a ByteSource.
 //
-// `read_frame` costs two blocking reads (header, then payload) per frame —
-// on a detachable stream that is two lock acquisitions and up to two
-// condition-variable sleeps per packet. FrameReader instead drains whatever
-// the source has buffered in ONE read_borrow() call, parses every complete
-// frame in that batch directly out of the stream's ring spans (payload is
-// memcpy'd exactly once, into a pooled buffer), and hands the frames out of
-// its ready queue on subsequent next() calls without touching the stream.
-// Under load, a chain hop pays ~1/k of a lock acquisition per frame, where
-// k is however many frames the writer batched ahead.
+// poll() drains whatever the source has buffered in ONE poll_read_borrow()
+// call, parses every complete frame in that batch directly out of the
+// stream's ring spans (payload is memcpy'd exactly once, into a pooled
+// buffer), and hands the frames out of its ready queue on subsequent
+// poll() calls without touching the stream. A frame split across refills
+// (a byte stage upstream cuts frames at arbitrary offsets) is stashed and
+// completed by the next refill. Under load, a chain hop pays ~1/k of a lock
+// acquisition per frame, where k is however many frames the writer batched
+// ahead.
 //
-// Not thread-safe: a FrameReader belongs to the stream's single reader
-// thread (the same one-reader contract the stream itself has).
+// Not thread-safe: a FrameReader belongs to the stream's single consumer
+// (the same one-reader contract the stream itself has).
 #pragma once
 
 #include <cstdint>
@@ -38,26 +38,19 @@ class FrameReader {
   /// thread-dispatch paths that want the process pool explicitly).
   FrameReader(ByteSource& source, BufferPool& pool);
 
-  /// Returns the next frame payload, blocking if the source has nothing
-  /// buffered. nullopt means clean end-of-stream at a frame boundary.
-  /// Throws SerialError on bad magic, oversized length, or a stream that
-  /// ends mid-frame (torn frame).
-  std::optional<Bytes> next();
-
-  /// Non-blocking next() for event-driven consumers, over a source that
-  /// implements poll_read_borrow() (a DetachableInputStream): nullopt with
+  /// Returns the next frame payload without blocking. nullopt with
   /// *end == false means would-block (the source armed its read
-  /// scheduler — re-drive from the callback); nullopt with
-  /// *end == true is clean end-of-stream. Torn-frame and corruption errors
-  /// throw exactly like next().
+  /// scheduler — re-drive from the callback); nullopt with *end == true is
+  /// clean end-of-stream at a frame boundary. Throws SerialError on bad
+  /// magic, oversized length, or a stream that ends mid-frame (torn frame).
   std::optional<Bytes> poll(bool* end);
 
   /// Frames decoded so far.
   std::uint64_t frames() const noexcept { return frames_; }
 
-  /// Blocking refills issued so far: frames()/refills() is the measured
-  /// batching factor (1.0 = no better than read_frame; higher = fewer lock
-  /// acquisitions per frame).
+  /// Refills that brought bytes so far: frames()/refills() is the measured
+  /// batching factor (1.0 = one lock acquisition per frame; higher =
+  /// fewer).
   std::uint64_t refills() const noexcept { return refills_; }
 
  private:

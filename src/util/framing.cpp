@@ -4,52 +4,17 @@
 
 namespace rapidware::util {
 
-namespace {
-
-void fill_header(std::uint8_t (&header)[kFrameHeaderSize], ByteSpan payload) {
-  header[0] = static_cast<std::uint8_t>(kFrameMagic & 0xff);
-  header[1] = static_cast<std::uint8_t>(kFrameMagic >> 8);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  header[2] = static_cast<std::uint8_t>(len & 0xff);
-  header[3] = static_cast<std::uint8_t>((len >> 8) & 0xff);
-  header[4] = static_cast<std::uint8_t>((len >> 16) & 0xff);
-  header[5] = static_cast<std::uint8_t>((len >> 24) & 0xff);
-}
-
-}  // namespace
-
-void write_frame(ByteSink& sink, ByteSpan payload) {
-  std::uint8_t header[kFrameHeaderSize];
-  fill_header(header, payload);
-  const std::array<ByteSpan, 2> segments = {ByteSpan(header), payload};
-  sink.write_vec(segments);
-}
-
 bool try_write_frame(ByteSink& sink, ByteSpan payload) {
-  std::uint8_t header[kFrameHeaderSize];
-  fill_header(header, payload);
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const std::uint8_t header[kFrameHeaderSize] = {
+      static_cast<std::uint8_t>(kFrameMagic & 0xff),
+      static_cast<std::uint8_t>(kFrameMagic >> 8),
+      static_cast<std::uint8_t>(len & 0xff),
+      static_cast<std::uint8_t>((len >> 8) & 0xff),
+      static_cast<std::uint8_t>((len >> 16) & 0xff),
+      static_cast<std::uint8_t>((len >> 24) & 0xff)};
   const std::array<ByteSpan, 2> segments = {ByteSpan(header), payload};
   return sink.try_write_vec(segments);
-}
-
-std::optional<Bytes> read_frame(ByteSource& source) {
-  std::uint8_t header[kFrameHeaderSize];
-  if (!source.read_full(header, "framing: header")) {
-    return std::nullopt;  // clean EOF between frames
-  }
-
-  Reader r(header);
-  if (r.u16() != kFrameMagic) throw SerialError("framing: bad magic");
-  const std::uint32_t len = r.u32();
-  if (len > kMaxFrameSize) throw SerialError("framing: oversized frame");
-
-  Bytes payload(len);
-  if (len != 0 && !source.read_full(payload, "framing: payload")) {
-    // EOF with zero payload bytes after a complete header is still a torn
-    // frame — the header promised `len` more bytes.
-    throw SerialError("framing: stream ended between header and payload");
-  }
-  return payload;
 }
 
 }  // namespace rapidware::util

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "util/bytes.h"
 #include "util/io.h"
@@ -25,26 +24,12 @@ inline constexpr std::uint32_t kMaxFrameSize = 16 * 1024 * 1024;
 /// Bytes of header preceding every payload: magic (u16) + length (u32).
 inline constexpr std::size_t kFrameHeaderSize = 6;
 
-/// Writes one framed message as a single vectored write (header and payload
-/// as two segments — no assembly copy), with write_vec's atomicity: a frame
-/// is never interleaved even if multiple writers share a sink.
-void write_frame(ByteSink& sink, ByteSpan payload);
-
-/// Non-blocking variant for event-driven producers: the frame lands whole
-/// (header + payload in one try_write_vec transaction) or not at all. A
-/// false return means the sink had no room or was mid-splice; the sink's
-/// writable watcher is armed, so retry from the readiness callback. Frames
-/// larger than the sink's buffer capacity are a StreamError from the sink —
-/// an all-or-nothing write can never succeed for them.
+/// Writes one framed message: header and payload land whole, as two
+/// segments of one try_write_vec transaction (no assembly copy), or not at
+/// all. A false return means the sink had no room or was mid-splice; the
+/// sink's writable watcher is armed, so retry from the readiness callback.
+/// A frame larger than util::kMaxFrameSize is a StreamError from a
+/// detachable stream. Frames are read back with util::FrameReader.
 bool try_write_frame(ByteSink& sink, ByteSpan payload);
-
-/// Reads one framed message. Returns nullopt on clean end-of-stream before
-/// the first header byte. Throws SerialError on a torn/corrupt frame.
-///
-/// Compatibility wrapper: each call pays a blocking read for the header and
-/// another for the payload. Loops that decode many frames should hold a
-/// util::FrameReader instead, which batches frame parsing per lock
-/// acquisition and recycles payload buffers through the BufferPool.
-std::optional<Bytes> read_frame(ByteSource& source);
 
 }  // namespace rapidware::util

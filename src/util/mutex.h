@@ -121,7 +121,7 @@ class RW_SCOPED_CAPABILITY MutexLock {
 };
 
 /// Condition variable bound to rw::Mutex. Only predicate waits: a naked
-/// wait() invites lost wakeups and defeats the analyzer, so it is not
+/// wait() invites lost wake-ups and defeats the analyzer, so it is not
 /// offered (tools/rw_lint.py also rejects single-argument .wait( calls).
 class CondVar {
  public:

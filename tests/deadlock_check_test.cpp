@@ -105,6 +105,26 @@ TEST(DeadlockCheck, HeldCountTracksScopes) {
   EXPECT_EQ(rw::deadlock::held_count(), 0u);
 }
 
+// A thread's checker state is a thread_local object, destroyed before the
+// thread_local objects constructed ahead of it and, on the main thread,
+// before every static destructor. A lock taken that late must be left
+// unchecked, not recorded into freed storage (an ASan build of this test
+// reports that use-after-free).
+TEST(DeadlockCheck, LockAfterTheThreadStateIsDestroyedIsUnchecked) {
+  struct LocksOnExit {
+    rw::Mutex* mu;
+    ~LocksOnExit() { rw::MutexLock lk(*mu); }
+  };
+  rw::Mutex mu{"test/late", rw::lockrank::kUnranked};
+  std::thread t([&mu] {
+    // Constructed before this thread's first lock creates the checker's
+    // state, so destroyed after it.
+    thread_local LocksOnExit late{&mu};
+    rw::MutexLock lk(mu);
+  });
+  t.join();
+}
+
 TEST(DeadlockCheck, EdgesSnapshotRecordsOrderWithSites) {
   rw::deadlock::reset_for_test();
   rw::Mutex outer{"test/edge_outer", 100};

@@ -102,7 +102,7 @@ TEST(Endpoint, WriterDoesNotCountAPacketItsSinkThrewOn) {
   core::DetachableOutputStream dos;
   dos.connect(endpoint->dis());
   endpoint->start(pool.worker(0));
-  util::write_frame(dos, util::to_bytes("lost"));
+  ASSERT_TRUE(util::try_write_frame(dos, util::to_bytes("lost")));
   endpoint->join();  // the throw ends the run
   EXPECT_EQ(endpoint->packets_written(), 0u);
 }

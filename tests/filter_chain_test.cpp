@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "core/control.h"
@@ -12,6 +14,8 @@
 #include "core/filter.h"
 #include "core/filter_chain.h"
 #include "core/filter_registry.h"
+#include "core/worker_pool.h"
+#include "obs/metrics.h"
 #include "util/buffer_pool.h"
 #include "testing/sequence_stream.h"
 #include "util/framing.h"
@@ -75,6 +79,26 @@ class PassThroughPacketFilter final : public PacketFilter {
 
  protected:
   void on_packet(Bytes packet) override { emit(std::move(packet)); }
+};
+
+/// Pass-through packet filter whose counters a test can read.
+class CountingPassThrough final : public PacketFilter {
+ public:
+  CountingPassThrough() : PacketFilter("counted") {}
+  using PacketFilter::packets_in;
+  using PacketFilter::packets_out;
+
+ protected:
+  void on_packet(Bytes packet) override { emit(std::move(packet)); }
+};
+
+/// Packet filter whose every packet kills its drive.
+class ThrowingFilter final : public PacketFilter {
+ public:
+  ThrowingFilter() : PacketFilter("bomb") {}
+
+ protected:
+  void on_packet(Bytes) override { throw std::runtime_error("planted"); }
 };
 
 /// Byte filter that uppercases ASCII.
@@ -381,6 +405,74 @@ TEST(Filter, StartTwiceThrows) {
   auto f = std::make_shared<TagFilter>(1);
   h.chain->insert(f, 0);
   EXPECT_THROW(f->start(*h.chain->host()), StreamError);
+  h.source->finish();
+  h.chain->shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Packet accounting on failure paths: STATS counts a packet as sent only
+// once it landed downstream, and shows a stage that died.
+
+TEST(Filter, PacketLostToAClosedReaderIsNotCountedAsSent) {
+  WorkerPool pool(1);
+  CountingPassThrough filter;
+  DetachableInputStream downstream;
+  filter.dos().connect(downstream);
+  downstream.close();  // its emit throws BrokenPipe, which ends the run
+  DetachableOutputStream upstream;
+  upstream.connect(filter.dis());
+  filter.start(pool.worker(0));
+  ASSERT_TRUE(util::try_write_frame(upstream, to_bytes("lost")));
+  filter.join();
+  EXPECT_EQ(filter.packets_in(), 1u);
+  EXPECT_EQ(filter.packets_out(), 0u);
+}
+
+TEST(Filter, ParkedPacketLostToAHardCloseIsNotCountedAsSent) {
+  WorkerPool pool(1);
+  CountingPassThrough filter;
+  DetachableInputStream downstream(16);
+  filter.dos().connect(downstream);
+  // 10 of the 16 bytes are taken and nobody reads: the 14-byte frame the
+  // filter emits parks behind the full ring.
+  ASSERT_EQ(filter.dos().try_write_some(Bytes(10, 0x11)), 10u);
+  DetachableOutputStream upstream;
+  upstream.connect(filter.dis());
+  filter.start(pool.worker(0));
+  ASSERT_TRUE(util::try_write_frame(upstream, to_bytes("parked!!")));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (filter.packets_in() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  filter.dos().close();  // the parked packet is lost with the output
+  filter.join();
+  EXPECT_EQ(filter.packets_in(), 1u);
+  EXPECT_EQ(filter.packets_out(), 0u);
+  EXPECT_EQ(downstream.available(), 10u);
+}
+
+TEST(FilterChain, FilterThatDiesShowsInStatsAsAFailure) {
+  obs::Registry registry;  // outlives the chain, which unbinds into it
+  Harness h;
+  h.chain->bind_metrics(registry, "p/chain");
+  auto bomb = std::make_shared<ThrowingFilter>();
+  h.chain->insert(bomb, 0);
+  h.chain->start();
+  std::string stats = obs::render(registry.snapshot("p/chain"));
+  EXPECT_NE(stats.find("p/chain/bomb/failures=0"), std::string::npos) << stats;
+
+  h.source->push(numbered_packet(1));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (bomb->running() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(bomb->running());
+  stats = obs::render(registry.snapshot("p/chain"));
+  EXPECT_NE(stats.find("p/chain/bomb/failures=1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("p/chain/in/failures=0"), std::string::npos) << stats;
   h.source->finish();
   h.chain->shutdown();
 }

@@ -18,9 +18,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -302,20 +305,55 @@ TEST(ChainStress, InjectedSinkFailuresTerminateCleanly) {
   }
 }
 
-// Pinned regression: DOS::close() while a write is blocked on a full ring
-// (no reader draining). Before the fix the writer slept forever; now it
-// must wake and throw BrokenPipe.
+/// Releases a thread waiting for a stream watcher's fire, as a worker loop
+/// would re-drive the stage.
+class WakeFlag final : public core::Scheduler {
+ public:
+  void on_readable() override { fire(); }
+  void on_writable() override { fire(); }
+
+  /// True when a fire arrived (since the last wait) within `timeout`.
+  bool wait_for(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lk(mu_);
+    const bool fired = cv_.wait_for(lk, timeout, [this] { return fired_; });
+    fired_ = false;
+    return fired;
+  }
+
+ private:
+  void fire() {
+    std::lock_guard<std::mutex> lk(mu_);
+    fired_ = true;
+    cv_.notify_all();
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool fired_ = false;
+};
+
+// Pinned regression: DOS::close() while a writer waits on a full ring (no
+// reader draining) must fire the writer's watcher, and its retry must throw
+// BrokenPipe; a writer left unfired would wait forever.
 TEST(PipeStress, RegressionCloseWakesBlockedWriter) {
   auto dis = std::make_shared<core::DetachableInputStream>(64);
   auto dos = std::make_shared<core::DetachableOutputStream>();
+  WakeFlag waker;
+  dos->set_write_scheduler(&waker);
   dos->connect(*dis);
 
   std::promise<bool> threw;
   auto threw_future = threw.get_future();
-  std::thread writer([dis, dos, &threw] {
+  std::thread writer([dis, dos, &waker, &threw] {
     util::Bytes big(4096, 0xaa);
+    util::ByteSpan rest(big);
     try {
-      dos->write(big);  // blocks at 64 bytes: nobody reads
+      while (!rest.empty()) {
+        rest = rest.subspan(dos->try_write_some(rest));  // 64 bytes land
+        if (!rest.empty() && !waker.wait_for(std::chrono::seconds(10))) {
+          break;  // never woken
+        }
+      }
       threw.set_value(false);
     } catch (const core::BrokenPipe&) {
       threw.set_value(true);
@@ -333,9 +371,17 @@ TEST(PipeStress, RegressionCloseWakesBlockedWriter) {
   writer.join();
 
   // The prefix that landed before close() is still readable, then EOF.
-  util::Bytes buf(128);
-  EXPECT_EQ(dis->read_some(buf), 64u);
-  EXPECT_EQ(dis->read_some(buf), 0u);
+  util::Bytes got;
+  bool end = false;
+  const auto take_all = [&](util::ByteSpan a, util::ByteSpan b) {
+    got.insert(got.end(), a.begin(), a.end());
+    got.insert(got.end(), b.begin(), b.end());
+    return a.size() + b.size();
+  };
+  EXPECT_EQ(dis->poll_read_borrow(0, take_all, &end), 64u);
+  EXPECT_EQ(dis->poll_read_borrow(0, take_all, &end), 0u);
+  EXPECT_TRUE(end);
+  EXPECT_EQ(got, util::Bytes(64, 0xaa));
 }
 
 // Pinned regression: a tail whose drive died must release backpressure so
@@ -367,26 +413,37 @@ TEST(ChainStress, RegressionDeadTailReleasesBackpressure) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched data plane under faults: util::FrameReader pulling through a
+// Batched data plane under faults: util::FrameReader polling through a
 // fault-injecting transport (short reads land mid-header and mid-payload,
 // so the stash/resume path runs constantly), recycling every payload buffer
 // through a util::BufferPool.
 
-/// In-memory frame store: write_frame() fills it, then it serves as the
-/// ByteSource a FaultyByteSource wraps.
+/// In-memory frame store: try_write_frame() fills it, then it serves as the
+/// ByteSource a FaultyByteSource wraps. Like a stream ring it offers at
+/// most one window of bytes per poll, and it reports end-of-stream once
+/// drained.
 class MemoryFrameStore final : public util::ByteSource, public util::ByteSink {
  public:
-  void write(util::ByteSpan in) override {
-    data_.insert(data_.end(), in.begin(), in.end());
+  bool try_write_vec(std::span<const util::ByteSpan> segments) override {
+    for (const util::ByteSpan seg : segments) {
+      data_.insert(data_.end(), seg.begin(), seg.end());
+    }
+    return true;
   }
-  std::size_t read_some(util::MutableByteSpan out) override {
-    const std::size_t n = std::min(out.size(), data_.size() - pos_);
-    std::copy_n(data_.begin() + static_cast<long>(pos_), n, out.begin());
-    pos_ += n;
-    return n;
+  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
+                               bool* end) override {
+    std::size_t n = std::min(data_.size() - pos_, kWindow);
+    if (max != 0) n = std::min(n, max);
+    *end = n == 0;
+    if (n == 0) return 0;
+    const std::size_t took =
+        visit(util::ByteSpan(data_).subspan(pos_, n), util::ByteSpan());
+    pos_ += took;
+    return took;
   }
 
  private:
+  static constexpr std::size_t kWindow = 4096;
   util::Bytes data_;
   std::size_t pos_ = 0;
 };
@@ -414,7 +471,7 @@ TEST(PipeStress, FrameReaderAndPoolSurviveFaultyTransport) {
       for (auto& b : payload) {
         b = static_cast<std::uint8_t>(rng.next_below(256));
       }
-      util::write_frame(*store, payload);
+      ASSERT_TRUE(util::try_write_frame(*store, payload));
       expect.push_back(std::move(payload));
     }
 
@@ -425,14 +482,16 @@ TEST(PipeStress, FrameReaderAndPoolSurviveFaultyTransport) {
     testing::FaultyByteSource src(store, faults);
     util::BufferPool pool;
     util::FrameReader reader(src, pool);
+    bool end = false;
     for (int i = 0; i < frames; ++i) {
-      auto frame = reader.next();
+      auto frame = reader.poll(&end);
       ASSERT_TRUE(frame.has_value()) << "frame " << i << " missing";
       ASSERT_EQ(*frame, expect[static_cast<std::size_t>(i)])
           << "frame " << i << " corrupted";
       pool.release(std::move(*frame));  // recycle, as the data plane does
     }
-    EXPECT_FALSE(reader.next().has_value());  // clean EOF after the last
+    EXPECT_FALSE(reader.poll(&end).has_value());  // clean EOF after the last
+    EXPECT_TRUE(end);
     EXPECT_EQ(reader.frames(), static_cast<std::uint64_t>(frames));
 
     // The schedule must have been hostile, and the pool actually used:
@@ -446,7 +505,7 @@ TEST(PipeStress, FrameReaderAndPoolSurviveFaultyTransport) {
 }
 
 // Armed throws: a transport that dies mid-stream must surface as a typed
-// error from FrameReader::next() — never a hang, a truncated-but-clean EOF
+// error from FrameReader::poll() — never a hang, a truncated-but-clean EOF
 // with a partial frame buffered, or a corrupted frame — and the pool must
 // stay usable afterwards (no buffer is lost to the unwound stack).
 TEST(PipeStress, FrameReaderPropagatesInjectedTransportErrors) {
@@ -465,7 +524,7 @@ TEST(PipeStress, FrameReaderPropagatesInjectedTransportErrors) {
       for (auto& b : payload) {
         b = static_cast<std::uint8_t>(rng.next_below(256));
       }
-      util::write_frame(*store, payload);
+      ASSERT_TRUE(util::try_write_frame(*store, payload));
       expect.push_back(std::move(payload));
     }
 
@@ -482,8 +541,9 @@ TEST(PipeStress, FrameReaderPropagatesInjectedTransportErrors) {
     bool threw = false;
     try {
       for (;;) {
-        auto frame = reader.next();
-        if (!frame) break;
+        bool end = false;
+        auto frame = reader.poll(&end);
+        if (!frame) break;  // the store never would-blocks: end-of-stream
         ASSERT_LT(got, expect.size());
         ASSERT_EQ(*frame, expect[got]) << "frame " << got << " corrupted";
         ++got;

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -392,118 +393,133 @@ TEST(Serial, LittleEndianLayout) {
 // Framing
 
 /// ByteSource/ByteSink over an in-memory vector, for framing tests.
+/// In-memory ByteSource + ByteSink. try_write_vec appends; poll_read_borrow
+/// offers the unread bytes, at most `chunk` per poll when set. Once every
+/// byte is read it reports end-of-stream, or would-block while `open`.
 class MemoryStream final : public ByteSource, public ByteSink {
  public:
-  void write(ByteSpan in) override {
-    data_.insert(data_.end(), in.begin(), in.end());
+  bool try_write_vec(std::span<const ByteSpan> segments) override {
+    for (const ByteSpan seg : segments) append(seg);
+    return true;
   }
-  std::size_t read_some(MutableByteSpan out) override {
-    const std::size_t n = std::min(out.size(), data_.size() - pos_);
-    std::copy_n(data_.begin() + static_cast<long>(pos_), n, out.begin());
-    pos_ += n;
-    return n;
+  std::size_t poll_read_borrow(std::size_t max, SpanVisitor visit,
+                               bool* end) override {
+    std::size_t n = data_.size() - pos_;
+    if (max != 0) n = std::min(n, max);
+    if (chunk != 0) n = std::min(n, chunk);
+    *end = n == 0 && !open;
+    if (n == 0) return 0;
+    const std::size_t took = visit(ByteSpan(data_).subspan(pos_, n), {});
+    pos_ += took;
+    return took;
   }
+  /// Raw bytes, framed or not (torn and corrupt frames).
+  void append(ByteSpan in) { data_.insert(data_.end(), in.begin(), in.end()); }
+
+  std::size_t chunk = 0;
+  bool open = false;
   Bytes data_;
   std::size_t pos_ = 0;
 };
 
+/// One non-blocking read of `reader`; `*end` (when given) reports whether
+/// a nullopt means end-of-stream rather than would-block.
+std::optional<Bytes> poll_frame(FrameReader& reader, bool* end = nullptr) {
+  bool ended = false;
+  auto frame = reader.poll(&ended);
+  if (end != nullptr) *end = ended;
+  return frame;
+}
+
+// Framing: the wire format try_write_frame produces, read back by a
+// FrameReader that is offered ONE byte per poll, so every header and
+// payload is reassembled across refills.
+
 TEST(Framing, RoundTripsSingleFrame) {
   MemoryStream s;
-  write_frame(s, to_bytes("hello frame"));
-  auto frame = read_frame(s);
+  s.chunk = 1;
+  ASSERT_TRUE(try_write_frame(s, to_bytes("hello frame")));
+  // magic (u16 LE) | length (u32 LE) | payload
+  ASSERT_EQ(s.data_.size(), kFrameHeaderSize + 11);
+  EXPECT_EQ(s.data_[0], kFrameMagic & 0xff);
+  EXPECT_EQ(s.data_[1], kFrameMagic >> 8);
+  EXPECT_EQ(s.data_[2], 11);
+  EXPECT_EQ(s.data_[3] | s.data_[4] | s.data_[5], 0);
+  FrameReader fr(s);
+  auto frame = poll_frame(fr);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(to_string(*frame), "hello frame");
-  EXPECT_FALSE(read_frame(s).has_value());  // clean EOF
+  bool end = false;
+  EXPECT_FALSE(poll_frame(fr, &end).has_value());  // clean EOF
+  EXPECT_TRUE(end);
 }
 
 TEST(Framing, RoundTripsManyFramesInOrder) {
   MemoryStream s;
-  for (int i = 0; i < 100; ++i) write_frame(s, to_bytes("frame " + std::to_string(i)));
+  s.chunk = 1;
   for (int i = 0; i < 100; ++i) {
-    auto frame = read_frame(s);
+    ASSERT_TRUE(try_write_frame(s, to_bytes("frame " + std::to_string(i))));
+  }
+  FrameReader fr(s);
+  for (int i = 0; i < 100; ++i) {
+    auto frame = poll_frame(fr);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(to_string(*frame), "frame " + std::to_string(i));
   }
-  EXPECT_FALSE(read_frame(s).has_value());
+  EXPECT_FALSE(poll_frame(fr).has_value());
 }
 
 TEST(Framing, EmptyPayloadAllowed) {
   MemoryStream s;
-  write_frame(s, {});
-  auto frame = read_frame(s);
+  s.chunk = 1;
+  ASSERT_TRUE(try_write_frame(s, {}));
+  EXPECT_EQ(s.data_.size(), kFrameHeaderSize);
+  FrameReader fr(s);
+  auto frame = poll_frame(fr);
   ASSERT_TRUE(frame.has_value());
   EXPECT_TRUE(frame->empty());
 }
 
 TEST(Framing, BadMagicThrows) {
   MemoryStream s;
-  s.write(to_bytes("garbage data here"));
-  EXPECT_THROW(read_frame(s), SerialError);
+  s.chunk = 1;
+  s.append(to_bytes("garbage data here"));
+  FrameReader fr(s);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 TEST(Framing, TruncatedHeaderThrows) {
   MemoryStream s;
+  s.chunk = 1;
   Writer w;
   w.u16(kFrameMagic);
   w.u8(1);  // header cut short
-  s.write(w.bytes());
-  EXPECT_THROW(read_frame(s), SerialError);
+  s.append(w.bytes());
+  FrameReader fr(s);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 TEST(Framing, TruncatedPayloadThrows) {
   MemoryStream s;
+  s.chunk = 1;
   Writer w;
   w.u16(kFrameMagic);
   w.u32(100);
   w.str("short");  // far fewer than 100 bytes
-  s.write(w.bytes());
-  EXPECT_THROW(read_frame(s), SerialError);
+  s.append(w.bytes());
+  FrameReader fr(s);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 TEST(Framing, OversizedFrameRejected) {
   MemoryStream s;
+  s.chunk = 1;
   Writer w;
   w.u16(kFrameMagic);
   w.u32(kMaxFrameSize + 1);
-  s.write(w.bytes());
-  EXPECT_THROW(read_frame(s), SerialError);
-}
-
-TEST(ReadExact, StopsAtEof) {
-  MemoryStream s;
-  s.write(to_bytes("abc"));
-  Bytes out(10);
-  EXPECT_EQ(s.read_exact(out), 3u);
-}
-
-// ---------------------------------------------------------------------------
-// ByteSource::read_full — the EOF-disambiguated variant
-
-TEST(ReadFull, FillsCompletely) {
-  MemoryStream s;
-  s.write(to_bytes("abcdef"));
-  Bytes out(6);
-  EXPECT_TRUE(s.read_full(out, "test"));
-  EXPECT_EQ(to_string(out), "abcdef");
-}
-
-TEST(ReadFull, CleanEofReturnsFalse) {
-  MemoryStream s;  // never written: EOF before the first byte
-  Bytes out(4);
-  EXPECT_FALSE(s.read_full(out, "test"));
-}
-
-TEST(ReadFull, TornReadThrows) {
-  MemoryStream s;
-  s.write(to_bytes("ab"));  // stream dies after 2 of 4 requested bytes
-  Bytes out(4);
-  EXPECT_THROW(s.read_full(out, "test"), SerialError);
-}
-
-TEST(ReadFull, ZeroLengthAlwaysSucceeds) {
-  MemoryStream s;
-  Bytes out;
-  EXPECT_TRUE(s.read_full(out, "test"));
+  s.append(w.bytes());
+  FrameReader fr(s);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 // ---------------------------------------------------------------------------
@@ -765,24 +781,28 @@ TEST(ByteRingStorage, GrowRaisesAnEmptyRingsBoundWithoutAllocating) {
 TEST(FrameReader, RoundTripsManyFramesInOrder) {
   MemoryStream s;
   for (int i = 0; i < 100; ++i) {
-    write_frame(s, to_bytes("frame " + std::to_string(i)));
+    ASSERT_TRUE(try_write_frame(s, to_bytes("frame " + std::to_string(i))));
   }
   FrameReader fr(s);
   for (int i = 0; i < 100; ++i) {
-    auto frame = fr.next();
+    auto frame = poll_frame(fr);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(to_string(*frame), "frame " + std::to_string(i));
   }
-  EXPECT_FALSE(fr.next().has_value());  // clean EOF
-  EXPECT_FALSE(fr.next().has_value());  // EOF is sticky
+  bool end = false;
+  EXPECT_FALSE(poll_frame(fr, &end).has_value());  // clean EOF
+  EXPECT_TRUE(end);
+  end = false;
+  EXPECT_FALSE(poll_frame(fr, &end).has_value());  // EOF is sticky
+  EXPECT_TRUE(end);
   EXPECT_EQ(fr.frames(), 100u);
 }
 
 TEST(FrameReader, BatchesManyFramesPerRefill) {
   MemoryStream s;
-  for (int i = 0; i < 64; ++i) write_frame(s, Bytes(10, 0x42));
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(try_write_frame(s, Bytes(10, 0x42)));
   FrameReader fr(s);
-  while (fr.next()) {
+  while (poll_frame(fr)) {
   }
   // 64 x 16-byte frames fit in far fewer refills than frames: the whole
   // point of the batched reader (one lock trip decodes many frames).
@@ -790,21 +810,46 @@ TEST(FrameReader, BatchesManyFramesPerRefill) {
   EXPECT_LT(fr.refills(), 16u);
 }
 
+// While the stream is open, a partial frame is stashed and the poll
+// reports would-block; the bytes that complete it complete the frame.
+TEST(FrameReader, PartialFrameWaitsForTheRestWhileTheStreamIsOpen) {
+  MemoryStream s;
+  s.open = true;
+  MemoryStream whole;
+  ASSERT_TRUE(try_write_frame(whole, to_bytes("split across polls")));
+  const ByteSpan wire(whole.data_);
+  FrameReader fr(s);
+  bool end = true;
+  s.append(wire.first(4));  // part of the header
+  EXPECT_FALSE(poll_frame(fr, &end).has_value());
+  EXPECT_FALSE(end);
+  s.append(wire.subspan(4, 8));  // the rest of it and part of the payload
+  EXPECT_FALSE(poll_frame(fr, &end).has_value());
+  EXPECT_FALSE(end);
+  s.append(wire.subspan(12));
+  auto frame = poll_frame(fr, &end);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(to_string(*frame), "split across polls");
+  s.open = false;
+  EXPECT_FALSE(poll_frame(fr, &end).has_value());
+  EXPECT_TRUE(end);
+}
+
 TEST(FrameReader, EmptyPayloadAllowed) {
   MemoryStream s;
-  write_frame(s, {});
+  ASSERT_TRUE(try_write_frame(s, {}));
   FrameReader fr(s);
-  auto frame = fr.next();
+  auto frame = poll_frame(fr);
   ASSERT_TRUE(frame.has_value());
   EXPECT_TRUE(frame->empty());
-  EXPECT_FALSE(fr.next().has_value());
+  EXPECT_FALSE(poll_frame(fr).has_value());
 }
 
 TEST(FrameReader, BadMagicThrows) {
   MemoryStream s;
-  s.write(to_bytes("garbage data here"));
+  s.append(to_bytes("garbage data here"));
   FrameReader fr(s);
-  EXPECT_THROW(fr.next(), SerialError);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 TEST(FrameReader, TornHeaderThrows) {
@@ -812,24 +857,24 @@ TEST(FrameReader, TornHeaderThrows) {
   Writer w;
   w.u16(kFrameMagic);
   w.u8(1);  // header cut short at EOF
-  s.write(w.bytes());
+  s.append(w.bytes());
   FrameReader fr(s);
-  EXPECT_THROW(fr.next(), SerialError);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 TEST(FrameReader, TornPayloadThrows) {
   MemoryStream s;
-  write_frame(s, to_bytes("complete"));
+  ASSERT_TRUE(try_write_frame(s, to_bytes("complete")));
   Writer w;
   w.u16(kFrameMagic);
   w.u32(100);
   w.str("short");  // far fewer than 100 bytes, then EOF
-  s.write(w.bytes());
+  s.append(w.bytes());
   FrameReader fr(s);
-  auto frame = fr.next();
+  auto frame = poll_frame(fr);
   ASSERT_TRUE(frame.has_value());  // the complete frame still arrives
   EXPECT_EQ(to_string(*frame), "complete");
-  EXPECT_THROW(fr.next(), SerialError);
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 TEST(FrameReader, OversizedFrameRejected) {
@@ -837,25 +882,9 @@ TEST(FrameReader, OversizedFrameRejected) {
   Writer w;
   w.u16(kFrameMagic);
   w.u32(kMaxFrameSize + 1);
-  s.write(w.bytes());
+  s.append(w.bytes());
   FrameReader fr(s);
-  EXPECT_THROW(fr.next(), SerialError);
-}
-
-TEST(FrameReader, InteroperatesWithLegacyReadFrame) {
-  MemoryStream s;
-  write_frame(s, to_bytes("one"));
-  write_frame(s, to_bytes("two"));
-  // Legacy read_frame consumes exactly one frame; FrameReader picks up the
-  // rest of the stream afterwards.
-  auto first = read_frame(s);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(to_string(*first), "one");
-  FrameReader fr(s);
-  auto second = fr.next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(to_string(*second), "two");
-  EXPECT_FALSE(fr.next().has_value());
+  EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
 // ---------------------------------------------------------------------------
