@@ -137,7 +137,7 @@ int main() {
     if (code.k == 0) {
       std::printf("%10s %10s |", "no FEC", "-");
     } else {
-      char name[16];
+      char name[48];  // room for two 20-digit %zu values
       std::snprintf(name, sizeof(name), "(%zu,%zu)", code.n, code.k);
       std::printf("%10s %9zu |", name, code.k - 1);
     }

@@ -52,24 +52,9 @@ class BrokenPipe : public StreamError {
 class DetachableOutputStream;
 class DetachableInputStream;
 
-/// Readiness-notification target for event-driven stream consumers and
-/// producers (docs/data_plane.md, "Worker model"). A stream fires a
-/// callback at most once per arming: the watcher arms itself by returning
-/// would-block from a poll (poll_read_borrow / try_write_*), and the next
-/// state change that could clear the block — data arrival, space freed,
-/// reconnect, EOF, close — disarms and fires. Callbacks run UNDER the
-/// stream lock that noticed the change, so implementations must only post
-/// to their worker's queue; they must never call back into a stream.
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  /// The watched input may now have data or a final EOF to report.
-  virtual void on_readable() = 0;
-
-  /// The watched output may now accept a write it previously refused.
-  virtual void on_writable() = 0;
-};
+/// The readiness callback type (util/io.h), named here where most of its
+/// arms live.
+using util::Scheduler;
 
 namespace detail {
 

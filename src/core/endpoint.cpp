@@ -2,108 +2,26 @@
 
 #include <chrono>
 
-#include "util/buffer_pool.h"
-#include "util/frame_reader.h"
-#include "util/framing.h"
-
 namespace rapidware::core {
 
 PacketReaderEndpoint::PacketReaderEndpoint(std::string name,
                                            std::shared_ptr<PacketSource> source)
-    : Filter(std::move(name)), source_(std::move(source)) {}
+    : PacketFilter(std::move(name)), source_(std::move(source)) {}
 
 void PacketReaderEndpoint::event_start() {
-  ev_parked_.reset();
+  PacketFilter::event_start();
   source_->set_scheduler(event_scheduler());
 }
 
 void PacketReaderEndpoint::event_stop() {
   source_->set_scheduler(nullptr);
-  if (ev_parked_) {
-    util::BufferPool::local().release(std::move(*ev_parked_));
-    ev_parked_.reset();
-  }
-}
-
-Filter::Drive PacketReaderEndpoint::on_ready() {
-  // Backpressure first: a parked payload must reach the ring before any new
-  // packet, or frames would reorder.
-  if (ev_parked_) {
-    if (!util::try_write_frame(dos(), *ev_parked_)) return Drive::kIdle;
-    util::BufferPool::local().release(std::move(*ev_parked_));
-    ev_parked_.reset();
-  }
-  for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool finished = false;
-    auto packet = source_->poll_packet(&finished);
-    // Exhausted: kDone without closing the DOS, so downstream stays
-    // connected (removal protocol).
-    if (!packet) return finished ? Drive::kDone : Drive::kIdle;
-    // Count before the frame becomes observable downstream: anyone who saw
-    // the packet must also see it in the metric (STATS is a faithful view).
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    if (!util::try_write_frame(dos(), *packet)) {
-      ev_parked_ = std::move(packet);
-      return Drive::kIdle;
-    }
-    // The source's buffer is dead here; recycle it so pool-aware producers
-    // (and downstream FrameReaders) stop hitting the allocator.
-    util::BufferPool::local().release(std::move(*packet));
-  }
-  return Drive::kMore;
-}
-
-void PacketReaderEndpoint::register_metrics(obs::Scope scope) {
-  Filter::register_metrics(scope);
-  scope.callback("packets",
-                 [this] { return static_cast<double>(packets_read()); });
+  PacketFilter::event_stop();
 }
 
 PacketWriterEndpoint::PacketWriterEndpoint(std::string name,
                                            std::shared_ptr<PacketSink> sink,
                                            std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {}
-
-void PacketWriterEndpoint::event_start() {
-  ev_frames_ = std::make_unique<util::FrameReader>(dis());
-  ev_ended_ = false;
-}
-
-void PacketWriterEndpoint::event_stop() { ev_frames_.reset(); }
-
-Filter::Drive PacketWriterEndpoint::on_ready() {
-  for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool end = false;
-    auto packet = ev_frames_->poll(&end);
-    if (!packet) {
-      if (!end) return Drive::kIdle;
-      if (!ev_ended_) {
-        ev_ended_ = true;
-        sink_->on_end();
-      }
-      return Drive::kDone;
-    }
-    // Count before delivery: a caller woken by the sink (e.g. wait_for(n))
-    // must never read a metric that lags what the sink already handed out.
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      sink_->deliver(*packet);
-    } catch (...) {
-      // The sink did not take the packet: STATS must not report a hop
-      // delivering what it lost. The drive's catch then ends the run.
-      packets_.fetch_sub(1, std::memory_order_relaxed);
-      throw;
-    }
-    util::BufferPool::local().release(std::move(*packet));
-  }
-  return Drive::kMore;
-}
-
-void PacketWriterEndpoint::register_metrics(obs::Scope scope) {
-  Filter::register_metrics(scope);
-  scope.callback("packets",
-                 [this] { return static_cast<double>(packets_written()); });
-}
+    : PacketFilter(std::move(name), buffer_capacity), sink_(std::move(sink)) {}
 
 std::optional<util::Bytes> QueuePacketSource::poll_packet(bool* finished) {
   rw::MutexLock lk(mu_);

@@ -1,8 +1,11 @@
 // EndPoint objects (paper, Section 4): special filters that bridge the
-// chain's detachable streams to the outside world. A reader endpoint polls
-// packets from a PacketSource and writes them into its DOS as frames; a
-// writer endpoint reads frames from its DIS and delivers each payload to a
-// PacketSink. Two endpoints plus a ControlThread form a null proxy.
+// chain's detachable streams to the outside world. Both are PacketFilters
+// that replace one end of its drive: a reader endpoint takes its packets
+// from a PacketSource instead of its DIS and frames them into its DOS; a
+// writer endpoint reads frames from its DIS and hands each payload to a
+// PacketSink instead of its DOS. So endpoints read, park, count and report
+// (`packets_in`/`packets_out`) like every other packet stage. Two
+// endpoints plus a ControlThread form a null proxy.
 //
 // This one endpoint pair carries every chain: the proxy's socket legs (the
 // paper's EndPointSocketReader/Writer, built on these classes in
@@ -59,80 +62,59 @@ class PacketSink {
 };
 
 /// Reads whole packets from a PacketSource and sends them down the chain as
-/// framed messages (the paper's EndPointSocketReader shape).
-class PacketReaderEndpoint final : public Filter {
+/// framed messages (the paper's EndPointSocketReader shape): a PacketFilter
+/// whose input is the source instead of its DIS. packets_in counts packets
+/// taken from the source, packets_out those that landed in the chain.
+class PacketReaderEndpoint final : public PacketFilter {
  public:
   PacketReaderEndpoint(std::string name, std::shared_ptr<PacketSource> source);
 
   /// Asks the source to stop; the run ends after the current packet.
   void interrupt() override { source_->interrupt(); }
 
-  std::uint64_t packets_read() const noexcept {
-    return packets_.load(std::memory_order_relaxed);
-  }
-
-  void register_metrics(obs::Scope scope) override;
+  std::uint64_t packets_read() const noexcept { return packets_in(); }
 
  protected:
-  /// The drive: poll packets from the source and frame them downstream.
-  /// A frame that finds the ring full is parked (one-deep stash) and
-  /// retried on the writable callback; source exhaustion reaches kDone
-  /// without closing the DOS, so downstream stays connected.
-  Drive on_ready() override;
+  /// Polls the source: its would-block arms event_scheduler(), and its end
+  /// finishes the run without closing the DOS, so downstream stays
+  /// connected.
+  std::optional<util::Bytes> poll_input(bool* end) override {
+    return source_->poll_packet(end);
+  }
+  void on_packet(util::Bytes packet) override { emit(std::move(packet)); }
   void event_start() override;
   void event_stop() override;
 
  private:
   std::shared_ptr<PacketSource> source_;
-  std::atomic<std::uint64_t> packets_{0};
-  // Run state; loop-thread-only between event_start() and the final drive.
-  std::optional<util::Bytes> ev_parked_;  // payload awaiting ring space
 };
 
 /// Reads framed messages from the chain and delivers them to a PacketSink
-/// (the paper's EndPointSocketWriter shape).
-class PacketWriterEndpoint final : public Filter {
+/// (the paper's EndPointSocketWriter shape): a PacketFilter whose output is
+/// the sink instead of its DOS. packets_in counts frames read, packets_out
+/// packets the sink took.
+class PacketWriterEndpoint final : public PacketFilter {
  public:
   PacketWriterEndpoint(std::string name, std::shared_ptr<PacketSink> sink,
                        std::size_t buffer_capacity =
                            DetachableInputStream::kDefaultCapacity);
 
-  std::uint64_t packets_written() const noexcept {
-    return packets_.load(std::memory_order_relaxed);
-  }
-
-  void register_metrics(obs::Scope scope) override;
+  std::uint64_t packets_written() const noexcept { return packets_out(); }
 
  protected:
-  /// The drive: batched FrameReader::poll() pulls, each frame delivered to
-  /// the sink inline (sinks are non-blocking consumers by contract). EOF
-  /// calls on_end() once, then kDone.
-  Drive on_ready() override;
-  void event_start() override;
-  void event_stop() override;
+  void on_packet(util::Bytes packet) override { emit(std::move(packet)); }
+  /// The stream ended: on_end(), once per run.
+  void on_flush() override { sink_->on_end(); }
+  /// Delivers inline (sinks are non-blocking consumers by contract), so the
+  /// sink takes every packet; one it throws on is not counted as out, and
+  /// the throw ends the run.
+  bool try_output(util::ByteSpan packet) override {
+    sink_->deliver(packet);
+    return true;
+  }
 
  private:
   std::shared_ptr<PacketSink> sink_;
-  std::atomic<std::uint64_t> packets_{0};
-  // Run state; loop-thread-only between event_start() and the final drive.
-  std::unique_ptr<util::FrameReader> ev_frames_;
-  bool ev_ended_ = false;  // on_end() already delivered this run
-};
-
-/// Adapts a util::ReadyWatcher fire into a core::Scheduler re-drive —
-/// the bridge that lets a packet source watch a net::SimSocket, which
-/// cannot reference core::Scheduler from the lower layers
-/// (proxy::SocketPacketSource). Fired possibly under the socket's lock:
-/// only posts, per both contracts.
-class IoReadyForwarder final : public util::ReadyWatcher {
- public:
-  void bind(Scheduler* target) noexcept { target_ = target; }
-  void on_io_ready() override {
-    if (target_ != nullptr) target_->on_readable();
-  }
-
- private:
-  Scheduler* target_ = nullptr;
 };
 
 /// In-memory packet source backed by a queue; push() feeds the endpoint,

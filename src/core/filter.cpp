@@ -238,36 +238,50 @@ Filter::Drive ByteFilter::on_ready() {
 }
 
 void PacketFilter::event_start() {
-  ev_frames_ = std::make_unique<util::FrameReader>(dis());
-  ev_pending_.clear();
+  ev_frames_.emplace(dis());
   ev_flushed_ = false;
 }
 
-void PacketFilter::event_stop() { ev_frames_.reset(); }
+void PacketFilter::event_stop() {
+  // A drive that died with emits parked lost them; drop them with the run.
+  ev_frames_.reset();
+  ev_pending_.clear();
+  ev_pending_pos_ = 0;
+}
+
+std::optional<util::Bytes> PacketFilter::poll_input(bool* end) {
+  return ev_frames_->poll(end);
+}
+
+bool PacketFilter::try_output(util::ByteSpan packet) {
+  return util::try_write_frame(dos(), packet);
+}
 
 bool PacketFilter::try_send(util::ByteSpan packet) {
-  // Count before the frame becomes observable downstream, so a STATS read
+  // Count before the packet becomes observable downstream, so a STATS read
   // triggered by its arrival never sees the counter lagging it, and take
-  // the count back when the frame did not land: a parked packet is counted
-  // when it lands, and one lost to a closed reader never.
+  // the count back when it was not taken: a parked packet is counted when
+  // it lands, and one lost to a closed reader or a throwing sink never.
   packets_out_.fetch_add(1, std::memory_order_relaxed);
-  bool landed = false;
+  bool taken = false;
   try {
-    landed = util::try_write_frame(dos(), packet);
+    taken = try_output(packet);
   } catch (...) {
     packets_out_.fetch_sub(1, std::memory_order_relaxed);
     throw;
   }
-  if (!landed) packets_out_.fetch_sub(1, std::memory_order_relaxed);
-  return landed;
+  if (!taken) packets_out_.fetch_sub(1, std::memory_order_relaxed);
+  return taken;
 }
 
 bool PacketFilter::flush_ev_pending() {
-  while (!ev_pending_.empty()) {
-    if (!try_send(ev_pending_.front())) return false;  // writable watcher armed
-    util::BufferPool::local().release(std::move(ev_pending_.front()));
-    ev_pending_.pop_front();
+  for (; ev_pending_pos_ < ev_pending_.size(); ++ev_pending_pos_) {
+    util::Bytes& front = ev_pending_[ev_pending_pos_];
+    if (!try_send(front)) return false;  // writable watcher armed
+    util::BufferPool::local().release(std::move(front));
   }
+  ev_pending_.clear();  // keeps the capacity for the next park
+  ev_pending_pos_ = 0;
   return true;
 }
 
@@ -279,9 +293,11 @@ Filter::Drive PacketFilter::on_ready() {
       return Drive::kIdle;
     }
     bool end = false;
-    auto packet = ev_frames_->poll(&end);
+    auto packet = poll_input(&end);
     if (!packet) {
       if (!end) return Drive::kIdle;  // readable watcher armed
+      // Ended: finish without closing the DOS, so downstream stays
+      // connected (removal protocol).
       if (!ev_flushed_) {
         ev_flushed_ = true;
         on_flush();
@@ -302,10 +318,10 @@ void PacketFilter::emit(util::ByteSpan packet) {
 }
 
 void PacketFilter::emit(util::Bytes&& packet) {
-  // Frames stay whole: all-or-nothing try_write_frame, with the packet
-  // parked (move, no copy) when downstream is full or mid-splice. Input is
-  // not consumed while anything is parked, so the backlog is bounded by
-  // one on_packet()'s emissions.
+  // Packets stay whole: all-or-nothing try_output, with the packet parked
+  // (move, no copy) when downstream is full or mid-splice. Input is not
+  // consumed while anything is parked, so the backlog is bounded by one
+  // on_packet()'s emissions.
   if (ev_pending_.empty() && try_send(packet)) {
     util::BufferPool::local().release(std::move(packet));
     return;

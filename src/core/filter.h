@@ -13,7 +13,9 @@
 //   * PacketFilter — on_packet() handles whole length-prefixed frames
 //     (util::framing), which is how stream-type-specific insertion points
 //     ("frame boundaries", Section 3) are honoured. Every production
-//     filter is one, and so are the endpoints (core/endpoint.h);
+//     filter is one, and so are the endpoints (core/endpoint.h), which
+//     swap where packets come from (poll_input) or go (try_output) and
+//     keep the one drive, parking FIFO and packets_in/packets_out;
 //   * ByteFilter   — process() transforms raw byte chunks, cutting the
 //     framed stream at arbitrary byte offsets: NullFilter and the stress
 //     harness's pass-through stages.
@@ -28,6 +30,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -216,6 +219,10 @@ class ByteFilter : public Filter {
 };
 
 /// Transforms whole framed packets; may emit zero or more packets per input.
+/// Packets come from poll_input() and leave through try_output(): by
+/// default the frames of dis() and dos(). The endpoints (core/endpoint.h)
+/// are packet filters that replace one of the two, so every packet stage
+/// reads, parks, counts and reports through this one drive.
 class PacketFilter : public Filter {
  public:
   using Filter::Filter;
@@ -223,10 +230,10 @@ class PacketFilter : public Filter {
   void register_metrics(obs::Scope scope) override;
 
  protected:
-  /// The drive: batched frames via FrameReader::poll(), each handed to
-  /// on_packet(), EOF to on_flush(). Emits that find the downstream ring
-  /// full (or mid-splice) are parked in ev_pending_ and retried on the
-  /// writable callback before any new input is taken.
+  /// The drive: packets via poll_input(), each handed to on_packet(), the
+  /// end to on_flush(). Emits that try_output() refuses are parked in
+  /// ev_pending_ and retried on the writable callback before any new input
+  /// is taken.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -243,6 +250,16 @@ class PacketFilter : public Filter {
   /// sleeping on the worker.
   virtual util::Micros input_delay() { return 0; }
 
+  /// Where the next packet comes from: the next frame of dis(), decoded by
+  /// a batched FrameReader. nullopt with *end == false is would-block (a
+  /// readiness watcher is armed); with *end == true the input has ended.
+  virtual std::optional<util::Bytes> poll_input(bool* end);
+
+  /// Where an emitted packet goes: one all-or-nothing try_write_frame into
+  /// dos(). Returns whether the packet was taken whole; a refusal must arm
+  /// a watcher that re-drives the filter, which then retries the packet.
+  virtual bool try_output(util::ByteSpan packet);
+
   /// Writes one framed packet downstream.
   void emit(util::ByteSpan packet);
 
@@ -255,6 +272,7 @@ class PacketFilter : public Filter {
   /// dead after the call.
   void emit(util::Bytes&& packet);
 
+  /// Packets poll_input() produced, and packets try_output() took.
   std::uint64_t packets_in() const noexcept {
     return packets_in_.load(std::memory_order_relaxed);
   }
@@ -263,8 +281,8 @@ class PacketFilter : public Filter {
   }
 
  private:
-  /// One write attempt of a whole frame, counted in packets_out only if it
-  /// lands. Throws what try_write_frame throws.
+  /// One try_output() of a whole packet, counted in packets_out only if it
+  /// is taken. Throws what try_output throws.
   bool try_send(util::ByteSpan packet);
   bool flush_ev_pending();
 
@@ -273,9 +291,12 @@ class PacketFilter : public Filter {
   std::atomic<std::uint64_t> packets_out_{0};
 
   // Run state; loop-thread-only between event_start() and the final drive.
-  std::unique_ptr<util::FrameReader> ev_frames_;
-  std::deque<util::Bytes> ev_pending_;  // emits parked behind backpressure
-  bool ev_flushed_ = false;             // on_flush() already ran this run
+  // None of it allocates until used: the parked FIFO is a vector drained
+  // from ev_pending_pos_, so a stage that never parks never allocates it.
+  std::optional<util::FrameReader> ev_frames_;
+  std::vector<util::Bytes> ev_pending_;  // emits parked behind backpressure
+  std::size_t ev_pending_pos_ = 0;       // first of ev_pending_ not yet sent
+  bool ev_flushed_ = false;              // on_flush() already ran this run
 };
 
 /// The "null" filter: forwards bytes untouched. Two EndPoints plus a null

@@ -137,19 +137,21 @@ void FecDecodeFilter::sync_stats() {
                                       std::memory_order_relaxed);
   shared_stats_.groups_incomplete.store(s.groups_incomplete,
                                         std::memory_order_relaxed);
-  m_groups_decoded_->set(static_cast<std::int64_t>(s.groups_complete));
-  m_groups_incomplete_->set(static_cast<std::int64_t>(s.groups_incomplete));
-  m_data_recovered_->set(static_cast<std::int64_t>(s.data_recovered));
-  m_data_lost_->set(static_cast<std::int64_t>(s.data_lost));
 }
 
 void FecDecodeFilter::register_metrics(obs::Scope scope) {
   PacketFilter::register_metrics(scope);
-  scope.registry().attach(scope.full("groups_decoded"), m_groups_decoded_);
-  scope.registry().attach(scope.full("groups_incomplete"),
-                          m_groups_incomplete_);
-  scope.registry().attach(scope.full("data_recovered"), m_data_recovered_);
-  scope.registry().attach(scope.full("data_lost"), m_data_lost_);
+  // Callbacks over the same atomic mirror params() reads.
+  const auto publish = [&scope](const char* name,
+                                const std::atomic<std::uint64_t>& v) {
+    scope.callback(name, [&v] {
+      return static_cast<double>(v.load(std::memory_order_relaxed));
+    });
+  };
+  publish("groups_decoded", shared_stats_.groups_complete);
+  publish("groups_incomplete", shared_stats_.groups_incomplete);
+  publish("data_recovered", shared_stats_.data_recovered);
+  publish("data_lost", shared_stats_.data_lost);
 }
 
 UepFecEncodeFilter::UepFecEncodeFilter(fec::UepPolicy policy)
@@ -175,17 +177,18 @@ fec::GroupEncoder& UepFecEncodeFilter::encoder_for(fec::FrameClass cls) {
 void UepFecEncodeFilter::emit_wire(std::vector<util::Bytes> wire,
                                    std::size_t k) {
   for (auto& w : wire) emit(std::move(w));
-  if (wire.size() > k) parity_out_ += wire.size() - k;
-  if (!wire.empty()) {
-    m_groups_encoded_->add();
-    m_parity_packets_->set(static_cast<std::int64_t>(parity_out_));
+  if (wire.size() > k) {
+    parity_out_.fetch_add(wire.size() - k, std::memory_order_relaxed);
   }
+  if (!wire.empty()) m_groups_encoded_->add();
 }
 
 void UepFecEncodeFilter::register_metrics(obs::Scope scope) {
   PacketFilter::register_metrics(scope);
   scope.registry().attach(scope.full("groups_encoded"), m_groups_encoded_);
-  scope.registry().attach(scope.full("parity_packets"), m_parity_packets_);
+  scope.callback("parity_packets", [this] {
+    return static_cast<double>(parity_packets_emitted());
+  });
 }
 
 void UepFecEncodeFilter::on_packet(util::Bytes packet) {

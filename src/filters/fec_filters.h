@@ -85,8 +85,9 @@ class FecDecodeFilter final : public core::PacketFilter {
 
   fec::GroupDecoder decoder_;
   // Atomic mirror of decoder_.stats(), refreshed by sync_stats() on the
-  // filter thread, so params() (control thread, e.g. a controller's
-  // list_chain while traffic flows) never touches the live decoder.
+  // filter thread, so params() and the registered metrics (control thread,
+  // e.g. a controller's list_chain or a STATS snapshot while traffic flows)
+  // never touch the live decoder.
   struct AtomicStats {
     std::atomic<std::uint64_t> packets_seen{0};
     std::atomic<std::uint64_t> data_received{0};
@@ -96,14 +97,6 @@ class FecDecodeFilter final : public core::PacketFilter {
     std::atomic<std::uint64_t> groups_incomplete{0};
   };
   AtomicStats shared_stats_;
-  // Owned gauges mirroring decoder_.stats(); updated on the filter thread
-  // (DecoderStats itself is not safe to read concurrently), attached to the
-  // registry at register_metrics time.
-  std::shared_ptr<obs::Gauge> m_groups_decoded_ = std::make_shared<obs::Gauge>();
-  std::shared_ptr<obs::Gauge> m_groups_incomplete_ =
-      std::make_shared<obs::Gauge>();
-  std::shared_ptr<obs::Gauge> m_data_recovered_ = std::make_shared<obs::Gauge>();
-  std::shared_ptr<obs::Gauge> m_data_lost_ = std::make_shared<obs::Gauge>();
 };
 
 /// Unequal error protection for video: frames are grouped *per frame
@@ -121,7 +114,9 @@ class UepFecEncodeFilter final : public core::PacketFilter {
   std::string describe() const override;
   std::string output_type(const std::string& input) const override;
 
-  std::uint64_t parity_packets_emitted() const noexcept { return parity_out_; }
+  std::uint64_t parity_packets_emitted() const noexcept {
+    return parity_out_.load(std::memory_order_relaxed);
+  }
 
   /// Adds "groups_encoded" and "parity_packets".
   void register_metrics(obs::Scope scope) override;
@@ -137,10 +132,11 @@ class UepFecEncodeFilter final : public core::PacketFilter {
   fec::UepPolicy policy_;
   std::map<fec::FrameClass, std::unique_ptr<fec::GroupEncoder>> encoders_;
   std::uint32_t next_group_id_ = 0;
-  std::uint64_t parity_out_ = 0;
+  // Written on the filter thread, read by parity_packets_emitted() and the
+  // "parity_packets" metric from any thread.
+  std::atomic<std::uint64_t> parity_out_{0};
   std::shared_ptr<obs::Counter> m_groups_encoded_ =
       std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Gauge> m_parity_packets_ = std::make_shared<obs::Gauge>();
 };
 
 }  // namespace rapidware::filters

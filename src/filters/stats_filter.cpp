@@ -4,20 +4,18 @@
 
 namespace rapidware::filters {
 
-StatsFilter::StatsFilter(std::string name, util::Clock* clock)
-    : PacketFilter(std::move(name)),
-      clock_(clock != nullptr ? clock : &wall_) {}
+StatsFilter::StatsFilter(std::string name) : PacketFilter(std::move(name)) {}
 
 std::string StatsFilter::describe() const {
   char buf[80];
   std::snprintf(buf, sizeof(buf), "%s(pkts=%llu, bytes=%llu)", name().c_str(),
-                static_cast<unsigned long long>(packets_.load()),
+                static_cast<unsigned long long>(packets()),
                 static_cast<unsigned long long>(bytes_.load()));
   return buf;
 }
 
 core::ParamMap StatsFilter::params() const {
-  return {{"packets", std::to_string(packets_.load())},
+  return {{"packets", std::to_string(packets())},
           {"bytes", std::to_string(bytes_.load())},
           {"throughput_bps", std::to_string(throughput_bps())}};
 }
@@ -31,11 +29,10 @@ double StatsFilter::throughput_bps() const {
 }
 
 void StatsFilter::on_packet(util::Bytes packet) {
-  const util::Micros now = clock_->now();
+  const util::Micros now = clock_.now();
   util::Micros expected = -1;
   first_at_.compare_exchange_strong(expected, now);
   last_at_.store(now);
-  packets_.fetch_add(1);
   bytes_.fetch_add(packet.size());
   emit(std::move(packet));
 }

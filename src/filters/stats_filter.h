@@ -12,13 +12,12 @@ namespace rapidware::filters {
 
 class StatsFilter final : public core::PacketFilter {
  public:
-  explicit StatsFilter(std::string name = "stats",
-                       util::Clock* clock = nullptr);
+  explicit StatsFilter(std::string name = "stats");
 
   std::string describe() const override;
   core::ParamMap params() const override;
 
-  std::uint64_t packets() const noexcept { return packets_.load(); }
+  std::uint64_t packets() const noexcept { return packets_in(); }
   std::uint64_t bytes() const noexcept { return bytes_.load(); }
 
   /// Average throughput since the first packet, bytes/second.
@@ -36,9 +35,7 @@ class StatsFilter final : public core::PacketFilter {
   void on_packet(util::Bytes packet) override;
 
  private:
-  util::Clock* clock_;
-  util::WallClock wall_;
-  std::atomic<std::uint64_t> packets_{0};
+  util::WallClock clock_;
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<util::Micros> first_at_{-1};
   std::atomic<util::Micros> last_at_{-1};

@@ -66,7 +66,7 @@ std::optional<Datagram> SimSocket::poll_recv(bool* closed) {
   return std::nullopt;
 }
 
-void SimSocket::set_ready_watcher(util::ReadyWatcher* watcher) {
+void SimSocket::set_ready_watcher(util::Scheduler* watcher) {
   rw::MutexLock lk(mu_);
   watcher_ = watcher;
   watcher_armed_ = false;
@@ -76,16 +76,16 @@ void SimSocket::set_ready_watcher(util::ReadyWatcher* watcher) {
   });
 }
 
-util::ReadyWatcher* SimSocket::take_watcher_locked() {
+util::Scheduler* SimSocket::take_watcher_locked() {
   if (watcher_ == nullptr || !watcher_armed_) return nullptr;
   watcher_armed_ = false;
   ++watcher_firing_;
   return watcher_;
 }
 
-void SimSocket::fire(util::ReadyWatcher* watcher) {
+void SimSocket::fire(util::Scheduler* watcher) {
   if (watcher == nullptr) return;
-  watcher->on_io_ready();
+  watcher->on_readable();
   rw::MutexLock lk(mu_);
   if (--watcher_firing_ == 0) fired_cv_.notify_all();
 }
@@ -95,7 +95,7 @@ void SimSocket::join(const Address& group) { net_->join_group(group, this); }
 void SimSocket::leave(const Address& group) { net_->leave_group(group, this); }
 
 void SimSocket::close() {
-  util::ReadyWatcher* watcher = nullptr;
+  util::Scheduler* watcher = nullptr;
   {
     rw::MutexLock lk(mu_);
     if (closed_) return;
@@ -123,7 +123,7 @@ std::uint64_t SimSocket::packets_received() const {
 }
 
 void SimSocket::enqueue(Datagram d) {
-  util::ReadyWatcher* watcher = nullptr;
+  util::Scheduler* watcher = nullptr;
   {
     rw::MutexLock lk(mu_);
     if (closed_) return;

@@ -63,12 +63,13 @@ class SimSocket {
   /// close().
   std::optional<Datagram> poll_recv(bool* closed);
 
-  /// Registers (nullptr clears) the watcher poll_recv() arms. The fire
-  /// runs on the enqueuing or closing thread OUTSIDE this socket's lock:
-  /// the watcher posts to a worker, whose loop lock ranks before the
-  /// socket's. So this call waits out a fire in flight — once it returns,
-  /// the previous watcher is no longer referenced.
-  void set_ready_watcher(util::ReadyWatcher* watcher);
+  /// Registers (nullptr clears) the watcher poll_recv() arms; its fire is
+  /// an on_readable(). The fire runs on the enqueuing or closing thread
+  /// OUTSIDE this socket's lock: the watcher posts to a worker, whose loop
+  /// lock ranks before the socket's. So this call waits out a fire in
+  /// flight — once it returns, the previous watcher is no longer
+  /// referenced.
+  void set_ready_watcher(util::Scheduler* watcher);
 
   /// Joins/leaves a multicast group.
   void join(const Address& group);
@@ -89,9 +90,9 @@ class SimSocket {
   void enqueue(Datagram d);
 
   /// Disarms and returns the armed watcher (counted as in flight), or null.
-  util::ReadyWatcher* take_watcher_locked() RW_REQUIRES(mu_);
+  util::Scheduler* take_watcher_locked() RW_REQUIRES(mu_);
   /// Runs a watcher taken above, then retires it from the in-flight count.
-  void fire(util::ReadyWatcher* watcher) RW_EXCLUDES(mu_);
+  void fire(util::Scheduler* watcher) RW_EXCLUDES(mu_);
 
   SimNetwork* const net_;
   const Address local_;
@@ -105,7 +106,7 @@ class SimSocket {
   bool closed_ RW_GUARDED_BY(mu_) = false;
   std::uint64_t sent_ RW_GUARDED_BY(mu_) = 0;
   std::uint64_t received_ RW_GUARDED_BY(mu_) = 0;
-  util::ReadyWatcher* watcher_ RW_GUARDED_BY(mu_) = nullptr;
+  util::Scheduler* watcher_ RW_GUARDED_BY(mu_) = nullptr;
   bool watcher_armed_ RW_GUARDED_BY(mu_) = false;  // one-shot, armed by poll
   int watcher_firing_ RW_GUARDED_BY(mu_) = 0;  // fires running outside mu_
   rw::CondVar fired_cv_;  // watcher_firing_ dropped to zero

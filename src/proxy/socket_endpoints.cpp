@@ -11,13 +11,6 @@ std::optional<util::Bytes> SocketPacketSource::poll_packet(bool* finished) {
   return std::move(datagram->payload);
 }
 
-void SocketPacketSource::set_scheduler(core::Scheduler* sched) {
-  // Bind before the socket can fire the forwarder. Clearing waits out a
-  // fire in flight, so the stale target is never reached afterwards.
-  if (sched != nullptr) watcher_.bind(sched);
-  socket_->set_ready_watcher(sched != nullptr ? &watcher_ : nullptr);
-}
-
 void SocketPacketSource::interrupt() { socket_->close(); }
 
 SocketPacketSink::SocketPacketSink(std::shared_ptr<net::SimSocket> socket,

@@ -14,14 +14,17 @@
 namespace rapidware::proxy {
 
 /// PacketSource over a bound socket; each datagram payload is one packet.
-/// The reader endpoint polls it from its worker; the socket's one-shot
-/// ready watcher re-drives the endpoint when a datagram (or close) arrives.
+/// The reader endpoint polls it from its worker; its scheduler is the
+/// socket's one-shot ready watcher, which re-drives the endpoint when a
+/// datagram (or close) arrives.
 class SocketPacketSource final : public core::PacketSource {
  public:
   explicit SocketPacketSource(std::shared_ptr<net::SimSocket> socket);
 
   std::optional<util::Bytes> poll_packet(bool* finished) override;
-  void set_scheduler(core::Scheduler* sched) override;
+  void set_scheduler(core::Scheduler* sched) override {
+    socket_->set_ready_watcher(sched);
+  }
 
   /// Closes the socket: the endpoint drains what is queued, then ends.
   void interrupt() override;
@@ -30,7 +33,6 @@ class SocketPacketSource final : public core::PacketSource {
 
  private:
   std::shared_ptr<net::SimSocket> socket_;
-  core::IoReadyForwarder watcher_;
 };
 
 /// PacketSink that sends every packet to a destination (unicast or

@@ -2,8 +2,9 @@
 // classes in src/core implement them; framing (util::FrameReader,
 // util::try_write_frame) is written against them so it is testable over an
 // in-memory stream. Nothing here waits: a read or write that cannot make
-// progress returns at once and arms the stream's readiness watcher, and
-// the outside world meets a chain through the packet endpoints
+// progress returns at once and arms the stream's readiness watcher (a
+// Scheduler, the one callback type net::SimSocket arms too), and the
+// outside world meets a chain through the packet endpoints
 // (core/endpoint.h).
 #pragma once
 
@@ -40,18 +41,25 @@ class SpanVisitor {
   std::size_t (*call_)(void*, ByteSpan, ByteSpan);
 };
 
-/// Readiness callback an I/O object below src/core arms when a poll comes
-/// up empty (net::SimSocket::poll_recv): the next transition (a datagram
-/// arrives, the socket closes) fires on_io_ready() exactly once — the
-/// one-shot arm-under-the-lock protocol of the detachable streams'
-/// watchers, exposed at this layer because net:: cannot name
-/// core::Scheduler (core::IoReadyForwarder bridges the two). Fired from
-/// the thread that caused the transition: implementations must only post
-/// (never block, never re-enter the object).
-class ReadyWatcher {
+/// Readiness-notification target for non-blocking consumers and producers
+/// (docs/data_plane.md, "Worker model"). An I/O object fires a callback at
+/// most once per arming: the watcher arms itself by returning would-block
+/// from a poll (ByteSource::poll_read_borrow, ByteSink::try_write_vec,
+/// net::SimSocket::poll_recv), and the next state change that could clear
+/// the block — data arrival, space freed, reconnect, EOF, close — disarms
+/// and fires. Callbacks run on the thread that caused the change (a
+/// detachable stream fires under the stream lock that noticed it), so
+/// implementations must only post to their worker's queue; they must never
+/// block or call back into the object.
+class Scheduler {
  public:
-  virtual ~ReadyWatcher() = default;
-  virtual void on_io_ready() = 0;
+  virtual ~Scheduler() = default;
+
+  /// The watched input may now have data or a final EOF to report.
+  virtual void on_readable() = 0;
+
+  /// The watched output may now accept a write it previously refused.
+  virtual void on_writable() = 0;
 };
 
 /// Non-blocking byte producer.

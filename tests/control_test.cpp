@@ -332,7 +332,7 @@ TEST(ControlProtocol, StatsRoundTripMatchesDelivery) {
   };
   // The tail endpoint's packet count must agree with the sink the test
   // observes directly — STATS is a faithful view, not a parallel ledger.
-  EXPECT_EQ(value("test/chain/out/packets"),
+  EXPECT_EQ(value("test/chain/out/packets_out"),
             std::to_string(h.sink->count()));
 #if RW_OBS_ENABLED
   EXPECT_EQ(value("test/chain/dtag/packets_in"), "6");

@@ -205,16 +205,30 @@ TEST(FilterChain, InsertMidStreamLosesNothing) {
   Harness h;
   h.chain->start();
   std::atomic<bool> stop{false};
+  std::atomic<std::uint32_t> pushed{0};
   std::thread producer([&] {
     std::uint32_t n = 0;
-    while (!stop.load()) h.source->push(numbered_packet(n++));
+    while (!stop.load()) {
+      h.source->push(numbered_packet(n++));
+      pushed.store(n);
+    }
     h.source->finish();
   });
+  // A loaded host may not run the producer for a while: wait for its
+  // pushes instead of trusting the sleeps.
+  const auto wait_pushed = [&](std::uint32_t count) {
+    while (pushed.load() < count) std::this_thread::yield();
+  };
 
   // Insert while traffic is flowing.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  wait_pushed(1);
   h.chain->insert(std::make_shared<TagFilter>(1), 0);
+  // Packet number at_insert + 1 is pushed after this read, so after the
+  // insert: waiting for it makes the stream's last packet carry the tag.
+  const std::uint32_t at_insert = pushed.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  wait_pushed(at_insert + 2);
   stop = true;
   producer.join();
   h.chain->shutdown();

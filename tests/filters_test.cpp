@@ -18,6 +18,7 @@
 #include "media/audio.h"
 #include "media/media_packet.h"
 #include "media/video.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace rapidware::filters {
@@ -156,6 +157,44 @@ TEST(FecFilters, DecodeStatsExposed) {
   h.run_to_completion();
   EXPECT_EQ(dec->params().at("data_received"), "10");
   EXPECT_EQ(dec->stats().data_lost, 0u);
+}
+
+TEST(FecFilters, StatsAloneShowPerHopConservation) {
+  // Every hop's in and out, read from the registry alone: each stage takes
+  // exactly what its upstream neighbour sent, the encoder adds one parity
+  // packet per two data packets, and the decoder takes them out again.
+  auto source = std::make_shared<core::QueuePacketSource>();
+  auto sink = std::make_shared<core::CollectingPacketSink>();
+  obs::Registry reg;
+  auto chain = std::make_shared<core::FilterChain>(
+      std::make_shared<core::PacketReaderEndpoint>("head", source),
+      std::make_shared<core::PacketWriterEndpoint>("tail", sink));
+  chain->insert(std::make_shared<FecEncodeFilter>(6, 4), 0);
+  chain->insert(std::make_shared<FecDecodeFilter>(), 1);
+  chain->bind_metrics(reg, "p/chain");
+  chain->start();
+  for (auto& p : media_payloads(40)) source->push(p);
+  source->finish();
+  chain->shutdown();
+
+  const obs::Snapshot snap = reg.snapshot("p/chain");
+  const auto value = [&snap](const std::string& name) -> std::string {
+    for (const auto& e : snap) {
+      if (e.name == name) return e.value;
+    }
+    return "<missing: " + name + ">";
+  };
+  EXPECT_EQ(value("p/chain/head/packets_in"), "40");
+  EXPECT_EQ(value("p/chain/head/packets_out"), "40");
+  EXPECT_EQ(value("p/chain/fec-encode/packets_in"), "40");
+  EXPECT_EQ(value("p/chain/fec-encode/packets_out"), "60");
+  EXPECT_EQ(value("p/chain/fec-decode/packets_in"), "60");
+  EXPECT_EQ(value("p/chain/fec-decode/packets_out"), "40");
+  EXPECT_EQ(value("p/chain/fec-decode/groups_decoded"), "10");
+  EXPECT_EQ(value("p/chain/fec-decode/data_recovered"), "0");
+  EXPECT_EQ(value("p/chain/tail/packets_in"), "40");
+  EXPECT_EQ(value("p/chain/tail/packets_out"), "40");
+  EXPECT_EQ(value("p/chain/tail/packets_out"), std::to_string(sink->count()));
 }
 
 // ---------------------------------------------------------------------------

@@ -238,8 +238,8 @@ TEST(ObsChain, BindPublishesEndpointAndChainMetrics) {
   const auto snap = b.reg.snapshot("p/chain");
   EXPECT_TRUE(has_entry(snap, "p/chain/filters"));
   EXPECT_TRUE(has_entry(snap, "p/chain/inserts"));
-  EXPECT_TRUE(has_entry(snap, "p/chain/in/packets"));
-  EXPECT_TRUE(has_entry(snap, "p/chain/out/packets"));
+  EXPECT_TRUE(has_entry(snap, "p/chain/in/packets_in"));
+  EXPECT_TRUE(has_entry(snap, "p/chain/out/packets_out"));
   EXPECT_EQ(find_value(snap, "p/chain/filters"), "0");
 }
 
@@ -277,7 +277,7 @@ TEST(ObsChain, TrafficShowsUpInFilterCounters) {
   ASSERT_TRUE(b.sink->wait_for(10));
 
   const auto snap = b.reg.snapshot("p/chain");
-  EXPECT_EQ(find_value(snap, "p/chain/out/packets"), "10");
+  EXPECT_EQ(find_value(snap, "p/chain/out/packets_out"), "10");
 #if RW_OBS_ENABLED
   // A pass-through byte filter: at least the framed payload in, and
   // byte-in == byte-out.

@@ -555,7 +555,9 @@ TEST(PipeStress, FrameReaderPropagatesInjectedTransportErrors) {
     // The delivered prefix is byte-exact (asserted above); the outcome
     // matches what the injector actually did.
     EXPECT_EQ(threw, faults->throws() > 0);
-    if (!threw) EXPECT_EQ(got, expect.size());
+    if (!threw) {
+      EXPECT_EQ(got, expect.size());
+    }
 
     // The pool survived the unwind: acquire/release still round-trip.
     util::Bytes b = pool.acquire(256);
