@@ -2,13 +2,15 @@
 // costs relative to the machine's own memory bandwidth. Each row prices a
 // hop the way a chain on one worker runs it, with no thread: the upstream
 // stage writes until the ring refuses, then the downstream stage drains it
-// until would-block. Every throughput row is normalized against a same-run
-// memcpy baseline ("vs_memcpy"), so the committed baseline JSON compares
-// across machines: "framed transport used to run at 0.7x memcpy on whatever
-// host produced the baseline, now it is 0.4x" is a code regression no
-// matter the hardware (tools/bench_compare.py --rwbench enforces this in
-// CI). Every row checks that it delivered exactly the bytes written before
-// it reports a throughput.
+// until would-block. Every throughput row is normalized against a memcpy
+// reference measured beside it ("vs_memcpy"), so the committed baseline
+// JSON compares across machines: "framed transport used to run at 0.7x
+// memcpy on whatever host produced the baseline, now it is 0.4x" is a code
+// regression no matter the hardware (tools/bench_compare.py --rwbench
+// enforces this in CI). The reference is timed rep for rep with the row,
+// so memory-bandwidth drift during a run moves both sides of the ratio.
+// Every row checks that it delivered exactly the bytes written before it
+// reports a throughput.
 //
 // Rows:
 //   * memcpy           — the floor: move bytes with no stream
@@ -55,37 +57,64 @@ void check_delivered(const std::string& series, std::int64_t delivered,
   }
 }
 
-/// Runs `body` (which moves `total_bytes`) `reps` times; returns the best
-/// MB/s. Best-of-N because on a contended CI host the fastest run is the
-/// one least distorted by scheduling noise.
-template <typename Body>
-double best_mbps(int reps, double total_bytes, Body&& body) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    body();
-    best = std::max(best, total_bytes / secs_since(t0) / 1e6);
-  }
-  return best;
-}
+/// The normalization reference: single-thread memcpy of 64 KiB chunks, the
+/// best the memory system does with zero synchronization.
+constexpr std::size_t kRefChunk = 65536;
 
-double bench_memcpy(std::size_t chunk, std::int64_t total_chunks, int reps) {
+/// One timed pass of `chunks` memcpys of `chunk` bytes; returns MB/s.
+double memcpy_mbps(std::size_t chunk, std::int64_t chunks) {
   util::Bytes src(chunk, 0xaa), dst(chunk, 0);
   volatile std::uint8_t guard = 0;
-  const double total =
-      static_cast<double>(chunk) * static_cast<double>(total_chunks);
-  return best_mbps(reps, total, [&] {
-    for (std::int64_t i = 0; i < total_chunks; ++i) {
-      std::memcpy(dst.data(), src.data(), chunk);
-      guard = guard + dst[chunk - 1];
-    }
-  });
+  const auto t0 = Clock::now();
+  for (std::int64_t i = 0; i < chunks; ++i) {
+    std::memcpy(dst.data(), src.data(), chunk);
+    guard = guard + dst[chunk - 1];
+  }
+  return static_cast<double>(chunk) * static_cast<double>(chunks) /
+         secs_since(t0) / 1e6;
 }
 
-double bench_pipe(std::size_t chunk, std::int64_t total_chunks, int reps) {
+/// Repetitions per row, and the size of one reference pass.
+struct Sizing {
+  int reps;
+  std::int64_t ref_chunks;
+};
+
+/// A row's best MB/s and the best reference MB/s timed beside it.
+struct Rate {
+  double mbps = 0.0;
+  double ref_mbps = 0.0;
+};
+
+/// Runs `body` (which moves `total_bytes`) `reps` times, each run right
+/// after one reference pass; keeps the best of each side. Best-of-N
+/// because on a contended CI host the fastest run is the one least
+/// distorted by scheduling noise.
+template <typename Body>
+Rate best_mbps(const Sizing& sizing, double total_bytes, Body&& body) {
+  Rate rate;
+  for (int r = 0; r < sizing.reps; ++r) {
+    rate.ref_mbps =
+        std::max(rate.ref_mbps, memcpy_mbps(kRefChunk, sizing.ref_chunks));
+    const auto t0 = Clock::now();
+    body();
+    rate.mbps = std::max(rate.mbps, total_bytes / secs_since(t0) / 1e6);
+  }
+  return rate;
+}
+
+Rate bench_memcpy(std::size_t chunk, std::int64_t total_chunks,
+                  const Sizing& sizing) {
   const double total =
       static_cast<double>(chunk) * static_cast<double>(total_chunks);
-  return best_mbps(reps, total, [&] {
+  return best_mbps(sizing, total, [&] { memcpy_mbps(chunk, total_chunks); });
+}
+
+Rate bench_pipe(std::size_t chunk, std::int64_t total_chunks,
+                const Sizing& sizing) {
+  const double total =
+      static_cast<double>(chunk) * static_cast<double>(total_chunks);
+  return best_mbps(sizing, total, [&] {
     core::DetachableInputStream dis;
     core::DetachableOutputStream dos;
     core::connect(dos, dis);
@@ -132,12 +161,12 @@ double bench_pipe(std::size_t chunk, std::int64_t total_chunks, int reps) {
 /// into a single try_write_vec, which the stream commits atomically). The
 /// reader recycles each payload through its own pool, as a pass-through
 /// PacketFilter returns it to its worker's arena.
-double bench_framed(const std::string& series, std::size_t payload,
-                    std::int64_t total_frames, std::size_t batch, int reps,
-                    double* batching_factor) {
+Rate bench_framed(const std::string& series, std::size_t payload,
+                  std::int64_t total_frames, std::size_t batch,
+                  const Sizing& sizing, double* batching_factor) {
   const double total =
       static_cast<double>(payload) * static_cast<double>(total_frames);
-  return best_mbps(reps, total, [&] {
+  return best_mbps(sizing, total, [&] {
     core::DetachableInputStream dis;
     core::DetachableOutputStream dos;
     core::connect(dos, dis);
@@ -224,46 +253,43 @@ int main(int argc, char** argv) {
   // a single-core, shared host. --quick is for local iteration only.
   const int reps = quick ? 3 : 7;
   const std::int64_t scale = quick ? 1 : 4;
+  const Sizing sizing{reps, 4096 * scale};
 
   std::printf("=== Detachable-stream data-plane throughput ===\n\n");
   rwbench::JsonSummary json("stream_throughput");
   json.meta("rw_obs_enabled", RW_OBS_ENABLED != 0);
   json.meta("quick", quick);
 
-  // The normalization denominator: single-thread memcpy at the largest
-  // chunk, i.e. the best the memory system does with zero synchronization.
-  const double memcpy_ref = bench_memcpy(65536, 4096 * scale, reps);
-  json.meta("memcpy_ref_mbytes_per_sec", memcpy_ref);
-  std::printf("%-24s %12.0f MB/s  (normalization reference)\n\n",
-              "memcpy/65536", memcpy_ref);
-
-  std::printf("%-24s %12s %10s\n", "series", "MB/s", "vs_memcpy");
+  std::printf("%-24s %12s %12s %10s\n", "series", "MB/s", "memcpy MB/s",
+              "vs_memcpy");
   const auto emit = [&](const std::string& name, std::size_t bytes,
-                        double mbps, rwbench::JsonFields extra = {}) {
-    const double ratio = mbps / memcpy_ref;
-    std::printf("%-24s %12.0f %9.3fx\n", name.c_str(), mbps, ratio);
+                        const Rate& rate, rwbench::JsonFields extra = {}) {
+    const double ratio = rate.mbps / rate.ref_mbps;
+    std::printf("%-24s %12.0f %12.0f %9.3fx\n", name.c_str(), rate.mbps,
+                rate.ref_mbps, ratio);
     rwbench::JsonFields fields = {{"name", name},
                                   {"bytes", static_cast<long long>(bytes)},
-                                  {"mbytes_per_sec", mbps},
+                                  {"mbytes_per_sec", rate.mbps},
+                                  {"memcpy_ref_mbytes_per_sec", rate.ref_mbps},
                                   {"vs_memcpy", ratio}};
     for (auto& f : extra) fields.push_back(std::move(f));
     json.row(std::move(fields));
   };
 
-  emit("memcpy/4096", 4096, bench_memcpy(4096, 16384 * scale, reps));
-  emit("memcpy/65536", 65536, memcpy_ref);
+  emit("memcpy/4096", 4096, bench_memcpy(4096, 16384 * scale, sizing));
+  emit("memcpy/65536", 65536, bench_memcpy(65536, 4096 * scale, sizing));
 
-  emit("pipe/4096", 4096, bench_pipe(4096, 8192 * scale, reps));
-  emit("pipe/65536", 65536, bench_pipe(65536, 1024 * scale, reps));
+  emit("pipe/4096", 4096, bench_pipe(4096, 8192 * scale, sizing));
+  emit("pipe/65536", 65536, bench_pipe(65536, 1024 * scale, sizing));
 
   const std::int64_t small_frames = 32768 * scale;
   const std::int64_t big_frames = 8192 * scale;
   const auto framed = [&](const std::string& series, std::size_t payload,
                           std::int64_t frames, std::size_t batch) {
     double batching = 0.0;
-    const double mbps =
-        bench_framed(series, payload, frames, batch, reps, &batching);
-    emit(series, payload, mbps, {{"frames_per_refill", batching}});
+    const Rate rate =
+        bench_framed(series, payload, frames, batch, sizing, &batching);
+    emit(series, payload, rate, {{"frames_per_refill", batching}});
   };
   framed("framed/320", 320, small_frames, 1);
   framed("framed/4096", 4096, big_frames, 1);

@@ -44,6 +44,10 @@ struct FilterEventCore final : Scheduler,
   EventLoop* const loop;
   std::atomic<bool> alive{true};
   std::atomic<bool> scheduled{false};
+  // The final drive and close_output_when_done() each exchange this to
+  // true; whichever comes second closes the DOS, so it closes exactly once
+  // and never before the run has ended.
+  std::atomic<bool> close_output{false};
 
   rw::Mutex mu{"core/filter_event", rw::lockrank::kFilterEvent};
   rw::CondVar done_cv;
@@ -138,6 +142,9 @@ void Filter::finish(detail::FilterEventCore& core) {
   dis_->set_read_scheduler(nullptr);
   dos_->set_write_scheduler(nullptr);
   event_stop();
+  if (core.close_output.exchange(true, std::memory_order_acq_rel)) {
+    dos_->close();
+  }
   core.alive.store(false, std::memory_order_release);
   running_.store(false, std::memory_order_release);
   rw::MutexLock lk(core.mu);
@@ -146,6 +153,13 @@ void Filter::finish(detail::FilterEventCore& core) {
 }
 
 void Filter::detach_request() { dis_->mark_soft_eof(); }
+
+void Filter::close_output_when_done() {
+  if (!event_core_ ||
+      event_core_->close_output.exchange(true, std::memory_order_acq_rel)) {
+    dos_->close();
+  }
+}
 
 bool Filter::set_param(const std::string& key, const std::string& value) {
   (void)key;

@@ -24,6 +24,10 @@
 // drive observes end-of-stream, calls the flush hook (e.g. emit a partial
 // FEC group), and finishes WITHOUT closing its DOS, so downstream stays
 // connected.
+//
+// Teardown: the chain arms close_output_when_done() on every stage, so
+// each one drains and flushes, and its final drive then closes its DOS:
+// the end of the stream ripples down the chain behind the last packet.
 #pragma once
 
 #include <atomic>
@@ -86,6 +90,12 @@ class Filter {
   /// Asks the drive to finish: drains the input via soft EOF. Pair with
   /// join().
   void detach_request();
+
+  /// Closes the output once the current run has ended, or at once if it
+  /// already has (or never started). A live run's final drive closes it,
+  /// before join() can return. Once per run, and only when no control op
+  /// will splice this filter's streams again: a closed DOS stays closed.
+  void close_output_when_done();
 
   /// Asks a source-driven filter (reader endpoint) to stop producing.
   /// Default: no-op; ordinary filters stop via detach_request().

@@ -129,22 +129,24 @@ void FilterChain::insert(std::shared_ptr<Filter> filter, std::size_t pos) {
   rw::MutexLock lk(mu_);
   if (shut_down_) throw StreamError("FilterChain::insert: chain shut down");
   check_pos_locked(pos, /*inclusive=*/true);
-  const std::vector<Filter*> stages = filter->stages();
-  for (const Filter* s : stages) {
+  for (const Filter* s : filter->stages()) {
     if (s->running()) {
       throw StreamError("FilterChain::insert: filter already running");
     }
   }
-  if (enforce_types_) {
-    auto hypothetical = filters_;
-    hypothetical.insert(hypothetical.begin() + static_cast<std::ptrdiff_t>(pos),
-                        filter);
-    if (const auto error = check_types_locked(hypothetical)) {
-      throw StreamError("FilterChain::insert rejected: " + *error);
-    }
+  if (stream_type_ != kAnyType) {
+    auto arrangement = filters_;
+    arrangement.insert(arrangement.begin() + static_cast<std::ptrdiff_t>(pos),
+                       filter);
+    require_types_locked("insert", arrangement);
   }
+  insert_locked(std::move(filter), pos);
+}
 
+void FilterChain::insert_locked(std::shared_ptr<Filter> filter,
+                                std::size_t pos) {
   // Before start() this just configures the chain; start() wires it.
+  const std::vector<Filter*> stages = filter->stages();
   const auto t0 = std::chrono::steady_clock::now();
   if (started_ && !stages.empty()) {
     Filter& left = left_of_locked(pos);
@@ -199,14 +201,15 @@ std::shared_ptr<Filter> FilterChain::remove(std::size_t pos) {
   rw::MutexLock lk(mu_);
   if (shut_down_) throw StreamError("FilterChain::remove: chain shut down");
   check_pos_locked(pos, /*inclusive=*/false);
-  if (enforce_types_) {
-    auto hypothetical = filters_;
-    hypothetical.erase(hypothetical.begin() + static_cast<std::ptrdiff_t>(pos));
-    if (const auto error = check_types_locked(hypothetical)) {
-      throw StreamError("FilterChain::remove rejected: " + *error);
-    }
+  if (stream_type_ != kAnyType) {
+    auto arrangement = filters_;
+    arrangement.erase(arrangement.begin() + static_cast<std::ptrdiff_t>(pos));
+    require_types_locked("remove", arrangement);
   }
+  return remove_locked(pos);
+}
 
+std::shared_ptr<Filter> FilterChain::remove_locked(std::size_t pos) {
   std::shared_ptr<Filter> filter = filters_[pos];
   const std::vector<Filter*> stages = filter->stages();
   const auto t0 = std::chrono::steady_clock::now();
@@ -245,45 +248,23 @@ std::shared_ptr<Filter> FilterChain::remove(std::size_t pos) {
 }
 
 void FilterChain::reorder(std::size_t from, std::size_t to) {
-  // remove() + insert(), as the paper's ControlThread does; `to` addresses
-  // the vector after the removal. With type enforcement, only the FINAL
-  // arrangement must type-check (the transient state between the two steps
-  // never carries data for the moved filter), so checks are applied here
-  // and bypassed in the constituent steps.
-  bool enforce = false;
-  {
-    rw::MutexLock lk(mu_);
-    check_pos_locked(from, /*inclusive=*/false);
-    enforce = enforce_types_;
-    if (enforce) {
-      auto hypothetical = filters_;
-      auto moved = hypothetical[from];
-      hypothetical.erase(hypothetical.begin() +
-                         static_cast<std::ptrdiff_t>(from));
-      const std::size_t target = std::min(to, hypothetical.size());
-      hypothetical.insert(
-          hypothetical.begin() + static_cast<std::ptrdiff_t>(target),
-          std::move(moved));
-      if (const auto error = check_types_locked(hypothetical)) {
-        throw StreamError("FilterChain::reorder rejected: " + *error);
-      }
-      enforce_types_ = false;  // control ops are caller-serialized
-    }
-  }
-  try {
-    std::shared_ptr<Filter> filter = remove(from);
-    {
-      rw::MutexLock lk(mu_);
-      to = std::min(to, filters_.size());
-    }
-    insert(std::move(filter), to);
-  } catch (...) {
-    rw::MutexLock lk(mu_);
-    enforce_types_ = enforce;
-    throw;
-  }
+  // remove() + insert(), as the paper's ControlThread does, under one hold
+  // of mu_: no other control op runs between the two splices, so only the
+  // final arrangement is type-checked. `to` addresses the vector after the
+  // removal.
   rw::MutexLock lk(mu_);
-  enforce_types_ = enforce;
+  if (shut_down_) throw StreamError("FilterChain::reorder: chain shut down");
+  check_pos_locked(from, /*inclusive=*/false);
+  to = std::min(to, filters_.size() - 1);
+  if (stream_type_ != kAnyType) {
+    auto arrangement = filters_;
+    auto moved = arrangement[from];
+    arrangement.erase(arrangement.begin() + static_cast<std::ptrdiff_t>(from));
+    arrangement.insert(arrangement.begin() + static_cast<std::ptrdiff_t>(to),
+                       std::move(moved));
+    require_types_locked("reorder", arrangement);
+  }
+  insert_locked(remove_locked(from), to);
   if (m_reorders_) m_reorders_->add();
   record_locked("reorder " + std::to_string(from) + " -> " +
                 std::to_string(to));
@@ -336,11 +317,6 @@ void FilterChain::set_stream_type(std::string type) {
   stream_type_ = std::move(type);
 }
 
-void FilterChain::set_type_enforcement(bool enforce) {
-  rw::MutexLock lk(mu_);
-  enforce_types_ = enforce;
-}
-
 std::optional<std::string> FilterChain::check_types_locked(
     const std::vector<std::shared_ptr<Filter>>& filters) const {
   std::string type = stream_type_;
@@ -351,6 +327,15 @@ std::optional<std::string> FilterChain::check_types_locked(
     type = f->output_type(type);
   }
   return std::nullopt;
+}
+
+void FilterChain::require_types_locked(
+    const char* op,
+    const std::vector<std::shared_ptr<Filter>>& filters) const {
+  if (const auto error = check_types_locked(filters)) {
+    throw StreamError(std::string("FilterChain::") + op +
+                      " rejected: " + *error);
+  }
 }
 
 std::vector<std::string> FilterChain::type_trace() const {
@@ -371,72 +356,31 @@ std::optional<std::string> FilterChain::type_error() const {
   return check_types_locked(filters_);
 }
 
-void FilterChain::drain_shutdown() {
-  rw::MutexLock lk(mu_);
-  if (!started_ || shut_down_) return;
-  shut_down_ = true;
-  record_locked("drain_shutdown");
-
-  // The removal protocol, applied to every stage left to right: drain the
-  // upstream pipe, soft-EOF the stage so it flushes, detach its output.
-  head_->join();  // ends when its source ends (caller's responsibility)
-  Filter* left = head_.get();
-  for (Filter* s : stages_locked()) {
-    left->dos().pause();
-    s->detach_request();
-    s->join();
-    left = s;
-  }
-  left->dos().pause();
-  tail_->detach_request();
-  tail_->join();
-}
-
 void FilterChain::shutdown() {
+  begin_shutdown();
+  // Wait even when an earlier begin_shutdown() started the ripple: freeing
+  // one filter's streams while its upstream neighbour's final drive still
+  // writes into them would be a use-after-free (the destructor lands here).
   rw::MutexLock lk(mu_);
   if (!started_) return;
-  const std::vector<Filter*> stages = stages_locked();
-  if (shut_down_) {
-    // A begin_shutdown() already rippled EOF through the chain, but its
-    // final drives may still be retiring on their workers. A synchronous
-    // shutdown (the destructor in particular) must wait for every member:
-    // destroying one filter's streams while its upstream neighbor is
-    // mid-write into them is a use-after-free. Each join returns
-    // immediately once that member's run has finished.
-    head_->join();
-    for (Filter* s : stages) s->join();
-    tail_->join();
-    return;
-  }
-  shut_down_ = true;
-  record_locked("shutdown");
-
-  // Stop the producer, then let hard EOF ripple down the chain: each stage
-  // drains, flushes its tail, and finishes before we close its output.
-  head_->interrupt();
   head_->join();
-  head_->dos().close();
-  for (Filter* s : stages) {
-    s->join();
-    s->dos().close();
-  }
+  for (Filter* s : stages_locked()) s->join();
   tail_->join();
 }
 
 void FilterChain::begin_shutdown() {
   rw::MutexLock lk(mu_);
   if (!started_ || shut_down_) return;
-  shut_down_ = true;
-  record_locked("begin_shutdown");
+  shut_down_ = true;  // no control op touches a stream from here on
+  record_locked("shutdown");
 
-  // Same EOF ripple as shutdown(), minus every join: interrupt the
-  // producer and hard-close all outputs, then let the workers run each
-  // member's final drive at their own pace. Nothing here blocks — this is
-  // called from worker timers (idle-flow eviction), where waiting on
-  // another filter's progress would stall the very loop that must make it.
+  // The end-of-stream ripple: the head stops taking input, and every stage
+  // closes its output after its final drive, so each drains, flushes and
+  // hands EOF downstream in stream order on its own worker. Nothing here
+  // waits on a drive.
   head_->interrupt();
-  head_->dos().close();
-  for (Filter* s : stages_locked()) s->dos().close();
+  head_->close_output_when_done();
+  for (Filter* s : stages_locked()) s->close_output_when_done();
 }
 
 bool FilterChain::finished() const {

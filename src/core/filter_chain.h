@@ -14,6 +14,11 @@
 //                    F.DOS.pause()               — drain F's output
 //                    Left.DOS.reconnect(Right.DIS)
 //
+//   shutdown:        Head.interrupt()            — the source ends
+//                    every F.close_output_when_done()
+//                                                — each stage drains,
+//                                                  flushes, then closes
+//
 // Every member runs as a non-blocking drive on ONE worker loop (chain
 // affinity, docs/data_plane.md "Worker model"): host_on() picks it, or
 // start() places the chain on core::default_worker_pool(). A composite
@@ -118,16 +123,12 @@ class FilterChain {
   bool started() const;
 
   // --- Composability typing (core/composability.h) -----------------------
-  // Declare the type of the stream the head endpoint produces, and the
-  // chain can type-check its configuration; with enforcement on, any
+  // Declare the type of the stream the head endpoint produces, and every
   // insert/remove/reorder that would wedge a filter against a stream it
   // cannot parse is rejected (StreamError) before touching the stream.
 
-  /// Sets the ingress stream type (default "any": checks are vacuous).
+  /// Sets the ingress stream type (default "any": nothing is checked).
   void set_stream_type(std::string type);
-
-  /// Rejects type-breaking mutations when enabled (default off).
-  void set_type_enforcement(bool enforce);
 
   /// The stream type entering each filter plus the final egress type;
   /// size() + 1 entries.
@@ -136,24 +137,19 @@ class FilterChain {
   /// First type error in the current configuration, or nullopt.
   std::optional<std::string> type_error() const;
 
-  /// Stops the head endpoint, propagates EOF through every stage (each
-  /// flushes in order), and waits for every final drive. Idempotent.
-  /// Stages' output streams are hard-closed: fast, final teardown.
+  /// begin_shutdown(), then waits for every member's final drive.
+  /// Idempotent; also completes a shutdown begun earlier.
   void shutdown();
 
-  /// Graceful variant: waits for the head to finish on its own (the source
-  /// must already be ending), then drains and DETACHES each stage via the
-  /// pause/soft-EOF protocol. Afterwards every filter is idle with both
-  /// streams disconnected — reusable in another chain.
-  void drain_shutdown();
-
-  /// Non-blocking shutdown initiation: interrupts the head and hard-closes
-  /// every member's output so EOF/BrokenPipe
-  /// ripples through the workers, then returns WITHOUT waiting. Poll
-  /// finished() to learn when every member's final drive has run — a
-  /// worker must never block on another chain's teardown (the idle-flow
-  /// eviction sweep runs this from a worker timer). Idempotent. After
-  /// begin_shutdown() no further control operations may touch the chain.
+  /// Ends the chain without waiting: interrupts the head and asks every
+  /// stage to close its output when its run ends
+  /// (Filter::close_output_when_done), so the end of the stream ripples
+  /// down the chain on the worker. Nothing in flight is lost: each stage
+  /// drains, flushes and closes in stream order. Poll finished() to learn
+  /// when every final drive has run — a worker must never block on a
+  /// chain's teardown (the idle-flow eviction sweep runs this from a
+  /// worker timer). Idempotent. Afterwards no control operation may touch
+  /// the chain.
   void begin_shutdown();
 
   /// True once a shutdown was initiated and every member has stopped
@@ -184,6 +180,17 @@ class FilterChain {
   std::optional<std::string> check_types_locked(
       const std::vector<std::shared_ptr<Filter>>& filters) const
       RW_REQUIRES(mu_);
+  /// Throws StreamError when `filters` would not type-check. Callers build
+  /// the arrangement only when a stream type is declared.
+  void require_types_locked(
+      const char* op,
+      const std::vector<std::shared_ptr<Filter>>& filters) const
+      RW_REQUIRES(mu_);
+  /// The splice halves of insert()/remove(), without their argument and
+  /// type checks; reorder() runs both under one hold of mu_.
+  void insert_locked(std::shared_ptr<Filter> filter, std::size_t pos)
+      RW_REQUIRES(mu_);
+  std::shared_ptr<Filter> remove_locked(std::size_t pos) RW_REQUIRES(mu_);
   Filter& left_of_locked(std::size_t pos) RW_REQUIRES(mu_);
   Filter& right_of_locked(std::size_t pos) RW_REQUIRES(mu_);
   void check_pos_locked(std::size_t pos, bool inclusive) const
@@ -210,7 +217,6 @@ class FilterChain {
   bool started_ RW_GUARDED_BY(mu_) = false;
   bool shut_down_ RW_GUARDED_BY(mu_) = false;
   std::string stream_type_ RW_GUARDED_BY(mu_) = "any";
-  bool enforce_types_ RW_GUARDED_BY(mu_) = false;
 
   // Observability state (guarded by mu_). The `filters` gauge is set during
   // control ops rather than pulled through a callback so no registry

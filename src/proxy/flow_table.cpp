@@ -31,17 +31,17 @@ FlowTable::FlowTable(core::FlowClassifier& classifier,
     : classifier_(classifier),
       registry_(registry),
       endpoints_(std::move(endpoints)),
-      pool_(pool),
+      pool_(pool != nullptr ? pool : &core::default_worker_pool()),
       idle_timeout_ms_(idle_timeout_ms) {
   if (!endpoints_) {
     throw std::invalid_argument("FlowTable: null endpoint factory");
   }
-  const std::size_t n = pool_ != nullptr ? pool_->size() : 1;
+  const std::size_t n = pool_->size();
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  if (pool_ != nullptr && idle_timeout_ms_ > 0) {
+  if (idle_timeout_ms_ > 0) {
     // Sweep at half the timeout on each shard's own worker clock: two
     // consecutive quiet sweeps span at least one full timeout.
     const util::Micros period =
@@ -62,28 +62,29 @@ FlowTable::~FlowTable() {
   for (auto& shard : shards_) {
     if (shard->sweeper) shard->sweeper->stop();
   }
-  if (pool_ != nullptr) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) pool_->worker(i).sync();
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) pool_->worker(i).sync();
+  if (metrics_) metrics_->drop();  // the callbacks read this table
   shutdown_all();
 }
 
 std::size_t FlowTable::shard_of(const core::FlowKey& key) const {
-  if (shards_.size() == 1) return 0;
   std::size_t h = std::hash<std::uint32_t>{}(key.station);
   h = h * 31 + std::hash<std::string>{}(key.stream_type);
   h = h * 31 + static_cast<std::size_t>(key.regime);
   return h % shards_.size();
 }
 
-FlowTable::Flow FlowTable::make_flow_locked(Shard& shard,
-                                            std::size_t shard_idx,
-                                            const core::FlowKey& key) {
+FlowTable::Flow& FlowTable::flow_locked(Shard& shard, std::size_t idx,
+                                        const core::FlowKey& key) {
   shard.mu.assert_held();
+  if (auto it = shard.flows.find(key); it != shard.flows.end()) {
+    ++it->second.activity;
+    return it->second;
+  }
   Flow flow;
   flow.spec = classifier_.resolve(key);
   Endpoints eps = endpoints_(key);
-  if (!eps.head || !eps.tail) {
+  if (!eps.head || !eps.tail || !eps.source) {
     throw std::invalid_argument("FlowTable: endpoint factory returned null");
   }
   flow.source = std::move(eps.source);
@@ -95,36 +96,21 @@ FlowTable::Flow FlowTable::make_flow_locked(Shard& shard,
   // Chain affinity: the whole chain lives on this shard's worker, so its
   // members multiplex with every other chain of the shard instead of each
   // holding an OS thread.
-  if (pool_ != nullptr) flow.chain->host_on(pool_->worker(shard_idx));
+  flow.chain->host_on(pool_->worker(idx));
   flow.chain->start();
   flow.activity = 1;  // creation counts as activity
-  return flow;
+  Flow& added = shard.flows.emplace(key, std::move(flow)).first->second;
+  flows_.fetch_add(1, std::memory_order_relaxed);
+  created_.fetch_add(1, std::memory_order_relaxed);
+  return added;
 }
 
 std::shared_ptr<core::FilterChain> FlowTable::acquire(
     const core::FlowKey& key) {
   const std::size_t idx = shard_of(key);
   Shard& shard = *shards_[idx];
-  std::shared_ptr<core::FilterChain> chain;
-  bool fresh = false;
-  {
-    rw::MutexLock lk(shard.mu);
-    auto it = shard.flows.find(key);
-    if (it == shard.flows.end()) {
-      it = shard.flows.emplace(key, make_flow_locked(shard, idx, key)).first;
-      fresh = true;
-    } else {
-      ++it->second.activity;
-    }
-    chain = it->second.chain;
-  }
-  if (fresh) {
-    created_.fetch_add(1, std::memory_order_relaxed);
-    rw::MutexLock lk(mu_);
-    if (m_created_) m_created_->add();
-  }
-  if (fresh) publish_flow_count();
-  return chain;
+  rw::MutexLock lk(shard.mu);
+  return flow_locked(shard, idx, key).chain;
 }
 
 std::shared_ptr<core::FilterChain> FlowTable::find(
@@ -139,26 +125,9 @@ void FlowTable::push(const core::FlowKey& key, util::Bytes packet) {
   const std::size_t idx = shard_of(key);
   Shard& shard = *shards_[idx];
   std::shared_ptr<core::QueuePacketSource> source;
-  bool fresh = false;
   {
     rw::MutexLock lk(shard.mu);
-    auto it = shard.flows.find(key);
-    if (it == shard.flows.end()) {
-      it = shard.flows.emplace(key, make_flow_locked(shard, idx, key)).first;
-      fresh = true;
-    } else {
-      ++it->second.activity;
-    }
-    source = it->second.source;
-  }
-  if (fresh) {
-    created_.fetch_add(1, std::memory_order_relaxed);
-    rw::MutexLock lk(mu_);
-    if (m_created_) m_created_->add();
-  }
-  if (fresh) publish_flow_count();
-  if (!source) {
-    throw std::logic_error("FlowTable::push: flow endpoints are not queue-fed");
+    source = flow_locked(shard, idx, key).source;
   }
   // Push outside the shard lock: the queue is unbounded and never blocks,
   // but keeping the data path off the lock means a slow reconfigure
@@ -183,20 +152,11 @@ bool FlowTable::expire(const core::FlowKey& key) {
     if (it == shard.flows.end()) return false;
     flow = std::move(it->second);
     shard.flows.erase(it);
+    flows_.fetch_sub(1, std::memory_order_relaxed);
   }
   expired_.fetch_add(1, std::memory_order_relaxed);
-  {
-    rw::MutexLock lk(mu_);
-    if (m_expired_) m_expired_->add();
-  }
-  publish_flow_count();
-  // Drain outside the lock: teardown waits for in-flight packets to flush.
-  if (flow.source) {
-    flow.source->finish();
-    flow.chain->drain_shutdown();
-  } else {
-    flow.chain->shutdown();
-  }
+  // Outside the lock: teardown waits for in-flight packets to flush.
+  flow.chain->shutdown();
   return true;
 }
 
@@ -226,11 +186,7 @@ std::size_t FlowTable::reresolve() {
       ++changed;
     }
   }
-  if (changed > 0) {
-    reconfigured_.fetch_add(changed, std::memory_order_relaxed);
-    rw::MutexLock lk(mu_);
-    if (m_reconfigured_) m_reconfigured_->add(changed);
-  }
+  reconfigured_.fetch_add(changed, std::memory_order_relaxed);
   return changed;
 }
 
@@ -239,7 +195,6 @@ void FlowTable::sweep_shard(std::size_t idx) {
   // Never block the worker: a control op holding the shard (reresolve
   // mid-splice, an expire) just means this round is skipped.
   if (!shard.mu.try_lock()) return;
-  std::size_t n_evicted = 0;
   try {
     for (auto it = shard.flows.begin(); it != shard.flows.end();) {
       Flow& flow = it->second;
@@ -256,11 +211,11 @@ void FlowTable::sweep_shard(std::size_t idx) {
       // Idle for a full timeout: shut the chain down asynchronously and
       // park it for reaping. begin_shutdown never waits — the final drives
       // run on this very worker, behind this timer callback.
-      if (flow.source) flow.source->finish();
       flow.chain->begin_shutdown();
       shard.draining.push_back(std::move(flow));
       it = shard.flows.erase(it);
-      ++n_evicted;
+      flows_.fetch_sub(1, std::memory_order_relaxed);
+      evicted_.fetch_add(1, std::memory_order_relaxed);
     }
     // Reap drains whose every member has run its final drive. Destruction
     // is cheap here: shutdown already happened, the done-gates are set.
@@ -272,23 +227,10 @@ void FlowTable::sweep_shard(std::size_t idx) {
     RW_ERROR("flow_table") << "idle sweep failed: " << e.what();
   }
   shard.mu.unlock();
-  if (n_evicted > 0) {
-    evicted_.fetch_add(n_evicted, std::memory_order_relaxed);
-    {
-      rw::MutexLock lk(mu_);
-      if (m_evicted_) m_evicted_->add(n_evicted);
-    }
-    publish_flow_count();
-  }
 }
 
 std::size_t FlowTable::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    rw::MutexLock lk(shard->mu);
-    total += shard->flows.size();
-  }
-  return total;
+  return flows_.load(std::memory_order_relaxed);
 }
 
 std::vector<core::FlowKey> FlowTable::keys() const {
@@ -318,54 +260,34 @@ std::uint64_t FlowTable::flows_evicted() const {
 
 void FlowTable::shutdown_all() {
   std::vector<Flow> doomed;
-  std::size_t dropped = 0;
   for (auto& shard : shards_) {
     rw::MutexLock lk(shard->mu);
-    dropped += shard->flows.size();
+    expired_.fetch_add(shard->flows.size(), std::memory_order_relaxed);
+    flows_.fetch_sub(shard->flows.size(), std::memory_order_relaxed);
     for (auto& [key, flow] : shard->flows) doomed.push_back(std::move(flow));
     shard->flows.clear();
     for (auto& flow : shard->draining) doomed.push_back(std::move(flow));
     shard->draining.clear();
   }
-  expired_.fetch_add(dropped, std::memory_order_relaxed);
-  {
-    rw::MutexLock lk(mu_);
-    if (m_flows_) m_flows_->set(0);
-  }
-  // shutdown() blocks until each member stopped; for already-draining
-  // chains it is a no-op and the Flow destructor's done-gate wait covers
-  // the final drives still in flight on the workers.
+  // shutdown() blocks until each member stopped; for chains the sweep
+  // already evicted it only waits out their final drives.
   for (auto& flow : doomed) flow.chain->shutdown();
 }
 
-void FlowTable::publish_flow_count() {
-  std::shared_ptr<obs::Gauge> gauge;
-  {
-    rw::MutexLock lk(mu_);
-    gauge = m_flows_;
-  }
-  if (gauge) gauge->set(static_cast<std::int64_t>(size()));
-}
-
 void FlowTable::bind_metrics(obs::Scope scope) {
-  rw::MutexLock lk(mu_);
-  m_flows_ = scope.gauge("flows");
-  m_created_ = scope.counter("created");
-  m_expired_ = scope.counter("expired");
-  m_reconfigured_ = scope.counter("reconfigured");
-  m_evicted_ = scope.counter("evicted");
-  m_created_->add(created_.load(std::memory_order_relaxed));
-  m_expired_->add(expired_.load(std::memory_order_relaxed));
-  m_reconfigured_->add(reconfigured_.load(std::memory_order_relaxed));
-  m_evicted_->add(evicted_.load(std::memory_order_relaxed));
-  // Rank note: mu_ (kFlowTable) is below the shard locks, so summing the
-  // shards while holding it is in order.
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    rw::MutexLock slk(shard->mu);
-    total += shard->flows.size();
-  }
-  m_flows_->set(static_cast<std::int64_t>(total));
+  if (metrics_) metrics_->drop();
+  const auto publish = [&scope](const char* name,
+                                const std::atomic<std::uint64_t>& count) {
+    scope.callback(name, [&count] {
+      return static_cast<double>(count.load(std::memory_order_relaxed));
+    });
+  };
+  publish("flows", flows_);
+  publish("created", created_);
+  publish("expired", expired_);
+  publish("reconfigured", reconfigured_);
+  publish("evicted", evicted_);
+  metrics_.emplace(std::move(scope));
 }
 
 }  // namespace rapidware::proxy

@@ -4,21 +4,20 @@
 // flow table turns that into "one chain per flow, from shared specs": the
 // first packet of a flow resolves its FlowKey through the FlowClassifier,
 // instantiates a FilterChain from the resolved (interned) ChainSpec, and
-// starts it; flow expiry drains and tears the chain down. Flows holding the
-// same spec share the ChainSpec object (flyweight) but own their chains —
-// chains hold live per-flow state (FEC groups, compression dictionaries).
+// starts it; flow expiry ends the chain (FilterChain::shutdown), which
+// delivers everything in flight first. Flows holding the same spec share
+// the ChainSpec object (flyweight) but own their chains — chains hold live
+// per-flow state (FEC groups, compression dictionaries).
 //
-// Worker model (docs/data_plane.md): constructed over a core::WorkerPool,
-// the table shards its flow map one shard per worker. A flow's key hashes
-// to a shard, and the flow's whole chain is hosted on that shard's worker
+// Worker model (docs/data_plane.md): the table shards its flow map one
+// shard per worker of its core::WorkerPool. A flow's key hashes to a
+// shard, and the flow's whole chain is hosted on that shard's worker
 // (chain affinity): chains*filters logical flows multiplexed onto N event
 // loops. Each worker also runs a periodic idle sweep on its own shard: a
 // flow that sees no push()/acquire() activity for the idle timeout is
 // evicted — its chain is shut down asynchronously
 // (FilterChain::begin_shutdown) and reaped once every member's final drive
-// has run, without the sweep ever blocking the worker. Without a pool the
-// table keeps one shard and no sweeps, and FilterChain::start() places
-// each flow's chain on core::default_worker_pool().
+// has run, without the sweep ever blocking the worker.
 //
 // Live rule updates: after the control server applies RULE_ADD / RULE_DEL
 // it calls reresolve(), which re-runs every active flow's key against the
@@ -36,6 +35,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/endpoint.h"
@@ -53,9 +53,8 @@ namespace rapidware::proxy {
 
 class FlowTable {
  public:
-  /// Endpoint pair a new flow chain is built between. `source` is the push
-  /// handle when the head is queue-fed (push() uses it); custom factories
-  /// may leave it null and drive the head themselves.
+  /// Endpoint pair a new flow chain is built between, and the queue that
+  /// feeds its head (push() uses it). None may be null.
   struct Endpoints {
     std::shared_ptr<core::Filter> head;
     std::shared_ptr<core::Filter> tail;
@@ -71,11 +70,10 @@ class FlowTable {
   /// Idle sweep default: a flow untouched for this long is evicted.
   static constexpr std::uint64_t kDefaultIdleTimeoutMs = 30'000;
 
-  /// With a `pool`, flows shard across its workers (one shard per worker),
-  /// each chain is hosted whole on its shard's worker, and a per-worker
-  /// timer evicts flows idle longer than `idle_timeout_ms`. The pool must
-  /// outlive the table. Without a pool: single shard, chains on the
-  /// default worker pool, no eviction.
+  /// Flows shard across the workers of `pool` (one shard per worker; null
+  /// means core::default_worker_pool()), each chain is hosted whole on its
+  /// shard's worker, and a per-worker timer evicts flows idle longer than
+  /// `idle_timeout_ms` (0: never). The pool must outlive the table.
   FlowTable(core::FlowClassifier& classifier, core::FilterRegistry& registry,
             EndpointFactory endpoints, core::WorkerPool* pool = nullptr,
             std::uint64_t idle_timeout_ms = kDefaultIdleTimeoutMs);
@@ -92,14 +90,14 @@ class FlowTable {
   std::shared_ptr<core::FilterChain> find(const core::FlowKey& key) const;
 
   /// First-packet path: acquire(key), then push the packet into the flow's
-  /// queue source. Throws when the flow's endpoints are not queue-fed.
+  /// queue source.
   void push(const core::FlowKey& key, util::Bytes packet);
 
   /// The interned spec the flow currently runs; null for unknown flows.
   core::ChainSpecRef spec_of(const core::FlowKey& key) const;
 
-  /// Ends the flow: finishes its source (if queue-fed), drains the chain so
-  /// every stage flushes, and forgets it. False if the flow is unknown.
+  /// Ends the flow: shuts its chain down, which delivers every packet
+  /// already pushed, and forgets it. False if the flow is unknown.
   bool expire(const core::FlowKey& key);
 
   /// Re-resolves every active flow against the current rule table and
@@ -117,14 +115,14 @@ class FlowTable {
   /// Flows removed by the idle sweep (not counted in expired()).
   std::uint64_t flows_evicted() const;
 
-  /// The worker pool flows are sharded over; null in single-shard mode.
+  /// The worker pool flows are sharded over.
   core::WorkerPool* pool() const noexcept { return pool_; }
 
-  /// Hard-stops and forgets every flow (fast teardown; no flush guarantee).
+  /// Shuts every flow's chain down and forgets it.
   void shutdown_all();
 
-  /// Publishes "flows" gauge and created/expired/reconfigured/evicted
-  /// counters under `scope`.
+  /// Publishes the "flows" gauge and the created/expired/reconfigured/
+  /// evicted counts under `scope`, until the table is destroyed.
   void bind_metrics(obs::Scope scope);
 
  private:
@@ -154,13 +152,14 @@ class FlowTable {
   };
 
   std::size_t shard_of(const core::FlowKey& key) const;
-  Flow make_flow_locked(Shard& shard, std::size_t shard_idx,
-                        const core::FlowKey& key) RW_REQUIRES(shard.mu);
+  /// The flow for `key` in shard `idx`, created and started on first use;
+  /// counts as activity for the idle sweep.
+  Flow& flow_locked(Shard& shard, std::size_t idx, const core::FlowKey& key)
+      RW_REQUIRES(shard.mu);
   void reconfigure_locked(Flow& flow, const core::ChainSpecRef& spec);  // rw-lint: allow(RW003) caller holds the flow's shard lock, passed implicitly via the Flow&
   /// The per-worker timer body: evict idle flows, reap finished drains.
   /// Runs on shard `idx`'s worker; never blocks (try_lock, skip on miss).
   void sweep_shard(std::size_t idx);
-  void publish_flow_count();
 
   core::FlowClassifier& classifier_;
   core::FilterRegistry& registry_;
@@ -168,21 +167,18 @@ class FlowTable {
   core::WorkerPool* const pool_;
   const std::uint64_t idle_timeout_ms_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;  // rw-lint: allow(RW003) immutable after the constructor; each shard locks itself
+  std::vector<std::unique_ptr<Shard>> shards_;
 
+  // Lifecycle counts, published by bind_metrics() as lock-free callbacks.
+  // `flows_` changes under the shard lock where a flow enters or leaves.
+  std::atomic<std::uint64_t> flows_{0};
   std::atomic<std::uint64_t> created_{0};
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> reconfigured_{0};
   std::atomic<std::uint64_t> evicted_{0};
 
-  // Metric handles only; never held together with a shard lock (counter
-  // updates re-acquire it after the shard op completes).
-  mutable rw::Mutex mu_{"proxy/flow_table", rw::lockrank::kFlowTable};
-  std::shared_ptr<obs::Gauge> m_flows_ RW_GUARDED_BY(mu_);
-  std::shared_ptr<obs::Counter> m_created_ RW_GUARDED_BY(mu_);
-  std::shared_ptr<obs::Counter> m_expired_ RW_GUARDED_BY(mu_);
-  std::shared_ptr<obs::Counter> m_reconfigured_ RW_GUARDED_BY(mu_);
-  std::shared_ptr<obs::Counter> m_evicted_ RW_GUARDED_BY(mu_);
+  // Control-plane only: set by bind_metrics(), dropped by the destructor.
+  std::optional<obs::Scope> metrics_;
 };
 
 }  // namespace rapidware::proxy

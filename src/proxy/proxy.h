@@ -73,8 +73,8 @@ class Proxy {
   /// the proxy's egress socket and destination.
   void flow_push(const core::FlowKey& key, util::Bytes packet);
 
-  /// Drains and tears down one flow's chain (flow expiry). False if the
-  /// flow was never seen.
+  /// Shuts one flow's chain down, delivering what is in flight (flow
+  /// expiry). False if the flow was never seen.
   bool expire_flow(const core::FlowKey& key);
 
   /// Redirects the data egress to a new destination — device handoff: the

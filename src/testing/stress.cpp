@@ -282,7 +282,8 @@ ScheduleResult StressDriver::run_schedule(std::uint64_t schedule_seed) {
       }
       if (checker.received() < opts_.bytes_per_schedule) ++res.ops_in_flight;
     }
-    chain.drain_shutdown();
+    chain.head().join();  // the source ends on its own after its last byte
+    chain.shutdown();
   } catch (const std::exception& e) {
     res.error = std::string("control: ") + e.what();
     res.ok = false;

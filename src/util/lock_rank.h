@@ -36,12 +36,11 @@ inline constexpr int kPavilionFloor = 140;    // FloorControl
 inline constexpr int kPavilionWeb = 150;      // WebServer
 
 // --- Flow-management plane --------------------------------------------------
-inline constexpr int kFlowTable = 200;       // proxy::FlowTable (meta: metric handles)
 inline constexpr int kFlowShard = 205;       // proxy::FlowTable per-worker shard
 inline constexpr int kFlowClassifier = 210;  // core::FlowClassifier
 inline constexpr int kSpecTable = 220;       // core::FilterSpecTable
 inline constexpr int kFilterRegistry = 230;  // core::FilterRegistry
-inline constexpr int kReconfigBin = 240;     // core::ReconfigBin
+inline constexpr int kReconfigBin = 240;     // core::FilterContainer
 
 // --- Chain + data plane ------------------------------------------------------
 // The observability registry sits INSIDE this band: FilterChain::bind_metrics
@@ -51,7 +50,7 @@ inline constexpr int kReconfigBin = 240;     // core::ReconfigBin
 inline constexpr int kFilterChain = 300;     // core::FilterChain
 inline constexpr int kObsRegistry = 320;     // obs::Registry
 inline constexpr int kObsTrace = 340;        // obs::TraceRing
-inline constexpr int kPacketQueue = 350;     // core::PacketQueueSource
+inline constexpr int kPacketQueue = 350;     // core::QueuePacketSource
 inline constexpr int kPacketCollector = 360; // core::CollectingPacketSink
 inline constexpr int kStreamOutput = 400;    // DetachableOutputStream::mu_
 inline constexpr int kStreamInput = 410;     // detail::InputState::mu (always after its writer)

@@ -114,7 +114,6 @@ struct Harness {
         std::make_shared<PacketReaderEndpoint>("in", source),
         std::make_shared<PacketWriterEndpoint>("out", sink));
     chain->set_stream_type("media");
-    chain->set_type_enforcement(true);
     chain->start();
   }
   ~Harness() {
@@ -191,16 +190,17 @@ TEST(ChainTyping, FecDecoderPassThroughTyping) {
   EXPECT_EQ(h.chain->type_trace().back(), "media");
 }
 
-TEST(ChainTyping, EnforcementOffByDefault) {
+TEST(ChainTyping, LateTypeDeclarationReportsExistingMismatch) {
   auto source = std::make_shared<QueuePacketSource>();
   auto sink = std::make_shared<CollectingPacketSink>();
   FilterChain chain(std::make_shared<PacketReaderEndpoint>("in", source),
                     std::make_shared<PacketWriterEndpoint>("out", sink));
-  chain.set_stream_type("media");
   chain.start();
-  // Without enforcement the (unsound) insert goes through; type_error
-  // reports it for diagnostics.
+  // Configured before any type is declared, the (unsound) insert goes
+  // through; declaring the type afterwards makes type_error report it.
   EXPECT_NO_THROW(chain.append(std::make_shared<filters::DecompressFilter>()));
+  EXPECT_FALSE(chain.type_error().has_value());
+  chain.set_stream_type("media");
   EXPECT_TRUE(chain.type_error().has_value());
   source->finish();
   chain.shutdown();
@@ -211,7 +211,6 @@ TEST(ChainTyping, UnknownIngressTypeDisablesChecks) {
   auto sink = std::make_shared<CollectingPacketSink>();
   FilterChain chain(std::make_shared<PacketReaderEndpoint>("in", source),
                     std::make_shared<PacketWriterEndpoint>("out", sink));
-  chain.set_type_enforcement(true);  // but stream type stays "any"
   chain.start();
   EXPECT_NO_THROW(chain.append(std::make_shared<filters::DecompressFilter>()));
   source->finish();

@@ -42,7 +42,7 @@ TEST(Endpoint, EmptySourceReportsImmediateEOF) {
           "in", std::make_shared<testing::SequencePacketSource>(1, 0)),
       std::make_shared<PacketWriterEndpoint>("out", sink));
   chain.start();
-  chain.drain_shutdown();
+  chain.shutdown();
   EXPECT_EQ(sink->packets, 0);
   EXPECT_EQ(sink->ends, 1);  // EOF still reaches the sink exactly once
 }

@@ -5,8 +5,8 @@
 // The hosted-chain tests all assert the same invariant the stress harness
 // asserts: no packet is lost, duplicated, reordered, or corrupted — under
 // multiplexed on_ready() dispatch, under backpressure parking, across live
-// insert/remove reconfiguration, and through both the async
-// (begin_shutdown/finished) and draining shutdown paths.
+// insert/remove reconfiguration, and through the end-of-stream ripple that
+// ends a chain, awaited (shutdown) or not (begin_shutdown/finished).
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -206,7 +206,7 @@ TEST(HostedChain, FullyEventChainDeliversByteExact) {
     EXPECT_EQ(ledger.reordered(), 0u);
     EXPECT_EQ(ledger.corrupt(), 0u);
 
-    h.chain->drain_shutdown();
+    h.chain->shutdown();
   }
   pool.stop();
 }
@@ -238,7 +238,7 @@ TEST(HostedChain, BackpressureParkingPreservesOrder) {
     EXPECT_EQ(ledger.lost(), 0u);
     EXPECT_EQ(ledger.reordered(), 0u);
 
-    h.chain->drain_shutdown();
+    h.chain->shutdown();
   }
   pool.stop();
 }
@@ -280,7 +280,7 @@ TEST(HostedChain, LiveInsertRemoveIsByteExact) {
     EXPECT_EQ(ledger.reordered(), 0u);
     EXPECT_EQ(ledger.corrupt(), 0u);
 
-    h.chain->drain_shutdown();
+    h.chain->shutdown();
   }
   pool.stop();
 }
@@ -308,6 +308,43 @@ TEST(HostedChain, AsyncBeginShutdownReachesFinishedWithoutBlocking) {
     EXPECT_FALSE(h.head->running());
     EXPECT_FALSE(h.tail->running());
     EXPECT_EQ(h.sink->count(), kPackets);  // nothing lost by the async path
+  }
+  pool.stop();
+}
+
+TEST(HostedChain, BeginShutdownDeliversEverythingInFlight) {
+  // The teardown is lossless: packets still queued at the head when
+  // begin_shutdown() is called reach the sink, byte-exact and in order,
+  // ahead of the end of the stream. Holding the worker keeps all of them
+  // in flight until the shutdown has been requested.
+  constexpr std::uint32_t kPackets = 2000;
+  constexpr std::uint64_t kSeed = 0x1055e55ULL;
+  core::WorkerPool pool(1);
+  {
+    HostedChain h(pool.worker(0));
+    h.chain->insert(std::make_shared<PassThroughPacketFilter>("pass"), 0);
+
+    std::atomic<bool> release{false};
+    pool.worker(0).post([&release] {
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(1ms);
+      }
+    });
+    for (std::uint32_t i = 0; i < kPackets; ++i) {
+      h.source->push(testing::make_stamped_packet(kSeed, i, 128));
+    }
+    h.chain->begin_shutdown();
+    release.store(true, std::memory_order_release);
+    ASSERT_TRUE(eventually([&] { return h.chain->finished(); }, 30s));
+
+    testing::PacketLedger ledger(kSeed, kPackets);
+    for (const auto& p : h.sink->packets()) ledger.record(p);
+    EXPECT_EQ(ledger.ok(), kPackets);
+    EXPECT_EQ(ledger.lost(), 0u);
+    EXPECT_EQ(ledger.duplicates(), 0u);
+    EXPECT_EQ(ledger.reordered(), 0u);
+    EXPECT_EQ(ledger.corrupt(), 0u);
+    EXPECT_TRUE(h.sink->ended());
   }
   pool.stop();
 }

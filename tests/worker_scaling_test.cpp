@@ -131,7 +131,7 @@ TEST(WorkerScaling, FullyEventHostedAudioChainRunsWithZeroShimThreads) {
     if (base_threads > 0) {
       EXPECT_EQ(thread_count(), base_threads);
     }
-    h.chain->drain_shutdown();
+    h.chain->shutdown();
 
     // The stream survived the codec sandwich in order, and the transcoder
     // did its job: stereo payloads came out mono (half the bytes).
@@ -206,7 +206,7 @@ TEST(WorkerScaling, SteadyStateTakesZeroGlobalPoolLocks) {
         << "steady-state data path touched the global pool "
         << (global_locks_after - global_locks_before) << " times";
 
-    chain.drain_shutdown();
+    chain.shutdown();
     EXPECT_TRUE(checker.clean()) << checker.report();
   }
   pool.stop();
@@ -258,7 +258,7 @@ TEST(WorkerScaling, LedgerExactAcrossLiveFecRetuneWhilePoolHosted) {
     EXPECT_EQ(ledger.reordered(), 0u);
     EXPECT_EQ(ledger.corrupt(), 0u);
 
-    h.chain->drain_shutdown();
+    h.chain->shutdown();
   }
   pool.stop();
 }
@@ -325,7 +325,7 @@ TEST(WorkerScaling, PinnedSeedStressScheduleOnWorkerArena) {
     // The schedule ran on the worker's arena: its pool did real work.
     EXPECT_GT(host.pool().stats().hits + host.pool().stats().misses, 0u);
 
-    h.chain->drain_shutdown();
+    h.chain->shutdown();
   }
   pool.stop();
 }
