@@ -31,7 +31,6 @@
 
 #include "bench_json.h"
 #include "sim/fleet.h"
-#include "sim/virtual_clock.h"
 #include "util/clock.h"
 
 using namespace rapidware;
@@ -74,7 +73,7 @@ struct RunResult {
 RunResult run_fleet(const sim::FleetConfig& config, double virtual_s,
                     bool capture_stats) {
   const auto t0 = std::chrono::steady_clock::now();
-  sim::VirtualClock clock;
+  util::SimClock clock;
   sim::FleetSim fleet(clock, config);
   fleet.run_for(util::seconds_to_micros(virtual_s));
   RunResult r;

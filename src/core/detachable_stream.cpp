@@ -226,7 +226,6 @@ void DetachableOutputStream::pause() {
     st = std::move(sink_);
     // Lock order: DOS::mu_ before InputState::mu (always).
     rw::MutexLock slk(st->mu);
-    st->swflag = true;
     // The reader must drain the ring so this pause can complete; a writer
     // armed on the full ring re-polls and re-arms at this DOS.
     st->fire_readable();
@@ -259,7 +258,6 @@ void DetachableOutputStream::reconnect(DetachableInputStream& dis) {
     }
     st->source = this;
     st->connected = true;
-    st->swflag = false;
     st->soft_eof = false;
     st->write_closed = false;
     // The writable watcher follows this DOS to its new sink; an armed

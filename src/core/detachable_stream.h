@@ -115,7 +115,6 @@ struct InputState {
 
   DetachableOutputStream* source RW_GUARDED_BY(mu) = nullptr;
   bool connected RW_GUARDED_BY(mu) = false;
-  bool swflag RW_GUARDED_BY(mu) = false;        // pause in progress or paused
   bool write_closed RW_GUARDED_BY(mu) = false;  // hard EOF: source closed
   bool soft_eof RW_GUARDED_BY(mu) = false;      // detach EOF: report EOF once
                                                 // drained; cleared by the next

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace rapidware::core {
@@ -28,7 +29,10 @@ void EventLoop::run() {
     {
       rw::MutexLock lk(mu_);
       if (queue_.empty()) {
-        if (stop_) break;
+        if (stop_) {
+          exited_ = true;  // from here on sync() refuses instead of hanging
+          break;
+        }
         // Idle: park until the next post or the next due timer. The wait
         // is bounded by the timer horizon so slaved virtual time cannot
         // fall behind a due PeriodicTask by more than the overshoot of
@@ -109,11 +113,24 @@ void EventLoop::sync() {
     rw::CondVar cv;
     bool hit RW_GUARDED_BY(mu) = false;
   } barrier;
-  post([&barrier] {
+  Task hit = [&barrier] {
     rw::MutexLock lk(barrier.mu);
     barrier.hit = true;
     barrier.cv.notify_all();
-  });
+  };
+  {
+    // Check and queue under one hold of mu_: the barrier is either queued
+    // before run() decides to return (so it runs) or refused here.
+    rw::MutexLock lk(mu_);
+    if (exited_) {
+      throw std::logic_error(
+          "EventLoop::sync: run() has returned, so nothing would run the "
+          "barrier (sync before stopping the loop)");
+    }
+    queue_depth_.fetch_add(1, std::memory_order_relaxed);
+    queue_.push_back(std::move(hit));
+    if (waiters_ > 0) cv_.notify_one();
+  }
   rw::MutexLock lk(barrier.mu);
   barrier.cv.wait(barrier.mu, [&barrier] {  // rw-lint: allow(RW008) control-plane barrier, never called from a worker (guarded above)
     barrier.mu.assert_held();

@@ -9,9 +9,9 @@
 // pinning (whole FilterChain on one worker) free of intra-chain
 // synchronization beyond the stream rings themselves.
 //
-// Each loop also owns a sim::VirtualClock slaved to wall time: between
+// Each loop also owns a util::SimClock slaved to wall time: between
 // task batches the loop advances the clock to the elapsed wall
-// microseconds since run() began, firing due sim::PeriodicTask timers on
+// microseconds since run() began, firing due util::PeriodicTask timers on
 // the loop thread (the idle-flow eviction sweeps ride on this). When the
 // queue is empty the loop sleeps until the next due timer or the next
 // post, whichever comes first.
@@ -28,7 +28,6 @@
 #include <functional>
 #include <thread>
 
-#include "sim/virtual_clock.h"
 #include "util/buffer_pool.h"
 #include "util/clock.h"
 #include "util/lock_rank.h"
@@ -67,7 +66,7 @@ class EventLoop {
 
   /// The loop's wall-slaved virtual clock. schedule_at/PeriodicTask on it
   /// fire on the loop thread; safe to call from any thread.
-  sim::VirtualClock& clock() noexcept { return clock_; }
+  util::SimClock& clock() noexcept { return clock_; }
 
   /// Nudges a parked loop to recompute its timer horizon. Call after
   /// scheduling on clock() from another thread: the idle wait is bounded
@@ -79,6 +78,8 @@ class EventLoop {
   /// call has executed (and, transitively, after any in-flight timer
   /// callback finished — timers run between batches). A no-op when called
   /// from the loop thread itself, where waiting would self-deadlock.
+  /// Throws std::logic_error once run() has returned: nothing would ever
+  /// run the barrier, so waiting would hang.
   void sync();
 
   /// Tasks executed so far (drives + posts; timer callbacks not counted).
@@ -118,9 +119,10 @@ class EventLoop {
   rw::CondVar cv_;
   std::deque<Task> queue_ RW_GUARDED_BY(mu_);
   bool stop_ RW_GUARDED_BY(mu_) = false;
+  bool exited_ RW_GUARDED_BY(mu_) = false;  // run() decided to return
   int waiters_ RW_GUARDED_BY(mu_) = 0;  // the loop thread parked idle
 
-  sim::VirtualClock clock_;  // rw-lint: allow(RW003) internally synchronized
+  util::SimClock clock_;  // rw-lint: allow(RW003) internally synchronized
   util::BufferPool pool_{  // rw-lint: allow(RW003) internally synchronized
       util::BufferPool::Config{}, &util::default_pool()};
   std::atomic<std::thread::id> thread_id_{};

@@ -47,7 +47,7 @@ FlowTable::FlowTable(core::FlowClassifier& classifier,
     const util::Micros period =
         static_cast<util::Micros>(idle_timeout_ms_ * 1000 / 2);
     for (std::size_t i = 0; i < n; ++i) {
-      shards_[i]->sweeper = std::make_unique<sim::PeriodicTask>(
+      shards_[i]->sweeper = std::make_unique<util::PeriodicTask>(
           pool_->worker(i).clock(), period > 0 ? period : 1,
           [this, i](util::Micros) { sweep_shard(i); });
       pool_->worker(i).wake();  // parked loops re-read the timer horizon

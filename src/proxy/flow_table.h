@@ -44,7 +44,7 @@
 #include "core/flow_classifier.h"
 #include "core/worker_pool.h"
 #include "obs/metrics.h"
-#include "sim/virtual_clock.h"
+#include "util/clock.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -73,7 +73,9 @@ class FlowTable {
   /// Flows shard across the workers of `pool` (one shard per worker; null
   /// means core::default_worker_pool()), each chain is hosted whole on its
   /// shard's worker, and a per-worker timer evicts flows idle longer than
-  /// `idle_timeout_ms` (0: never). The pool must outlive the table.
+  /// `idle_timeout_ms` (0: never). The pool must outlive the table and
+  /// still be running when the table is destroyed: the destructor syncs
+  /// every worker, which throws std::logic_error on a stopped pool.
   FlowTable(core::FlowClassifier& classifier, core::FilterRegistry& registry,
             EndpointFactory endpoints, core::WorkerPool* pool = nullptr,
             std::uint64_t idle_timeout_ms = kDefaultIdleTimeoutMs);
@@ -148,7 +150,7 @@ class FlowTable {
     std::vector<Flow> draining RW_GUARDED_BY(mu);
     // Control-plane only (created in the constructor, stopped in the
     // destructor before any shard state is torn down).
-    std::unique_ptr<sim::PeriodicTask> sweeper;
+    std::unique_ptr<util::PeriodicTask> sweeper;
   };
 
   std::size_t shard_of(const core::FlowKey& key) const;

@@ -10,9 +10,8 @@
 // or remove everything when the link recovers.
 //
 // The controller has no thread or clock of its own — whoever owns the
-// cadence calls tick(). On virtual time that is one sim::PeriodicTask per
-// controller: `PeriodicTask(clock, period, [&](auto now){ ctl.tick(now); })`
-// (raplets must not depend on src/sim, so the glue lives with the caller);
+// cadence calls tick(). On virtual time that is one util::PeriodicTask per
+// controller: `PeriodicTask(clock, period, [&](auto now){ ctl.tick(now); })`;
 // a sender loop can equally tick it every few packets.
 //
 // Actuation failures (a concurrent operator removed the chain, transport

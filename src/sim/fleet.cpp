@@ -29,7 +29,7 @@ FleetConfig::FleetConfig() : path_loss(wireless::wavelan_model()) {
   policy.alpha = 0.1;
 }
 
-FleetSim::FleetSim(VirtualClock& clock, FleetConfig config)
+FleetSim::FleetSim(util::SimClock& clock, FleetConfig config)
     : clock_(&clock),
       config_(std::move(config)),
       walk_(wireless::WaypointWalk::office_to_conference(

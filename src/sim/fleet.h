@@ -8,7 +8,7 @@
 // the office-to-conference mobility trace, the raplets::FecPolicy decision
 // core) but strips the machinery: per-station loss state is inlined and
 // lock-free, all packets of a control tick are batched, and the whole fleet
-// advances on one sim::VirtualClock event per tick. 10,000 stations x one
+// advances on one util::SimClock event per tick. 10,000 stations x one
 // virtual hour x 50 pkt/s is ~1.8e9 channel draws and finishes in seconds.
 //
 // Determinism contract: one seed fans out (util::Rng::split) into one
@@ -33,7 +33,7 @@
 #include "core/flow_classifier.h"
 #include "obs/metrics.h"
 #include "raplets/fec_policy.h"
-#include "sim/virtual_clock.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "wireless/mobility.h"
 #include "wireless/path_loss.h"
@@ -96,7 +96,7 @@ class FleetSim {
   /// Attaches to `clock` (not owned) and arms the per-tick event; the first
   /// tick fires one tick_us after the current virtual time. Other events
   /// co-scheduled on the same clock interleave deterministically.
-  FleetSim(VirtualClock& clock, FleetConfig config);
+  FleetSim(util::SimClock& clock, FleetConfig config);
 
   /// Convenience: clock.run_for(dt). All ticks inside fire in order.
   void run_for(util::Micros dt) { clock_->run_for(dt); }
@@ -195,7 +195,7 @@ class FleetSim {
   void flush_partial_group(const Station& s, std::uint64_t& extra_sent,
                            std::uint64_t& extra_delivered) const;
 
-  VirtualClock* clock_;
+  util::SimClock* clock_;
   const FleetConfig config_;
   int packets_per_tick_ = 0;
   wireless::WaypointWalk walk_;
@@ -211,7 +211,7 @@ class FleetSim {
   std::uint64_t retunes_ = 0;
   std::uint64_t removes_ = 0;
   std::uint64_t ticks_ = 0;
-  PeriodicTask task_;  // last member: armed after everything else is ready
+  util::PeriodicTask task_;  // last member: armed after everything else is ready
 };
 
 }  // namespace rapidware::sim

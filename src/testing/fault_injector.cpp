@@ -34,13 +34,8 @@ void FaultInjector::maybe_delay() {
       sleep_us = rng_.next_range(1, plan_.max_delay_us);
     }
   }
-  if (sleep_us > 0) {
-    sim_clock_.advance(sleep_us);
-    if (plan_.wall_delays) {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    } else {
-      std::this_thread::yield();
-    }
+  if (sleep_us > 0 && plan_.wall_delays) {
+    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
   } else {
     std::this_thread::yield();
   }

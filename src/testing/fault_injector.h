@@ -14,7 +14,7 @@
 // Everything is driven by util::Rng from one seed: a failing schedule is
 // replayed exactly by re-running with the same seed. Wall-clock sleeps are
 // bounded and tiny (they exist to perturb thread interleavings, not to
-// model time); virtual time uses util::SimClock as elsewhere in the repo.
+// model time), and the injector keeps no clock of its own.
 #pragma once
 
 #include <atomic>
@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "net/loss.h"
-#include "util/clock.h"
 #include "util/io.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
@@ -46,10 +45,10 @@ struct FaultPlan {
   std::int64_t max_delay_us = 200;
   /// When true, a drawn sleep really blocks the thread (wall clock) — the
   /// TSan smoke subset's mode, where genuine preemption windows matter.
-  /// Default: virtual — the drawn duration advances the injector's
-  /// SimClock and the thread just yields. Either way the Rng draw sequence
-  /// is identical, so a pinned schedule seed replays the same fault
-  /// decisions in both modes; only wall time differs.
+  /// Default: the duration is still drawn, but the thread just yields.
+  /// Either way the Rng draw sequence is identical, so a pinned schedule
+  /// seed replays the same fault decisions in both modes; only wall time
+  /// differs.
   bool wall_delays = false;
   /// P(an I/O call throws core::StreamError / core::BrokenPipe instead of
   /// completing). Off by default: a throwing source/sink truncates the
@@ -87,9 +86,6 @@ class FaultInjector {
   /// should fail the I/O call it is about to make.
   bool inject_throw();
 
-  /// Advances the injector's virtual clock (and lets tests observe it).
-  util::SimClock& sim_clock() noexcept { return sim_clock_; }
-
   // Fired-fault counters.
   std::uint64_t short_reads() const noexcept { return short_reads_.load(); }
   std::uint64_t delays() const noexcept { return delays_.load(); }
@@ -104,7 +100,6 @@ class FaultInjector {
   util::Rng rng_ RW_GUARDED_BY(mu_);
   const FaultPlan plan_;
   const std::uint64_t seed_;
-  util::SimClock sim_clock_;  // rw-lint: allow(RW003) internally atomic
 
   std::atomic<std::uint64_t> short_reads_{0};
   std::atomic<std::uint64_t> delays_{0};

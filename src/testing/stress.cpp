@@ -206,13 +206,12 @@ ScheduleResult StressDriver::run_schedule(std::uint64_t schedule_seed) {
     for (int op = 0; op < opts_.ops_per_schedule; ++op) {
       control_faults->maybe_delay();
       // Pacing gap between ops. The draw happens in both modes so the op
-      // schedule is a pure function of the seed; virtual mode banks the
-      // gap on the injector's SimClock and yields instead of sleeping.
+      // schedule is a pure function of the seed; the default mode yields
+      // instead of sleeping.
       const std::int64_t pace_us = ctl.next_range(0, 200);
       if (opts_.wall_pacing) {
         std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
       } else {
-        control_faults->sim_clock().advance(pace_us);
         std::this_thread::yield();
       }
       const std::size_t size = chain.size();

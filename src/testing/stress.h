@@ -83,8 +83,8 @@ struct StressOptions {
   FaultPlan faults;
   /// Wall-clock pacing between control ops. Default off: the pacing draw
   /// still happens (so the op schedule derived from a seed is identical in
-  /// both modes — pinned regression seeds stay valid), but the drawn gap
-  /// advances a virtual clock and yields instead of sleeping. The full
+  /// both modes — pinned regression seeds stay valid), but the thread
+  /// yields instead of sleeping out the drawn gap. The full
   /// 500-schedule sweep then completes in seconds; the TSan smoke subset
   /// turns this (and faults.wall_delays) back on for real preemption.
   bool wall_pacing = false;

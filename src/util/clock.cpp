@@ -1,38 +1,40 @@
-#include "util/lock_rank.h"
-#include "sim/virtual_clock.h"
+#include "util/clock.h"
 
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
 
-namespace rapidware::sim {
+namespace rapidware::util {
 
-VirtualClock::EventId VirtualClock::schedule_at(util::Micros at, Callback fn) {
-  if (!fn) throw std::invalid_argument("VirtualClock: null callback");
+void SimClock::set(Micros t) {
+  run_until(t);
+  now_.store(t, std::memory_order_release);
+}
+
+SimClock::EventId SimClock::schedule_at(Micros at, Callback fn) {
+  if (!fn) throw std::invalid_argument("SimClock: null callback");
   rw::MutexLock lk(mu_);
-  const util::Micros t = std::max(at, now_.load(std::memory_order_relaxed));
+  const Micros t = std::max(at, now_.load(std::memory_order_relaxed));
   const std::uint64_t seq = next_seq_++;
   events_.emplace(Key{t, seq}, std::move(fn));
   return EventId{t, seq};
 }
 
-VirtualClock::EventId VirtualClock::schedule_after(util::Micros dt,
-                                                   Callback fn) {
-  const util::Micros base = now();
+SimClock::EventId SimClock::schedule_after(Micros dt, Callback fn) {
+  const Micros base = now();
   // Saturate instead of wrapping on absurd offsets.
-  const util::Micros at =
-      dt > std::numeric_limits<util::Micros>::max() - base ?
-          std::numeric_limits<util::Micros>::max()
-          : base + std::max<util::Micros>(dt, 0);
+  const Micros at = dt > std::numeric_limits<Micros>::max() - base ?
+                        std::numeric_limits<Micros>::max()
+                        : base + std::max<Micros>(dt, 0);
   return schedule_at(at, std::move(fn));
 }
 
-bool VirtualClock::cancel(const EventId& id) {
+bool SimClock::cancel(const EventId& id) {
   rw::MutexLock lk(mu_);
   return events_.erase(Key{id.at, id.seq}) > 0;
 }
 
-VirtualClock::Callback VirtualClock::pop_due(util::Micros t) {
+SimClock::Callback SimClock::pop_due(Micros t) {
   rw::MutexLock lk(mu_);
   auto it = events_.begin();
   if (it == events_.end() || it->first.first > t) return nullptr;
@@ -44,40 +46,40 @@ VirtualClock::Callback VirtualClock::pop_due(util::Micros t) {
   return fn;
 }
 
-std::size_t VirtualClock::run_until(util::Micros t) {
+std::size_t SimClock::run_until(Micros t) {
   std::size_t ran = 0;
   while (Callback fn = pop_due(t)) {
     fn();  // outside the lock: callbacks may schedule/cancel
     ++ran;
   }
   // The queue holds nothing due <= t; the interval is fully simulated.
-  util::Micros cur = now_.load(std::memory_order_relaxed);
+  Micros cur = now_.load(std::memory_order_relaxed);
   while (cur < t &&
          !now_.compare_exchange_weak(cur, t, std::memory_order_acq_rel)) {
   }
   return ran;
 }
 
-std::size_t VirtualClock::run_for(util::Micros dt) {
-  if (dt < 0) throw std::invalid_argument("VirtualClock::run_for: dt < 0");
+std::size_t SimClock::run_for(Micros dt) {
+  if (dt < 0) throw std::invalid_argument("SimClock::run_for: dt < 0");
   return run_until(now() + dt);
 }
 
-bool VirtualClock::step() {
-  Callback fn = pop_due(std::numeric_limits<util::Micros>::max());
+bool SimClock::step() {
+  Callback fn = pop_due(std::numeric_limits<Micros>::max());
   if (!fn) return false;
   fn();
   return true;
 }
 
-std::size_t VirtualClock::pending() const {
+std::size_t SimClock::pending() const {
   rw::MutexLock lk(mu_);
   return events_.size();
 }
 
-util::Micros VirtualClock::next_event_at() const {
+Micros SimClock::next_event_at() const {
   rw::MutexLock lk(mu_);
-  if (events_.empty()) return std::numeric_limits<util::Micros>::max();
+  if (events_.empty()) return std::numeric_limits<Micros>::max();
   return events_.begin()->first.first;
 }
 
@@ -85,12 +87,12 @@ util::Micros VirtualClock::next_event_at() const {
 // PeriodicTask
 
 struct PeriodicTask::State {
-  VirtualClock* clock;
-  util::Micros period;
+  SimClock* clock;
+  Micros period;
   Fn fn;
-  mutable rw::Mutex mu{"sim/periodic_task", rw::lockrank::kPeriodicTask};
+  mutable rw::Mutex mu{"util/periodic_task", rw::lockrank::kPeriodicTask};
   bool stopped RW_GUARDED_BY(mu) = false;
-  VirtualClock::EventId current RW_GUARDED_BY(mu);
+  SimClock::EventId current RW_GUARDED_BY(mu);
 };
 
 void PeriodicTask::fire(const std::shared_ptr<PeriodicTask::State>& st) {
@@ -98,26 +100,25 @@ void PeriodicTask::fire(const std::shared_ptr<PeriodicTask::State>& st) {
     rw::MutexLock lk(st->mu);
     if (st->stopped) return;
   }
-  const util::Micros at = st->clock->now();
+  const Micros at = st->clock->now();
   st->fn(at);
   // Reschedule unless the callback stopped the task.
   rw::MutexLock lk(st->mu);
   if (st->stopped) return;
-  st->current = st->clock->schedule_at(
-      at + st->period, [st] { fire(st); });
+  st->current = st->clock->schedule_at(at + st->period, [st] { fire(st); });
 }
 
 void PeriodicTask::arm(const std::shared_ptr<PeriodicTask::State>& st,
-                       util::Micros first) {
+                       Micros first) {
   rw::MutexLock lk(st->mu);
   st->current = st->clock->schedule_at(first, [st] { fire(st); });
 }
 
-PeriodicTask::PeriodicTask(VirtualClock& clock, util::Micros period, Fn fn)
+PeriodicTask::PeriodicTask(SimClock& clock, Micros period, Fn fn)
     : PeriodicTask(clock, period, std::move(fn), clock.now() + period) {}
 
-PeriodicTask::PeriodicTask(VirtualClock& clock, util::Micros period, Fn fn,
-                           util::Micros first_at)
+PeriodicTask::PeriodicTask(SimClock& clock, Micros period, Fn fn,
+                           Micros first_at)
     : state_(std::make_shared<State>()) {
   if (period <= 0) {
     throw std::invalid_argument("PeriodicTask: period must be > 0");
@@ -131,7 +132,7 @@ PeriodicTask::PeriodicTask(VirtualClock& clock, util::Micros period, Fn fn,
 
 void PeriodicTask::stop() {
   if (!state_) return;
-  VirtualClock::EventId id;
+  SimClock::EventId id;
   {
     rw::MutexLock lk(state_->mu);
     if (state_->stopped) return;
@@ -146,4 +147,4 @@ bool PeriodicTask::stopped() const {
   return state_->stopped;
 }
 
-}  // namespace rapidware::sim
+}  // namespace rapidware::util

@@ -78,8 +78,8 @@ inline constexpr int kLossModel = 650;   // net loss models (never nested with e
 inline constexpr int kFaultInjector = 660;  // testing::FaultInjector RNG (leaf; called under link/loss locks)
 
 // --- Virtual time ------------------------------------------------------------
-inline constexpr int kPeriodicTask = 700;  // sim::PeriodicTask (schedules under its lock)
-inline constexpr int kSimClock = 710;      // sim::VirtualClock event queue
+inline constexpr int kPeriodicTask = 700;  // util::PeriodicTask (schedules under its lock)
+inline constexpr int kSimClock = 710;      // util::SimClock event queue
 
 // --- Leaf utilities (any layer may call into these) --------------------------
 inline constexpr int kBufferPoolLocal = 790;  // worker-local BufferPool arena (nests under the global pool for batch rebalance)

@@ -40,59 +40,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)]++;
-  total_++;
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::percentile(double p) const noexcept {
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(total_)));
-  std::size_t seen = 0;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) return bin_low(i) + width / 2.0;
-  }
-  return hi_;
-}
-
-std::string Histogram::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "n=%zu p50=%.3f p90=%.3f p99=%.3f", total_,
-                percentile(50), percentile(90), percentile(99));
-  return buf;
-}
-
-void WindowedRate::add(bool success) {
-  samples_.push_back(success);
-  if (success) ++successes_;
-  if (samples_.size() > window_) {
-    if (samples_.front()) --successes_;
-    samples_.pop_front();
-  }
-}
-
-double WindowedRate::rate() const noexcept {
-  return samples_.empty()
-             ? 1.0
-             : static_cast<double>(successes_) /
-                   static_cast<double>(samples_.size());
-}
-
 std::string percent(double fraction, int decimals) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, fraction * 100.0);

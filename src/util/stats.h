@@ -1,12 +1,10 @@
-// Statistics helpers used by the evaluation harness: running moments,
-// histograms, windowed rates, and percentage formatting.
+// Statistics helpers used by the evaluation harness: running moments, hit
+// rates, and percentage formatting. (STATS histograms are obs::Histogram.)
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
 namespace rapidware::util {
 
@@ -32,30 +30,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Supports percentile queries over recorded samples.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t total() const noexcept { return total_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  double bin_low(std::size_t i) const noexcept;
-
-  /// Approximate percentile (0..100) from bin midpoints.
-  double percentile(double p) const noexcept;
-
-  /// Renders a compact ASCII summary for bench output.
-  std::string summary() const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Ratio counter for hit/delivery rates: add successes/failures, read a rate.
 class RateCounter {
  public:
@@ -74,23 +48,6 @@ class RateCounter {
  private:
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-};
-
-/// Sliding-window success rate over the last `window` observations. This is
-/// what the loss observer raplet uses to decide when to insert FEC.
-class WindowedRate {
- public:
-  explicit WindowedRate(std::size_t window) : window_(window) {}
-
-  void add(bool success);
-  std::size_t size() const noexcept { return samples_.size(); }
-  bool full() const noexcept { return samples_.size() == window_; }
-  double rate() const noexcept;
-
- private:
-  std::size_t window_;
-  std::deque<bool> samples_;
-  std::size_t successes_ = 0;
 };
 
 /// Formats 0.9854 as "98.54%".

@@ -155,6 +155,17 @@ TEST(WorkerPool, RegressionPlacementAfterStopIsRejectedNotRacy) {
   EXPECT_THROW(pool.next(), std::logic_error);
 }
 
+TEST(WorkerPool, RegressionSyncAfterStopThrowsNotHangs) {
+  // Regression: sync() on a loop whose run() had returned queued its
+  // barrier where nothing would ever run it and waited for ever (a
+  // FlowTable outliving its stopped pool hung in its destructor). It must
+  // fail loudly instead, as next() does on a stopped pool.
+  core::WorkerPool pool(1);
+  pool.worker(0).sync();
+  pool.stop();
+  EXPECT_THROW(pool.worker(0).sync(), std::logic_error);
+}
+
 TEST(WorkerPool, SizeZeroPicksAtLeastOneWorker) {
   core::WorkerPool pool(0);
   EXPECT_GE(pool.size(), 1u);

@@ -24,8 +24,8 @@
 #include "proxy/proxy.h"
 #include "raplets/fec_controller.h"
 #include "raplets/fec_policy.h"
-#include "sim/virtual_clock.h"
 #include "testing/sequence_stream.h"
+#include "util/clock.h"
 
 namespace rapidware::raplets {
 namespace {
@@ -193,9 +193,9 @@ TEST(AdaptiveFecController, LossAboveThresholdInsertsWithinBoundedTicks) {
   AdaptiveFecController ctl;
   ctl.add_flow({"egress", w.manager(), std::nullopt, [&] { return loss; }});
 
-  sim::VirtualClock clock;
-  sim::PeriodicTask ticker(clock, kSecond,
-                           [&](util::Micros now) { ctl.tick(now); });
+  util::SimClock clock;
+  util::PeriodicTask ticker(clock, kSecond,
+                            [&](util::Micros now) { ctl.tick(now); });
 
   clock.run_for(5 * kSecond);  // clean link: nothing happens
   EXPECT_FALSE(ctl.fec_active("egress"));
@@ -221,9 +221,9 @@ TEST(AdaptiveFecController, RecoveryRemovesFecWithinBoundedTicks) {
   AdaptiveFecController ctl;
   ctl.add_flow({"egress", w.manager(), std::nullopt, [&] { return loss; }});
 
-  sim::VirtualClock clock;
-  sim::PeriodicTask ticker(clock, kSecond,
-                           [&](util::Micros now) { ctl.tick(now); });
+  util::SimClock clock;
+  util::PeriodicTask ticker(clock, kSecond,
+                            [&](util::Micros now) { ctl.tick(now); });
   clock.run_for(3 * kSecond);
   ASSERT_TRUE(ctl.fec_active("egress"));
 
@@ -420,9 +420,9 @@ TEST(AdaptiveFecController, ReconfigurationIsPacketExact) {
   AdaptiveFecController ctl(config);
   ctl.add_flow({"loop", w.manager(), w.manager(), [&] { return loss; }});
 
-  sim::VirtualClock clock;
-  sim::PeriodicTask ticker(clock, kSecond,
-                           [&](util::Micros now) { ctl.tick(now); });
+  util::SimClock clock;
+  util::PeriodicTask ticker(clock, kSecond,
+                            [&](util::Micros now) { ctl.tick(now); });
 
   std::uint32_t seq = 0;
   const auto push = [&](int n) {

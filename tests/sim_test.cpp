@@ -1,5 +1,5 @@
-// Tests for the discrete-event simulation core (sim::VirtualClock,
-// sim::PeriodicTask) and the station-fleet simulation (sim::FleetSim).
+// Tests for the discrete-event simulation core (util::SimClock,
+// util::PeriodicTask) and the station-fleet simulation (sim::FleetSim).
 //
 // The load-bearing property is determinism: same seed, same config ⇒
 // byte-identical event ordering and STATS snapshot, every run, on every
@@ -14,10 +14,10 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/fleet.h"
-#include "sim/virtual_clock.h"
 #include "util/clock.h"
 
 namespace rapidware {
@@ -25,22 +25,22 @@ namespace {
 
 using sim::FleetConfig;
 using sim::FleetSim;
-using sim::PeriodicTask;
-using sim::VirtualClock;
+using util::PeriodicTask;
+using util::SimClock;
 
 // ---------------------------------------------------------------------------
-// VirtualClock
+// SimClock
 
-TEST(VirtualClock, StartsAtZeroAndAdvancesOnlyWhenRun) {
-  VirtualClock clock;
+TEST(SimClock, StartsAtZeroAndAdvancesOnlyWhenRun) {
+  SimClock clock;
   EXPECT_EQ(clock.now(), 0);
   EXPECT_EQ(clock.pending(), 0u);
   EXPECT_EQ(clock.run_until(1'000'000), 0u);
   EXPECT_EQ(clock.now(), 1'000'000);
 }
 
-TEST(VirtualClock, RunsEventsInTimeOrder) {
-  VirtualClock clock;
+TEST(SimClock, RunsEventsInTimeOrder) {
+  SimClock clock;
   std::vector<int> order;
   clock.schedule_at(300, [&] { order.push_back(3); });
   clock.schedule_at(100, [&] { order.push_back(1); });
@@ -52,10 +52,10 @@ TEST(VirtualClock, RunsEventsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(VirtualClock, EqualTimesRunInScheduleOrder) {
+TEST(SimClock, EqualTimesRunInScheduleOrder) {
   // The (time, seq) tie-break: simultaneous events fire in the order they
   // were scheduled, which is what makes multi-station ticks reproducible.
-  VirtualClock clock;
+  SimClock clock;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
     clock.schedule_at(500, [&order, i] { order.push_back(i); });
@@ -64,8 +64,8 @@ TEST(VirtualClock, EqualTimesRunInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(VirtualClock, CallbackSeesEventTimeNotTarget) {
-  VirtualClock clock;
+TEST(SimClock, CallbackSeesEventTimeNotTarget) {
+  SimClock clock;
   util::Micros seen = -1;
   clock.schedule_at(250, [&] {
     seen = clock.now();  // now() is the event's time mid-callback
@@ -75,8 +75,8 @@ TEST(VirtualClock, CallbackSeesEventTimeNotTarget) {
   EXPECT_EQ(clock.now(), 1'000);
 }
 
-TEST(VirtualClock, SchedulingFromInsideACallbackRunsSameSweep) {
-  VirtualClock clock;
+TEST(SimClock, SchedulingFromInsideACallbackRunsSameSweep) {
+  SimClock clock;
   std::vector<util::Micros> fired;
   clock.schedule_at(100, [&] {
     fired.push_back(clock.now());
@@ -86,8 +86,8 @@ TEST(VirtualClock, SchedulingFromInsideACallbackRunsSameSweep) {
   EXPECT_EQ(fired, (std::vector<util::Micros>{100, 150}));
 }
 
-TEST(VirtualClock, PastScheduleClampsToNow) {
-  VirtualClock clock;
+TEST(SimClock, PastScheduleClampsToNow) {
+  SimClock clock;
   clock.run_until(1'000);
   util::Micros seen = -1;
   clock.schedule_at(10, [&] { seen = clock.now(); });
@@ -96,8 +96,8 @@ TEST(VirtualClock, PastScheduleClampsToNow) {
   EXPECT_EQ(seen, 1'000);
 }
 
-TEST(VirtualClock, CancelPreventsDelivery) {
-  VirtualClock clock;
+TEST(SimClock, CancelPreventsDelivery) {
+  SimClock clock;
   int fired = 0;
   const auto id = clock.schedule_at(100, [&] { ++fired; });
   EXPECT_TRUE(clock.cancel(id));
@@ -106,8 +106,8 @@ TEST(VirtualClock, CancelPreventsDelivery) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(VirtualClock, StepRunsExactlyOneEvent) {
-  VirtualClock clock;
+TEST(SimClock, StepRunsExactlyOneEvent) {
+  SimClock clock;
   int fired = 0;
   clock.schedule_at(10, [&] { ++fired; });
   clock.schedule_at(20, [&] { ++fired; });
@@ -119,10 +119,10 @@ TEST(VirtualClock, StepRunsExactlyOneEvent) {
   EXPECT_FALSE(clock.step());  // queue empty
 }
 
-TEST(VirtualClock, CrossThreadSchedulingIsSafe) {
+TEST(SimClock, CrossThreadSchedulingIsSafe) {
   // Producers on other threads may schedule while the driving thread runs
   // the queue; every scheduled event must fire exactly once.
-  VirtualClock clock;
+  SimClock clock;
   std::atomic<int> fired{0};
   constexpr int kPerThread = 200;
   std::vector<std::thread> producers;
@@ -139,8 +139,50 @@ TEST(VirtualClock, CrossThreadSchedulingIsSafe) {
   EXPECT_EQ(clock.pending(), 0u);
 }
 
+TEST(SimClock, AdvanceAndSetFireDueEventsInOrder) {
+  // The open-loop drivers run the queue too: advance() and set() fire what
+  // falls due in (time, seq) order, including events a callback schedules
+  // inside the same window, and leave later events pending.
+  SimClock clock;
+  std::vector<std::pair<int, util::Micros>> fired;
+  const auto note = [&](int tag) { fired.emplace_back(tag, clock.now()); };
+  clock.schedule_at(300, [&] { note(3); });
+  clock.schedule_at(100, [&] {
+    note(1);
+    clock.schedule_after(0, [&] { note(2); });  // same instant, later seq
+    clock.schedule_after(150, [&] { note(4); });  // 250: same window
+  });
+  clock.schedule_at(100, [&] { note(5); });  // ties with 1, scheduled after
+  clock.schedule_at(900, [&] { note(9); });
+  clock.advance(250);
+  EXPECT_EQ(fired, (std::vector<std::pair<int, util::Micros>>{
+                       {1, 100}, {5, 100}, {2, 100}, {4, 250}}));
+  EXPECT_EQ(clock.now(), 250);
+  clock.set(400);
+  EXPECT_EQ(fired.size(), 5u);
+  EXPECT_EQ(fired.back(), (std::pair<int, util::Micros>{3, 300}));
+  EXPECT_EQ(clock.now(), 400);
+  EXPECT_EQ(clock.pending(), 1u);
+  EXPECT_EQ(clock.next_event_at(), 900);
+}
+
+TEST(SimClock, SetIntoThePastRunsNothingAndRewinds) {
+  SimClock clock;
+  int fired = 0;
+  clock.schedule_at(1'500, [&] { ++fired; });
+  clock.set(1'000);
+  EXPECT_EQ(clock.now(), 1'000);
+  clock.set(42);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(clock.now(), 42);
+  EXPECT_EQ(clock.pending(), 1u);
+  clock.set(1'500);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(clock.now(), 1'500);
+}
+
 TEST(PeriodicTask, FiresOnItsCadence) {
-  VirtualClock clock;
+  SimClock clock;
   std::vector<util::Micros> fired;
   PeriodicTask task(clock, 1'000,
                     [&](util::Micros at) { fired.push_back(at); });
@@ -148,8 +190,24 @@ TEST(PeriodicTask, FiresOnItsCadence) {
   EXPECT_EQ(fired, (std::vector<util::Micros>{1'000, 2'000, 3'000}));
 }
 
+TEST(PeriodicTask, TicksOnCadenceUnderAdvance) {
+  // Open-loop tests move time in media-sized steps with advance() alone;
+  // a task on the same clock must tick at its own instants regardless,
+  // several times within one long step.
+  SimClock clock;
+  std::vector<util::Micros> fired;
+  PeriodicTask task(clock, 1'000,
+                    [&](util::Micros at) { fired.push_back(at); });
+  for (int i = 0; i < 5; ++i) clock.advance(300);  // 1 500: one tick
+  EXPECT_EQ(fired, (std::vector<util::Micros>{1'000}));
+  clock.advance(2'600);  // 4 100: three more
+  EXPECT_EQ(fired,
+            (std::vector<util::Micros>{1'000, 2'000, 3'000, 4'000}));
+  EXPECT_EQ(clock.now(), 4'100);
+}
+
 TEST(PeriodicTask, StopFromInsideCallbackAndFromOutside) {
-  VirtualClock clock;
+  SimClock clock;
   int fired = 0;
   PeriodicTask task(clock, 100, [&](util::Micros) {
     if (++fired == 3) task.stop();
@@ -181,7 +239,7 @@ FleetConfig small_config() {
 }
 
 TEST(FleetSim, RunsAndDeliversTraffic) {
-  VirtualClock clock;
+  SimClock clock;
   FleetSim fleet(clock, small_config());
   fleet.run_for(util::seconds_to_micros(60));
   EXPECT_EQ(fleet.ticks(), 60u);  // one control tick per virtual second
@@ -193,7 +251,7 @@ TEST(FleetSim, RunsAndDeliversTraffic) {
 
 TEST(FleetSim, SameSeedSameStatsTwice) {
   const auto run = [] {
-    VirtualClock clock;
+    SimClock clock;
     FleetSim fleet(clock, small_config());
     fleet.run_for(util::seconds_to_micros(120));
     return fleet.stats_text();
@@ -206,7 +264,7 @@ TEST(FleetSim, SameSeedSameStatsTwice) {
 
 TEST(FleetSim, DifferentSeedsDiverge) {
   const auto run = [](std::uint64_t seed) {
-    VirtualClock clock;
+    SimClock clock;
     FleetConfig c = small_config();
     c.seed = seed;
     FleetSim fleet(clock, c);
@@ -228,7 +286,7 @@ TEST(FleetSim, ControllerLiftsRecoveryOnLossyStations) {
     double overhead;
   };
   const auto run = [](bool controller) {
-    VirtualClock clock;
+    SimClock clock;
     FleetConfig c;
     c.stations = 40;
     c.seed = 0xf19a7eULL;
@@ -256,7 +314,7 @@ TEST(FleetSim, ControllerRemovesFecWhenChannelRecovers) {
   // Mobile stations walk near (clean) and far (lossy); over full cycles the
   // controller must both insert and remove FEC as each station's channel
   // swings, leaving a mixed fleet mid-cycle.
-  VirtualClock clock;
+  SimClock clock;
   FleetConfig c;
   c.stations = 20;
   c.seed = 0x0ddba11ULL;
@@ -276,7 +334,7 @@ TEST(FleetSim, ControllerRemovesFecWhenChannelRecovers) {
 TEST(FleetSim, SnapshotAccountingIsConsistentMidGroup) {
   // Stopping at an instant that is mid-FEC-group for most stations must
   // still satisfy delivered ≤ sent and match the per-station sums.
-  VirtualClock clock;
+  SimClock clock;
   FleetConfig c = small_config();
   c.stations = 10;
   FleetSim fleet(clock, c);
@@ -306,7 +364,7 @@ TEST(FleetSim, ClassifiesStationsAcrossThreeRegimes) {
   // (clean), a walk through the 2-15% band (degraded), ~22% at the far
   // dwell (severe). Staggered departures keep the fleet spread across all
   // three regimes, which is what per-flow chain selection exists for.
-  VirtualClock clock;
+  SimClock clock;
   FleetConfig c;
   c.stations = 60;
   c.seed = 0x0c1a55ULL;
@@ -363,7 +421,7 @@ TEST(FleetSim, DefaultConfigEmitsNoClassifierEntries) {
   // The opt-out half of the contract: a default-config fleet renders
   // byte-identically to a pre-classifier fleet, which is what keeps the
   // pinned determinism hash below valid.
-  VirtualClock clock;
+  SimClock clock;
   FleetSim fleet(clock, small_config());
   fleet.run_for(util::seconds_to_micros(10));
   const std::string text = fleet.stats_text();
@@ -392,7 +450,7 @@ TEST(SimDeterminism, PinnedSeedStatsHash) {
   // shift means the simulation is no longer a pure function of its seed —
   // that is the bug this test exists to catch.
   const auto run = [] {
-    VirtualClock clock;
+    SimClock clock;
     FleetConfig c;
     c.stations = 200;
     c.seed = 0x00c0ffeeULL;
@@ -419,7 +477,7 @@ TEST(SimDeterminism, PinnedSeedClassifierStatsHash) {
   // of the seed (the classifier runs unbound, so resolve() never touches a
   // wall clock). Re-pin exactly as above if the change is intentional.
   const auto run = [] {
-    VirtualClock clock;
+    SimClock clock;
     FleetConfig c;
     c.stations = 200;
     c.seed = 0x00c0ffeeULL;

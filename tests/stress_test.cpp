@@ -8,8 +8,8 @@
 // RW_STRESS_SCHEDULES (default 500); run under -DRW_SANITIZE=thread and
 // -DRW_SANITIZE=address to turn every schedule into a race/UB check.
 //
-// Pacing is virtual-time by default: drawn delays advance the injectors'
-// SimClocks and yield, so the full 500-schedule sweep finishes in seconds.
+// Pacing yields by default: delays are drawn but not slept, so the full
+// 500-schedule sweep finishes in seconds.
 // The Rng draws are identical in both modes, so pinned seeds replay the
 // same schedules. WallClockSmokeSubset re-enables real sleeps on a small
 // subset so sanitizer runs still see genuine preemption windows.

@@ -237,25 +237,6 @@ TEST(RunningStats, MergeMatchesCombinedStream) {
   EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // clamps to first bin
-  h.add(100.0);   // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-}
-
-TEST(Histogram, PercentileOrdering) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_LT(h.percentile(10), h.percentile(50));
-  EXPECT_LT(h.percentile(50), h.percentile(99));
-  EXPECT_NEAR(h.percentile(50), 50.0, 2.0);
-}
-
 TEST(RateCounter, ComputesRate) {
   RateCounter c;
   EXPECT_EQ(c.rate(), 0.0);
@@ -263,22 +244,6 @@ TEST(RateCounter, ComputesRate) {
   for (int i = 0; i < 2; ++i) c.add(false);
   EXPECT_DOUBLE_EQ(c.rate(), 0.98);
   EXPECT_EQ(c.total(), 100u);
-}
-
-TEST(WindowedRate, SlidesOverWindow) {
-  WindowedRate w(4);
-  EXPECT_EQ(w.rate(), 1.0);  // vacuous
-  w.add(false);
-  w.add(false);
-  w.add(false);
-  w.add(false);
-  EXPECT_EQ(w.rate(), 0.0);
-  w.add(true);
-  w.add(true);
-  w.add(true);
-  w.add(true);
-  EXPECT_EQ(w.rate(), 1.0);  // old samples fell out
-  EXPECT_TRUE(w.full());
 }
 
 TEST(PercentFormat, Renders) {

@@ -32,18 +32,20 @@ Rules
          util::BufferPool::local() or move an existing buffer through.
          Transform filters that genuinely need a fresh output buffer carry
          a reasoned waiver.
-  RW007  No wall-clock time in the simulated layers: src/net/, src/wireless/
-         and src/sim/ must not call std::chrono::steady_clock::now() or
-         sleep_for. Those layers run under sim::VirtualClock in tests and
-         the fleet simulation (docs/simulation.md); a stray wall-clock read
+  RW007  No wall-clock time in the simulated layers: src/net/, src/wireless/,
+         src/sim/ and the virtual clock's event queue (src/util/clock.cpp)
+         must not call std::chrono::steady_clock::now() or sleep_for.
+         Those layers run under util::SimClock in tests and the fleet
+         simulation (docs/simulation.md); a stray wall-clock read
          makes runs timing-dependent and breaks the byte-identical
          determinism contract. Take a util::Clock* and use clock->now() /
          virtual scheduling instead. Genuine wall-clock needs (e.g. a
          watchdog that must fire even when the virtual loop wedges) carry a
          reasoned waiver.
   RW008  No blocking calls in run-to-completion dispatch contexts: the
-         virtual-time layer (src/sim/), the observability snapshot/render
-         paths (src/obs/), the control-protocol dispatch code
+         virtual-time layer (src/sim/ and src/util/clock.cpp), the
+         observability snapshot/render paths (src/obs/), the
+         control-protocol dispatch code
          (src/core/control.*), the worker loop and pool, the filter
          library (src/filters/, whose drives run on a worker every chain
          hosted there shares) and the adaptation raplets (src/raplets/,
@@ -52,7 +54,7 @@ Rules
          sleep_until), or receive with an infinite timeout. These bodies
          run inline under a dispatcher's lock, clock step or worker; one
          blocked callback stalls every queued event behind it, and under
-         sim::VirtualClock it wedges virtual time itself. Pace with a timer instead (a filter defers
+         util::SimClock it wedges virtual time itself. Pace with a timer instead (a filter defers
          its next read: PacketFilter::input_delay). A worker thread that
          deliberately paces on a CV inside one of these directories (e.g.
          the stats log's wall-clock emitter) carries a reasoned waiver.
@@ -366,8 +368,9 @@ def check_rw006() -> None:
 # ---------------------------------------------------------------------------
 # RW007: no wall-clock reads or sleeps in the simulated layers
 
-# Layers that must stay driveable by sim::VirtualClock (docs/simulation.md).
-RW007_LAYERS = ("src/net/", "src/wireless/", "src/sim/")
+# Layers that must stay driveable by util::SimClock (docs/simulation.md).
+# Only the clock's .cpp: the header's WallClock is the sanctioned wall read.
+RW007_LAYERS = ("src/net/", "src/wireless/", "src/sim/", "src/util/clock.cpp")
 RW007_RE = re.compile(
     r"std::chrono::steady_clock::now\s*\(|\bsleep_for\s*\(")
 
@@ -388,7 +391,8 @@ def check_rw007() -> None:
 # ---------------------------------------------------------------------------
 # RW008: no blocking calls in run-to-completion dispatch contexts
 
-RW008_CONTEXTS = ("src/sim/", "src/obs/", "src/core/control.",
+RW008_CONTEXTS = ("src/sim/", "src/util/clock.cpp", "src/obs/",
+                  "src/core/control.",
                   "src/core/event_loop.", "src/core/worker_pool.",
                   "src/filters/", "src/raplets/")
 RW008_RE = re.compile(
