@@ -2,9 +2,10 @@
 //
 // Section 3 requires that inserting a filter "should not disturb the
 // connection"; the price of a splice is a brief stall of the stream while
-// the left stream pauses, drains, and reconnects. This bench measures
-// insert and remove latency on a live stream versus chain length and
-// packet size. Every packet carries its sequence number, and each row
+// the left stream pauses and reconnects (a pause waits for nothing; a
+// removal also waits for the removed filter's own flush). This bench
+// measures insert and remove latency on a live stream versus chain length
+// and packet size. Every packet carries its sequence number, and each row
 // checks that the sink received exactly 0..N-1 in order: a row that lost,
 // duplicated or reordered a packet is named and the run exits 1.
 #include <atomic>
@@ -137,8 +138,8 @@ int main() {
   std::printf(
       "\nshape check: latency is micro- to milli-seconds, independent of\n"
       "chain length (only the splice point pauses; the rest keeps flowing),\n"
-      "and removal costs more than insertion (it drains the filter twice —\n"
-      "its input pipe, then its flushed output).\n");
+      "and a removal also waits for the filter to read what its input\n"
+      "still holds and flush it downstream.\n");
   if (!failed.empty()) {
     std::printf("\nFAILED:");
     for (const std::string& row : failed) std::printf(" %s", row.c_str());

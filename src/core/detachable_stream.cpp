@@ -40,17 +40,15 @@ std::size_t DetachableInputStream::poll_read_borrow(std::size_t max,
     st_->ring.consume(consumed);
     st_->bytes_out += consumed;
     st_->fire_writable();
-    if (st_->ring.empty()) st_->notify_drained();
     return consumed;
   }
   if (st_->write_closed || st_->soft_eof || st_->reader_closed) {
+    st_->soft_eof = false;  // a detach EOF ends one epoch, reported once
     *end = true;
     return 0;
   }
-  // Empty but open: report would-block. Tell a pending pauser the buffer is
-  // drained, then arm the watcher so the next arrival — or EOF/splice —
-  // re-drives the owner.
-  st_->notify_drained();
+  // Empty but open: report would-block, arming the watcher so the next
+  // arrival — or EOF/splice — re-drives the owner.
   if (st_->read_sched != nullptr) st_->read_armed = true;
   return 0;
 }
@@ -94,7 +92,8 @@ void DetachableInputStream::close() {
   rw::MutexLock lk(st_->mu);
   st_->reader_closed = true;
   st_->connected = false;
-  st_->wake_all();
+  st_->fire_readable();
+  st_->fire_writable();
 }
 
 void DetachableInputStream::mark_soft_eof() {
@@ -209,37 +208,23 @@ void DetachableOutputStream::set_write_scheduler(Scheduler* sched) {
 }
 
 void DetachableOutputStream::pause() {
-  std::shared_ptr<InputState> st;
-  {
-    rw::MutexLock lk(mu_);
-    if (closed_) throw StreamError("DOS::pause: stream closed");
-    if (!connected_) {
-      if (swflag_) return;  // already paused: idempotent
-      throw StreamError("DOS::pause: not connected");
-    }
-    // Every try_write_* holds mu_ for its whole transaction, so no write is
-    // in flight here, and every later one sees swflag_ and arms at this
-    // DOS, where reconnect() or close() fires it.
-    swflag_ = true;
-    ++pauses_;
-    connected_ = false;
-    st = std::move(sink_);
-    // Lock order: DOS::mu_ before InputState::mu (always).
-    rw::MutexLock slk(st->mu);
-    // The reader must drain the ring so this pause can complete; a writer
-    // armed on the full ring re-polls and re-arms at this DOS.
-    st->fire_readable();
-    st->fire_writable();
+  rw::MutexLock lk(mu_);
+  if (closed_) throw StreamError("DOS::pause: stream closed");
+  if (!connected_) {
+    if (swflag_) return;  // already paused: idempotent
+    throw StreamError("DOS::pause: not connected");
   }
-  // Wait for the reader to drain the buffer (the paper's checkBuf/wait),
-  // outside mu_: the reader may share a worker with this DOS's writer.
+  // Every try_write_* holds mu_ for its whole transaction, so no write is
+  // in flight here, and every later one sees swflag_ and arms at this DOS,
+  // where reconnect() or close() fires it.
+  swflag_ = true;
+  ++pauses_;
+  connected_ = false;
+  const std::shared_ptr<InputState> st = std::move(sink_);
+  // Lock order: DOS::mu_ before InputState::mu (always). A writer armed on
+  // the full ring re-polls and re-arms at this DOS.
   rw::MutexLock slk(st->mu);
-  ++st->drain_waiting;
-  st->drained.wait(st->mu, [st = st.get()] {
-    st->mu.assert_held();
-    return st->ring.empty() || st->reader_closed;
-  });
-  --st->drain_waiting;
+  st->fire_writable();
   st->detach_source();
 }
 
@@ -256,9 +241,12 @@ void DetachableOutputStream::reconnect(DetachableInputStream& dis) {
     if (st->reader_closed) {
       throw StreamError("DOS::reconnect: sink reader closed");
     }
+    if (st->soft_eof) {
+      throw DetachEofPending(
+          "DOS::reconnect: sink reader has not read its detach EOF");
+    }
     st->source = this;
     st->connected = true;
-    st->soft_eof = false;
     st->write_closed = false;
     // The writable watcher follows this DOS to its new sink; an armed
     // reader on the new sink may now have data (or a source to wait on)
@@ -291,7 +279,8 @@ void DetachableOutputStream::close() {
     st->write_closed = true;
     // Fire before detach_source() uninstalls the writable watcher: a
     // writer armed on the full ring must retry and observe BrokenPipe.
-    st->wake_all();
+    st->fire_readable();
+    st->fire_writable();
     st->detach_source();
   }
 }

@@ -4,8 +4,8 @@
 // like a piped byte stream, with the buffer held at the input side. Unlike
 // ordinary piped streams, the pair can be:
 //
-//   * paused      — new writes are refused, the reader drains the buffer,
-//                   then both halves are marked disconnected;
+//   * paused      — new writes are refused and both halves are marked
+//                   disconnected; buffered bytes stay for the reader;
 //   * reconnected — either half may be attached to a *different* peer,
 //                   re-driving any reader/writer that waited while paused;
 //   * restarted   — data flows again with no byte lost, duplicated, or
@@ -45,6 +45,13 @@ class StreamError : public std::runtime_error {
 
 /// Writing to a closed/abandoned stream.
 class BrokenPipe : public StreamError {
+ public:
+  using StreamError::StreamError;
+};
+
+/// reconnect() onto a sink whose reader has not yet read the detach EOF of
+/// its previous source: the old and the new epoch would merge into one.
+class DetachEofPending : public StreamError {
  public:
   using StreamError::StreamError;
 };
@@ -94,31 +101,14 @@ struct InputState {
     }
   }
 
-  /// Fires both watchers and wakes a pauser waiting for the ring to
-  /// drain. The shared tail of the close paths.
-  void wake_all() RW_REQUIRES(mu) {
-    notify_drained();
-    fire_readable();
-    fire_writable();
-  }
-
-  /// A pauser waiting in drained is rare; when none is registered the
-  /// reader's became-empty notification is skipped. notify_all: concurrent
-  /// pause() and close() may both wait.
-  void notify_drained() RW_REQUIRES(mu) {
-    if (drain_waiting > 0) drained.notify_all();
-  }
-
   rw::Mutex mu{"core/stream_input", rw::lockrank::kStreamInput};
-  rw::CondVar drained;  // ring became empty (pause() waits on it)
   util::ByteRing ring RW_GUARDED_BY(mu);
 
   DetachableOutputStream* source RW_GUARDED_BY(mu) = nullptr;
   bool connected RW_GUARDED_BY(mu) = false;
   bool write_closed RW_GUARDED_BY(mu) = false;  // hard EOF: source closed
-  bool soft_eof RW_GUARDED_BY(mu) = false;      // detach EOF: report EOF once
-                                                // drained; cleared by the next
-                                                // reconnect (filter removal)
+  bool soft_eof RW_GUARDED_BY(mu) = false;      // detach EOF: reported once
+                                                // drained, then cleared
   bool reader_closed RW_GUARDED_BY(mu) = false;
 
   // Readiness watchers. The readable watcher is installed by the DIS owner
@@ -131,8 +121,6 @@ struct InputState {
   bool read_armed RW_GUARDED_BY(mu) = false;
   Scheduler* write_sched RW_GUARDED_BY(mu) = nullptr;
   bool write_armed RW_GUARDED_BY(mu) = false;
-
-  int drain_waiting RW_GUARDED_BY(mu) = 0;  // pausers parked in drained
 
   std::uint64_t bytes_in RW_GUARDED_BY(mu) = 0;
   std::uint64_t bytes_out RW_GUARDED_BY(mu) = 0;
@@ -158,8 +146,8 @@ class DetachableInputStream final : public util::ByteSource {
   /// this stream or its peer, and must consume at least one byte and no
   /// more than offered (StreamError otherwise, buffer untouched). An empty
   /// ring returns 0 at once: with `*end` set on EOF (hard, soft or reader
-  /// closed), otherwise arming the readable watcher so the next arrival,
-  /// EOF or splice re-drives the owner.
+  /// closed; a soft EOF only this once), otherwise arming the readable
+  /// watcher so the next arrival, EOF or splice re-drives the owner.
   std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
                                bool* end) override;
 
@@ -188,8 +176,8 @@ class DetachableInputStream final : public util::ByteSource {
 
   /// Control-plane detach: once the buffer drains, poll_read_borrow()
   /// reports end-of-stream exactly as on EOF, letting the owning filter
-  /// flush and finish its run without closing its output. Cleared by the
-  /// next reconnect.
+  /// flush and finish its run without closing its output. Reported once:
+  /// the report clears it, and until then reconnect() refuses this sink.
   void mark_soft_eof();
 
   std::uint64_t bytes_received() const;
@@ -237,13 +225,13 @@ class DetachableOutputStream final : public util::ByteSink {
   void connect(DetachableInputStream& dis) { reconnect(dis); }
 
   /// Pauses the pipe: refuses new writes (no write is ever in flight: each
-  /// holds mu_ for its whole transaction), waits for the reader to drain
-  /// the buffer, then marks both halves disconnected. Idempotent when
-  /// already paused. Requires an active reader (or an already-empty
-  /// buffer) to drain.
+  /// holds mu_ for its whole transaction) and marks both halves
+  /// disconnected, leaving the buffered bytes to the sink's reader, ahead
+  /// of whatever its next source writes. Idempotent when already paused.
   void pause();
 
-  /// Attaches this DOS to `dis`. Both halves must be disconnected.
+  /// Attaches this DOS to `dis`. Both halves must be disconnected, and the
+  /// sink's reader must have read its detach EOF (DetachEofPending).
   void reconnect(DetachableInputStream& dis);
 
   /// Hard EOF: the current sink's reader sees end-of-stream after draining;

@@ -152,8 +152,6 @@ void Filter::finish(detail::FilterEventCore& core) {
   core.done_cv.notify_all();
 }
 
-void Filter::detach_request() { dis_->mark_soft_eof(); }
-
 void Filter::close_output_when_done() {
   if (!event_core_ ||
       event_core_->close_output.exchange(true, std::memory_order_acq_rel)) {

@@ -21,9 +21,9 @@
 //     harness's pass-through stages.
 //
 // Removal protocol: the chain marks the filter's DIS with a soft EOF; the
-// drive observes end-of-stream, calls the flush hook (e.g. emit a partial
-// FEC group), and finishes WITHOUT closing its DOS, so downstream stays
-// connected.
+// drive reads what is buffered, observes end-of-stream, calls the flush
+// hook (e.g. emit a partial FEC group), and finishes WITHOUT closing its
+// DOS, so downstream stays connected.
 //
 // Teardown: the chain arms close_output_when_done() on every stage, so
 // each one drains and flushes, and its final drive then closes its DOS:
@@ -82,14 +82,10 @@ class Filter {
   }
 
   /// Waits for the run's final drive. Does not itself request the exit —
-  /// use detach_request() or close the input first. Control-plane threads
-  /// only: on the filter's own worker the drive that would end the run is
-  /// queued behind the caller.
+  /// mark the input's soft EOF (dis().mark_soft_eof()) or close it first.
+  /// Control-plane threads only: on the filter's own worker the drive that
+  /// would end the run is queued behind the caller.
   void join();
-
-  /// Asks the drive to finish: drains the input via soft EOF. Pair with
-  /// join().
-  void detach_request();
 
   /// Closes the output once the current run has ended, or at once if it
   /// already has (or never started). A live run's final drive closes it,
@@ -98,7 +94,7 @@ class Filter {
   void close_output_when_done();
 
   /// Asks a source-driven filter (reader endpoint) to stop producing.
-  /// Default: no-op; ordinary filters stop via detach_request().
+  /// Default: no-op; ordinary filters stop at their input's soft EOF.
   virtual void interrupt() {}
 
   /// The stages the chain runs in this filter's place: this filter itself,

@@ -216,13 +216,13 @@ std::shared_ptr<Filter> FilterChain::remove_locked(std::size_t pos) {
   if (started_ && !stages.empty()) {
     Filter& left = left_of_locked(pos);
     Filter& right = right_of_locked(pos + 1);
-    // Drain each stage's input, let it flush buffered state downstream,
-    // drain its output, then close the gap. Stage by stage, so a
-    // composite's children flush in order, each into a still-running
-    // successor.
+    // End each stage's input, wait until it has read what its ring still
+    // held and flushed buffered state downstream, then close the gap.
+    // Stage by stage, so a composite's children flush in order, each into
+    // a still-running successor.
     left.dos().pause();
     for (Filter* s : stages) {
-      s->detach_request();
+      s->dis().mark_soft_eof();
       s->join();
       s->dos().pause();
     }

@@ -4,15 +4,18 @@
 // single data stream, and implements the paper's add()/delete()/reorder
 // operations on a *running* stream via the pause/reconnect protocol:
 //
-//   insert(F, pos):  Left.DOS.pause()            — drain the splice point
-//                    Left.DOS.reconnect(F.DIS)   — attach new filter input
+//   insert(F, pos):  Left.DOS.pause()            — detach the splice point
 //                    Right.DIS.reconnect(F.DOS)  — attach new filter output
+//                    Left.DOS.reconnect(F.DIS)   — attach new filter input
 //                    F.start(loop)
 //
-//   remove(pos):     Left.DOS.pause()            — drain F's input
-//                    F.detach_request(); F.join()— F flushes pending state
-//                    F.DOS.pause()               — drain F's output
+//   remove(pos):     Left.DOS.pause()            — F's input ends here
+//                    F.DIS.mark_soft_eof()
+//                    F.join()                    — F reads its ring, flushes
+//                    F.DOS.pause()
 //                    Left.DOS.reconnect(Right.DIS)
+//
+// No pause waits (a ring keeps its bytes); remove() waits in join() only.
 //
 //   shutdown:        Head.interrupt()            — the source ends
 //                    every F.close_output_when_done()

@@ -3,6 +3,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "util/logging.h"
@@ -130,9 +131,8 @@ void FlowTable::push(const core::FlowKey& key, util::Bytes packet) {
     source = flow_locked(shard, idx, key).source;
   }
   // Push outside the shard lock: the queue is unbounded and never blocks,
-  // but keeping the data path off the lock means a slow reconfigure
-  // (reresolve holds it across chain splices) cannot stall this shard's
-  // other feeders longer than the lookup.
+  // and reresolve() splices outside the lock, so no feeder of this shard
+  // waits behind a reconfigure.
   source->push(std::move(packet));
 }
 
@@ -160,31 +160,48 @@ bool FlowTable::expire(const core::FlowKey& key) {
   return true;
 }
 
-void FlowTable::reconfigure_locked(Flow& flow, const core::ChainSpecRef& spec) {
-  // Old stages out back-to-front (each flushes via pause/soft-EOF), new
-  // stages in front-to-back — every step is one byte-exact splice, so the
-  // stream never loses, duplicates, or reorders a packet across the swap.
-  for (std::size_t n = flow.chain->size(); n > 0; --n) {
-    flow.chain->remove(n - 1);
-  }
-  for (auto& filter : core::instantiate_chain(*spec, registry_)) {
-    flow.chain->append(std::move(filter));
-  }
-  flow.spec = spec;
-}
-
 std::size_t FlowTable::reresolve() {
   std::size_t changed = 0;
-  // One shard at a time (never two shard locks at once): a slow splice on
-  // one worker's flows leaves every other shard's data path untouched.
+  // One shard at a time, its lock held only to decide and to record: each
+  // changed flow is pinned under it and spliced outside it. Passes repeat
+  // while the rules moved, since a racing reresolve() skips pinned flows.
   for (auto& shard : shards_) {
-    rw::MutexLock lk(shard->mu);
-    for (auto& [key, flow] : shard->flows) {
-      core::ChainSpecRef spec = classifier_.resolve(key);
-      if (spec == flow.spec) continue;  // flyweight: pointer == is same spec
-      reconfigure_locked(flow, spec);
-      ++changed;
-    }
+    std::uint64_t version = 0;
+    do {
+      version = classifier_.version();
+      std::vector<std::tuple<core::FlowKey, std::shared_ptr<core::FilterChain>,
+                             core::ChainSpecRef>> pinned;
+      {
+        rw::MutexLock lk(shard->mu);
+        for (auto& [key, flow] : shard->flows) {
+          if (flow.reconfiguring) continue;  // another reresolve() has it
+          core::ChainSpecRef spec = classifier_.resolve(key);
+          if (spec == flow.spec) continue;  // flyweight: same pointer, same spec
+          flow.reconfiguring = true;
+          pinned.emplace_back(key, flow.chain, std::move(spec));
+        }
+      }
+      for (const auto& [key, chain, spec] : pinned) {
+        bool done = false;
+        try {
+          // New stages first, so a spec that cannot be instantiated leaves
+          // the flow on its old chain; every remove/append is one splice.
+          auto stages = core::instantiate_chain(*spec, registry_);
+          for (std::size_t n = chain->size(); n > 0; --n) chain->remove(n - 1);
+          for (auto& filter : stages) chain->append(std::move(filter));
+          done = true;
+        } catch (const std::exception& e) {
+          RW_ERROR("flow_table") << "reconfiguring a flow onto '" << spec->name
+                                 << "' failed: " << e.what();
+        }
+        rw::MutexLock lk(shard->mu);
+        auto it = shard->flows.find(key);
+        if (it == shard->flows.end() || it->second.chain != chain) continue;
+        if (done) it->second.spec = spec;
+        it->second.reconfiguring = false;
+        changed += done ? 1 : 0;
+      }
+    } while (version != classifier_.version());
   }
   reconfigured_.fetch_add(changed, std::memory_order_relaxed);
   return changed;
@@ -192,13 +209,14 @@ std::size_t FlowTable::reresolve() {
 
 void FlowTable::sweep_shard(std::size_t idx) {
   Shard& shard = *shards_[idx];
-  // Never block the worker: a control op holding the shard (reresolve
-  // mid-splice, an expire) just means this round is skipped.
+  // Never block the worker: a control op holding the shard lock just means
+  // this round is skipped, and a flow pinned by reresolve() counts as
+  // active.
   if (!shard.mu.try_lock()) return;
   try {
     for (auto it = shard.flows.begin(); it != shard.flows.end();) {
       Flow& flow = it->second;
-      if (flow.activity != flow.seen_activity) {
+      if (flow.reconfiguring || flow.activity != flow.seen_activity) {
         flow.seen_activity = flow.activity;
         flow.idle_sweeps = 0;
         ++it;

@@ -23,11 +23,13 @@
 // it calls reresolve(), which re-runs every active flow's key against the
 // new table. A flow whose resolved spec is pointer-identical keeps its
 // running chain untouched; a changed flow is reconfigured IN PLACE on the
-// live stream — old stages removed back-to-front (each flushes via the
-// pause/soft-EOF protocol), new stages inserted front-to-back — under the
-// same pause/reconnect byte-exactness contract every chain operation obeys
-// (no packet is lost, duplicated, or reordered across the swap; asserted by
-// tests/flow_classifier_test.cpp under randomized stress schedules).
+// live stream — new stages built first, old stages removed back-to-front
+// (each flushes via the pause/soft-EOF protocol), new stages inserted
+// front-to-back — under the same pause/reconnect byte-exactness contract
+// every chain operation obeys (no packet is lost, duplicated, or reordered
+// across the swap; asserted by tests/flow_classifier_test.cpp under
+// randomized stress schedules). reresolve() splices outside the shard
+// lock, with the flow pinned against the idle sweep.
 #pragma once
 
 #include <atomic>
@@ -103,8 +105,9 @@ class FlowTable {
   bool expire(const core::FlowKey& key);
 
   /// Re-resolves every active flow against the current rule table and
-  /// reconfigures the chains whose spec changed (see header comment).
-  /// Returns the number of reconfigured flows.
+  /// reconfigures the chains whose spec changed (see header comment). A
+  /// splice that throws is logged and skipped; returns the splices that
+  /// completed.
   std::size_t reresolve();
 
   std::size_t size() const;
@@ -138,6 +141,10 @@ class FlowTable {
     std::uint64_t activity = 0;
     std::uint64_t seen_activity = 0;
     int idle_sweeps = 0;
+    // Pinned while reresolve() splices the chain outside the shard lock:
+    // the sweep's begin_shutdown() would block this worker on the chain
+    // mutex, which the splice holds while it joins a stage on this worker.
+    bool reconfiguring = false;
   };
 
   /// One per worker. Operations on different shards never contend; a
@@ -158,9 +165,9 @@ class FlowTable {
   /// counts as activity for the idle sweep.
   Flow& flow_locked(Shard& shard, std::size_t idx, const core::FlowKey& key)
       RW_REQUIRES(shard.mu);
-  void reconfigure_locked(Flow& flow, const core::ChainSpecRef& spec);  // rw-lint: allow(RW003) caller holds the flow's shard lock, passed implicitly via the Flow&
   /// The per-worker timer body: evict idle flows, reap finished drains.
-  /// Runs on shard `idx`'s worker; never blocks (try_lock, skip on miss).
+  /// Runs on shard `idx`'s worker; never blocks (try_lock, skip on miss,
+  /// and pinned flows are passed over).
   void sweep_shard(std::size_t idx);
 
   core::FlowClassifier& classifier_;

@@ -1,7 +1,7 @@
 // Portable Clang Thread Safety Analysis annotations.
 //
 // The repo's core correctness property is lock discipline: safe mutation of
-// a *running* pipeline (pause/drain/reconnect, live insert/remove/reorder)
+// a *running* pipeline (pause/reconnect, live insert/remove/reorder)
 // depends on every shared field being touched only under its mutex. These
 // macros turn that protocol into compile-time contracts: a Clang build with
 // -DRW_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety) rejects any

@@ -2,7 +2,7 @@
 //
 // Covers the pipe contract through the calls a drive makes
 // (try_write_some / try_write_vec / poll_read_borrow and the one-shot
-// readiness watchers), pause/drain/reconnect semantics, hard and soft EOF,
+// readiness watchers), pause/reconnect semantics, hard and soft EOF,
 // error paths, and — most importantly — the integrity property: across
 // arbitrary pause/reconnect (splice) cycles under concurrent load, the byte
 // sequence observed downstream equals the byte sequence written upstream.
@@ -348,7 +348,9 @@ TEST(DetachableStream, SoftEofDrainsThenSignals) {
   EXPECT_TRUE(end);
 }
 
-TEST(DetachableStream, SoftEofClearedByReconnect) {
+// A detach EOF ends one epoch: it is reported once, and that report clears
+// it, so the sink takes a new source and the filter is reusable.
+TEST(DetachableStream, SoftEofIsReportedOnce) {
   DetachableInputStream dis;
   DetachableOutputStream dos1, dos2;
   connect(dos1, dis);
@@ -358,38 +360,69 @@ TEST(DetachableStream, SoftEofClearedByReconnect) {
   bool end = false;
   EXPECT_EQ(poll_append(dis, out, 0, &end), 0u);
   EXPECT_TRUE(end);
+  EXPECT_EQ(poll_append(dis, out, 0, &end), 0u);
+  EXPECT_FALSE(end);  // reported once: would-block from here on
 
-  dos2.reconnect(dis);  // clears soft EOF: the filter is reusable
+  dos2.reconnect(dis);  // the EOF was read: the sink takes a new source
   EXPECT_EQ(poll_append(dis, out, 0, &end), 0u);
   EXPECT_FALSE(end);  // open again: would-block, not EOF
   dos2.try_write_some(to_bytes("more"));
   EXPECT_EQ(drain(dis), "more");
 }
 
+// A sink whose reader has not yet read its detach EOF refuses a new source:
+// the old and the new epoch would merge into one. Once the reader has read
+// the old epoch and its end, the sink takes the new source.
+TEST(DetachableStream, ReconnectRefusesASinkThatOwesItsReaderADetachEof) {
+  DetachableInputStream dis;
+  DetachableOutputStream dos1, dos2;
+  connect(dos1, dis);
+  dos1.try_write_some(to_bytes("old"));
+  dos1.pause();
+  dis.mark_soft_eof();
+  EXPECT_THROW(dos2.reconnect(dis), DetachEofPending);
+  EXPECT_FALSE(dos2.connected());
+  EXPECT_FALSE(dis.connected());
+
+  Bytes out;
+  bool end = true;
+  EXPECT_EQ(poll_append(dis, out, 0, &end), 3u);  // the old epoch's bytes
+  EXPECT_FALSE(end);
+  EXPECT_THROW(dos2.reconnect(dis), DetachEofPending);  // its end is unread
+  EXPECT_EQ(poll_append(dis, out, 0, &end), 0u);
+  EXPECT_TRUE(end);
+
+  dos2.reconnect(dis);
+  EXPECT_TRUE(dis.connected());
+  EXPECT_EQ(dos2.try_write_some(to_bytes("new")), 3u);
+  EXPECT_EQ(poll_append(dis, out, 0, &end), 3u);
+  EXPECT_FALSE(end);
+  EXPECT_EQ(to_string(out), "oldnew");
+}
+
 // ---------------------------------------------------------------------------
 // Pause / reconnect — the paper's contribution
 
-TEST(DetachableStream, PauseDrainsBufferBeforeReturning) {
+// pause() waits for nothing, not even a reader: it returns with the bytes
+// still buffered, and the reader drains them in order, ahead of whatever
+// the sink's next source writes.
+TEST(DetachableStream, PauseLeavesBufferedBytesForTheReader) {
   DetachableInputStream dis;
-  DetachableOutputStream dos;
-  connect(dos, dis);
-  dos.try_write_some(sequential_bytes(100));
+  DetachableOutputStream dos1, dos2;
+  connect(dos1, dis);
+  dos1.try_write_some(sequential_bytes(100));
 
-  std::atomic<bool> paused{false};
-  std::thread pauser([&] {
-    dos.pause();
-    paused = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(paused.load());  // buffer not yet drained
-
-  Bytes out;
-  while (out.size() < 100) poll_append(dis, out, 30);
-  pauser.join();
-  EXPECT_TRUE(paused.load());
-  EXPECT_FALSE(dos.connected());
+  dos1.pause();  // nobody reads yet
+  EXPECT_FALSE(dos1.connected());
   EXPECT_FALSE(dis.connected());
-  EXPECT_EQ(out, sequential_bytes(100));
+  EXPECT_EQ(dis.available(), 100u);
+
+  dos2.reconnect(dis);
+  dos2.try_write_some(sequential_bytes(50, 100));
+  Bytes out;
+  while (poll_append(dis, out, 30) != 0) {
+  }
+  EXPECT_EQ(out, sequential_bytes(150));
 }
 
 TEST(DetachableStream, PauseOnEmptyBufferIsImmediate) {
@@ -541,6 +574,61 @@ struct SpliceParam {
   int splices;
 };
 
+/// Keeps a writer and a splicing control thread in step, so that every
+/// planned splice runs while the stream still flows: splice `i` waits until
+/// the writer has sent unit i * units / splices of its stream (a unit is a
+/// byte or a frame), and the writer sends unit `u` only once
+/// u * splices / units splices have run, and closes only after the last.
+struct SplicePacing {
+  SplicePacing(std::size_t units, int splices)
+      : units(units), splices(static_cast<std::size_t>(splices)) {}
+
+  void writer_wait(std::size_t unit) const {
+    while (executed.load() < unit * splices / units) std::this_thread::yield();
+  }
+  void splice_wait(std::size_t splice) const {
+    while (sent.load() < splice * units / splices) std::this_thread::yield();
+  }
+
+  const std::size_t units;
+  const std::size_t splices;
+  std::atomic<std::size_t> sent{0};      // units the writer has sent
+  std::atomic<std::size_t> executed{0};  // splices that have run
+};
+
+/// Moves the writer from `from` to `to`: pause, give the old sink its detach
+/// EOF, then reconnect. While the new sink's reader has not yet read the
+/// detach EOF of that sink's previous epoch, reconnect() refuses it, and the
+/// splice retries.
+void splice(DetachableOutputStream& dos, DetachableInputStream& from,
+            DetachableInputStream& to) {
+  dos.pause();
+  from.mark_soft_eof();
+  while (true) {
+    try {
+      dos.reconnect(to);
+      return;
+    } catch (const DetachEofPending&) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+/// Splices the writer between the two sinks `pacing.splices` times, each
+/// once the writer has reached it.
+void splice_back_and_forth(DetachableOutputStream& dos,
+                           DetachableInputStream& dis_a,
+                           DetachableInputStream& dis_b,
+                           SplicePacing& pacing) {
+  bool on_a = true;
+  for (std::size_t i = 0; i < pacing.splices; ++i) {
+    pacing.splice_wait(i);
+    splice(dos, on_a ? dis_a : dis_b, on_a ? dis_b : dis_a);
+    on_a = !on_a;
+    ++pacing.executed;
+  }
+}
+
 class SpliceIntegrityTest : public ::testing::TestWithParam<SpliceParam> {};
 
 // One writer streams a known byte sequence through a DOS while the control
@@ -560,15 +648,19 @@ TEST_P(SpliceIntegrityTest, NoBytesLostDuplicatedOrReordered) {
     return b;
   }();
 
+  SplicePacing pacing(payload.size(), param.splices);
   std::thread writer([&] {
     util::Rng rng(99);
     std::size_t sent = 0;
     while (sent < payload.size()) {
+      pacing.writer_wait(sent);
       const std::size_t n =
           std::min<std::size_t>(rng.next_below(1500) + 1, payload.size() - sent);
       write_polling(dos, ByteSpan(payload.data() + sent, n));
       sent += n;
+      pacing.sent = sent;
     }
+    pacing.writer_wait(payload.size());
     dos.close();
   });
 
@@ -588,24 +680,15 @@ TEST_P(SpliceIntegrityTest, NoBytesLostDuplicatedOrReordered) {
     }
   });
 
-  // Control thread: splice between sinks `splices` times. After each pause
-  // the old sink is given a soft EOF so the reader knows to switch over.
-  bool on_a = true;
-  for (int i = 0; i < param.splices; ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-    try {
-      dos.pause();
-      (on_a ? dis_a : dis_b).mark_soft_eof();
-      dos.reconnect(on_a ? dis_b : dis_a);
-      on_a = !on_a;
-    } catch (const StreamError&) {
-      break;  // writer finished and closed the stream
-    }
-  }
+  // Control thread: splice between sinks, each splice after the writer
+  // reached it. After each pause the old sink is given a soft EOF so the
+  // reader knows to switch over.
+  splice_back_and_forth(dos, dis_a, dis_b, pacing);
 
   writer.join();
   reader.join();
 
+  EXPECT_EQ(pacing.executed.load(), static_cast<std::size_t>(param.splices));
   ASSERT_EQ(log.size(), payload.size());
   EXPECT_EQ(log, payload);
 }
@@ -632,25 +715,6 @@ Bytes numbered_frame(util::Rng& rng, int i) {
   return payload;
 }
 
-/// Splices the writer between the two sinks `splices` times, as the
-/// integrity sweep does.
-void splice_back_and_forth(DetachableOutputStream& dos,
-                           DetachableInputStream& dis_a,
-                           DetachableInputStream& dis_b, int splices) {
-  bool on_a = true;
-  for (int i = 0; i < splices; ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-    try {
-      dos.pause();
-      (on_a ? dis_a : dis_b).mark_soft_eof();
-      dos.reconnect(on_a ? dis_b : dis_a);
-      on_a = !on_a;
-    } catch (const StreamError&) {
-      break;
-    }
-  }
-}
-
 // Frames written through splices stay intact (the frame-boundary property):
 // every try_write_frame lands whole, so at every moment of every epoch a
 // sink's buffer starts on a frame boundary and holds only whole frames.
@@ -661,12 +725,17 @@ TEST(DetachableStream, FramesSurviveSplices) {
   connect(dos, dis_a);
 
   constexpr int kFrames = 2000;
+  constexpr int kSplices = 30;
+  SplicePacing pacing(kFrames, kSplices);
   std::thread writer([&] {
     util::Rng rng(5);
     for (int i = 0; i < kFrames; ++i) {
+      pacing.writer_wait(static_cast<std::size_t>(i));
       const Bytes payload = numbered_frame(rng, i);
       while (!util::try_write_frame(dos, payload)) std::this_thread::yield();
+      pacing.sent = static_cast<std::size_t>(i) + 1;
     }
+    pacing.writer_wait(kFrames);
     dos.close();
   });
 
@@ -705,10 +774,11 @@ TEST(DetachableStream, FramesSurviveSplices) {
     }
   });
 
-  splice_back_and_forth(dos, dis_a, dis_b, 30);
+  splice_back_and_forth(dos, dis_a, dis_b, pacing);
   writer.join();
   reader.join();
 
+  EXPECT_EQ(pacing.executed.load(), static_cast<std::size_t>(kSplices));
   ASSERT_EQ(ids.size(), static_cast<std::size_t>(kFrames));
   for (int i = 0; i < kFrames; ++i) EXPECT_EQ(ids[i], static_cast<std::uint32_t>(i));
 }
@@ -724,11 +794,14 @@ TEST(DetachableStream, FramesSurviveSplicesBatchedReader) {
 
   constexpr int kFrames = 2000;
   constexpr int kBatch = 8;
+  constexpr int kSplices = 30;
+  SplicePacing pacing(kFrames, kSplices);
   std::thread writer([&] {
     util::Rng rng(7);
     std::vector<Bytes> frames;
     std::vector<ByteSpan> segs;
     for (int i = 0; i < kFrames; i += kBatch) {
+      pacing.writer_wait(static_cast<std::size_t>(i));
       frames.clear();
       segs.clear();
       for (int j = i; j < std::min(i + kBatch, kFrames); ++j) {
@@ -741,7 +814,9 @@ TEST(DetachableStream, FramesSurviveSplicesBatchedReader) {
       }
       for (const Bytes& f : frames) segs.emplace_back(f);
       while (!dos.try_write_vec(segs)) std::this_thread::yield();
+      pacing.sent = static_cast<std::size_t>(std::min(i + kBatch, kFrames));
     }
+    pacing.writer_wait(kFrames);
     dos.close();
   });
 
@@ -764,10 +839,11 @@ TEST(DetachableStream, FramesSurviveSplicesBatchedReader) {
     }
   });
 
-  splice_back_and_forth(dos, dis_a, dis_b, 30);
+  splice_back_and_forth(dos, dis_a, dis_b, pacing);
   writer.join();
   reader.join();
 
+  EXPECT_EQ(pacing.executed.load(), static_cast<std::size_t>(kSplices));
   ASSERT_EQ(ids.size(), static_cast<std::size_t>(kFrames));
   for (int i = 0; i < kFrames; ++i) {
     EXPECT_EQ(ids[i], static_cast<std::uint32_t>(i));

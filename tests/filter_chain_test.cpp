@@ -101,6 +101,29 @@ class ThrowingFilter final : public PacketFilter {
   void on_packet(Bytes) override { throw std::runtime_error("planted"); }
 };
 
+/// Pass-through packet filter that reads one packet per `gap` of loop time
+/// (the pacing shape of filters::ThrottleFilter) until release().
+class PacedFilter final : public PacketFilter {
+ public:
+  explicit PacedFilter(util::Micros gap) : PacketFilter("paced"), gap_(gap) {}
+  void release() { gap_.store(0); }
+
+ protected:
+  util::Micros input_delay() override {
+    if (!owed_) return 0;
+    owed_ = false;
+    return gap_.load();
+  }
+  void on_packet(Bytes packet) override {
+    owed_ = true;
+    emit(std::move(packet));
+  }
+
+ private:
+  std::atomic<util::Micros> gap_;
+  bool owed_ = false;  // loop thread only
+};
+
 /// Byte filter that uppercases ASCII.
 class UppercaseFilter final : public ByteFilter {
  public:
@@ -240,6 +263,53 @@ TEST(FilterChain, InsertMidStreamLosesNothing) {
     EXPECT_EQ(packet_number(packets[i]), i);
   }
   EXPECT_EQ(packets.back().size(), 5u);  // u32 + tag byte
+}
+
+// A splice waits for no ring to drain: an insert in front of a stage whose
+// input ring is backed up behind its pacing returns at once, and the stream
+// stays whole and in order across it.
+TEST(FilterChain, InsertInFrontOfABackedUpStageReturnsAtOnce) {
+  Harness h;
+  auto paced = std::make_shared<PacedFilter>(20'000);  // 50 packets/s
+  h.chain->append(paced);
+  h.chain->start();
+  constexpr std::uint32_t kPackets = 200;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    h.source->push(numbered_packet(i, 1000));
+  }
+  // The paced stage's ring fills to its 64 KiB bound: over a second of
+  // pacing that a draining pause() would have waited out.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (paced->dis().available() < 60'000) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  h.chain->insert(std::make_shared<TagFilter>(9), 0);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::milliseconds(200))
+      << "the insert waited for the paced stage's ring to drain";
+
+  paced->release();
+  h.source->finish();
+  h.chain->shutdown();
+  // Every packet once, in order: what the ring held before the insert
+  // untagged, everything after it through the new stage.
+  const auto packets = h.sink->packets();
+  ASSERT_EQ(packets.size(), kPackets);
+  std::uint32_t untagged = 0;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    EXPECT_EQ(packet_number(packets[i]), i);
+    const bool tagged = packets[i].size() == 4 + 1000 + 1;
+    if (!tagged) {
+      EXPECT_EQ(untagged, i) << "untagged packet after a tagged one";
+      ++untagged;
+    }
+  }
+  EXPECT_GT(untagged, 0u);
+  EXPECT_LT(untagged, kPackets);
 }
 
 TEST(FilterChain, InsertionPositionsComposeInOrder) {

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -660,6 +663,230 @@ TEST(FlowTable, ActiveFlowsSurviveTheIdleSweep) {
     EXPECT_EQ(flows.size(), 1u);
     ASSERT_TRUE(flows.expire(active));
     EXPECT_TRUE(h.sinks[1]->wait_end());
+  }
+  pool.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Rule changes splice outside the shard lock
+
+/// A one-stage rule that throttles station 1's flows to 40 000 B/s.
+FlowRule throttle_rule() {
+  FlowRule rule = make_rule(
+      "slow", 10,
+      make_spec("throttled", {{"throttle", {{"bytes_per_sec", "40000"}}}}));
+  rule.station_lo = 1;
+  rule.station_hi = 1;
+  return rule;
+}
+
+/// Waits until the throttle heading `chain` holds a backlog of over a
+/// second in its input ring.
+void wait_for_backlog(core::FilterChain& chain) {
+  ASSERT_TRUE(
+      eventually([&] { return chain.at(0)->dis().available() > 50'000; }));
+}
+
+TEST(FlowTable, PushToAnotherFlowCompletesWhileReresolveSplices) {
+  // A rule change that removes a throttle from one flow must wait for the
+  // throttle's backlog to flush, but never make a push to another flow of
+  // the same shard wait with it: reresolve() splices outside the lock
+  // push() takes for its lookup.
+  FlowHarness h;
+  h.sinks[1] = std::make_shared<core::CollectingPacketSink>();
+  h.sinks[2] = std::make_shared<core::CollectingPacketSink>();
+  constexpr std::uint32_t kPackets = 200;
+  constexpr std::uint64_t kSeed = 0x5b11;
+  core::WorkerPool pool(1);  // one shard: both flows share its lock
+  {
+    proxy::FlowTable flows = h.make_table(&pool, /*idle_timeout_ms=*/0);
+    const FlowKey slow{1, "audio", LossRegime::kClean};
+    const FlowKey other{2, "audio", LossRegime::kClean};
+    flows.acquire(other);  // passthrough
+    h.clf.add_rule(throttle_rule());
+    for (std::uint32_t i = 0; i < kPackets; ++i) {
+      flows.push(slow, testing::make_stamped_packet(kSeed, i, 1000));
+    }
+    const auto chain = flows.find(slow);
+    wait_for_backlog(*chain);
+    const auto throttle = chain->at(0);
+
+    h.clf.remove_rule("slow");  // flow 1 back to passthrough
+    std::size_t changed = 0;
+    std::thread control([&] { changed = flows.reresolve(); });
+    // The splice has begun once it paused the head.
+    EXPECT_TRUE(eventually([&] { return chain->head().dos().pauses() > 0; }));
+    const auto t0 = std::chrono::steady_clock::now();
+    flows.push(other, testing::make_stamped_packet(kSeed + 2, 0, 64));
+    const auto took = std::chrono::steady_clock::now() - t0;
+    throttle->set_param("bytes_per_sec", "1e9");  // let its flush finish
+    control.join();
+    EXPECT_LT(took, std::chrono::milliseconds(200))
+        << "the push waited behind the splice";
+    EXPECT_EQ(changed, 1u);
+    EXPECT_EQ(flows.spec_of(slow)->name, "passthrough");
+
+    ASSERT_TRUE(flows.expire(slow));
+    ASSERT_TRUE(flows.expire(other));
+    testing::PacketLedger ledger(kSeed, kPackets);
+    for (const auto& p : h.sinks[1]->packets()) ledger.record(p);
+    EXPECT_EQ(ledger.ok(), kPackets);
+    EXPECT_EQ(ledger.reordered(), 0u);
+    EXPECT_EQ(h.sinks[2]->count(), 1u);
+  }
+  pool.stop();
+}
+
+TEST(FlowTable, ARuleChangeDuringASpliceStillReachesThePinnedFlow) {
+  // A rule change lands while reresolve() is slowly removing a throttle.
+  // The second reresolve() passes over the pinned flow, so the first one
+  // must go again: the flow ends on the newest spec, every packet intact.
+  FlowHarness h;
+  h.sinks[1] = std::make_shared<core::CollectingPacketSink>();
+  constexpr std::uint32_t kPackets = 200;
+  constexpr std::uint64_t kSeed = 0x5ec0;
+  core::WorkerPool pool(1);
+  {
+    proxy::FlowTable flows = h.make_table(&pool, /*idle_timeout_ms=*/0);
+    const FlowKey key{1, "audio", LossRegime::kClean};
+    h.clf.add_rule(throttle_rule());
+    for (std::uint32_t i = 0; i < kPackets; ++i) {
+      flows.push(key, testing::make_stamped_packet(kSeed, i, 1000));
+    }
+    const auto chain = flows.find(key);
+    wait_for_backlog(*chain);
+    const auto throttle = chain->at(0);
+
+    h.clf.remove_rule("slow");
+    std::size_t first = 0;
+    std::thread control([&] { first = flows.reresolve(); });
+    EXPECT_TRUE(eventually([&] { return chain->head().dos().pauses() > 0; }));
+    h.clf.add_rule(
+        make_rule("shape", 20, make_spec("one-null", {{"null", {}}})));
+    EXPECT_EQ(flows.reresolve(), 0u);  // the flow is pinned: passed over
+    throttle->set_param("bytes_per_sec", "1e9");  // let its flush finish
+    control.join();
+    EXPECT_EQ(first, 2u);  // onto passthrough, then onto one-null
+    EXPECT_EQ(flows.spec_of(key)->name, "one-null");
+    EXPECT_EQ(chain->names(), std::vector<std::string>{"null"});
+
+    ASSERT_TRUE(flows.expire(key));
+    testing::PacketLedger ledger(kSeed, kPackets);
+    for (const auto& p : h.sinks[1]->packets()) ledger.record(p);
+    EXPECT_EQ(ledger.ok(), kPackets);
+    EXPECT_EQ(ledger.reordered(), 0u);
+  }
+  pool.stop();
+}
+
+TEST(FlowTable, SlowReresolveRacesTheIdleSweep) {
+  // The idle sweep runs on the shard's worker, and begin_shutdown() takes
+  // the chain mutex, which a splice holds while it joins a stage that only
+  // this worker can finish. A flow that goes quiet during a slow splice
+  // must therefore be left alone by the sweep (it is pinned), and the
+  // rule change must finish with every packet delivered.
+  FlowHarness h;
+  h.sinks[1] = std::make_shared<core::CollectingPacketSink>();
+  constexpr std::uint64_t kSeed = 0x5eeb;
+  core::WorkerPool pool(1);
+  {
+    proxy::FlowTable flows = h.make_table(&pool, /*idle_timeout_ms=*/20);
+    const FlowKey key{1, "audio", LossRegime::kClean};
+    h.clf.add_rule(throttle_rule());
+    const auto chain = flows.acquire(key);
+
+    // Keep the flow active (a push a millisecond) until the splice began,
+    // so the sweep cannot evict it before the rule change reaches it.
+    std::atomic<bool> splicing{false};
+    std::atomic<std::uint32_t> pushed{0};
+    std::thread feeder([&] {
+      while (!splicing.load()) {
+        flows.push(key, testing::make_stamped_packet(kSeed, pushed, 1000));
+        ++pushed;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    wait_for_backlog(*chain);
+
+    h.clf.remove_rule("slow");
+    auto done = std::make_shared<std::promise<std::size_t>>();
+    std::future<std::size_t> changed = done->get_future();
+    std::thread([&flows, done] { done->set_value(flows.reresolve()); })
+        .detach();
+    EXPECT_TRUE(eventually([&] { return chain->head().dos().pauses() > 0; }));
+    splicing = true;
+    feeder.join();
+    // Bounded: a deadlocked splice cannot be unwound, so fail the process
+    // rather than hang it.
+    if (changed.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "reresolve() deadlocked against the idle sweep\n");
+      std::_Exit(1);
+    }
+    EXPECT_EQ(changed.get(), 1u);
+
+    const std::uint32_t total = pushed.load();
+    ASSERT_TRUE(h.sinks[1]->wait_for(total, 20'000));
+    testing::PacketLedger ledger(kSeed, total);
+    for (const auto& p : h.sinks[1]->packets()) ledger.record(p);
+    EXPECT_EQ(ledger.ok(), total);
+    EXPECT_EQ(ledger.lost(), 0u);
+    EXPECT_EQ(ledger.reordered(), 0u);
+  }
+  pool.stop();
+}
+
+/// Sink whose every delivery throws: it kills the writer endpoint.
+class ThrowingSink final : public core::PacketSink {
+ public:
+  void deliver(util::ByteSpan) override {
+    throw std::runtime_error("sink refused the packet");
+  }
+};
+
+TEST(FlowTable, ReresolveGoesOnPastAFlowWhoseSpliceThrows) {
+  // Flow 1's tail dies on its first packet, so splicing its chain throws.
+  // The rule change must still reach flow 2, and count only it.
+  FlowHarness h;
+  auto sink2 = std::make_shared<core::CollectingPacketSink>();
+  core::WorkerPool pool(1);
+  {
+    proxy::FlowTable flows(
+        h.clf, test_registry(),
+        [&](const FlowKey& key) {
+          proxy::FlowTable::Endpoints eps;
+          eps.source = std::make_shared<core::QueuePacketSource>();
+          eps.head =
+              std::make_shared<core::PacketReaderEndpoint>("rx", eps.source);
+          std::shared_ptr<core::PacketSink> sink = sink2;
+          if (key.station == 1) sink = std::make_shared<ThrowingSink>();
+          eps.tail = std::make_shared<core::PacketWriterEndpoint>("tx", sink);
+          return eps;
+        },
+        &pool, /*idle_timeout_ms=*/0);
+    h.clf.add_rule(
+        make_rule("shape", 10, make_spec("one-null", {{"null", {}}})));
+    const FlowKey dead{1, "audio", LossRegime::kClean};
+    const FlowKey live{2, "audio", LossRegime::kClean};
+    flows.push(dead, testing::make_stamped_packet(1, 0, 64));
+    flows.acquire(live);
+    const auto dead_chain = flows.find(dead);
+    ASSERT_TRUE(eventually([&] { return !dead_chain->tail().running(); }));
+
+    h.clf.add_rule(make_rule(
+        "shape", 10, make_spec("two-null", {{"null", {}}, {"null", {}}})));
+    std::size_t changed = 0;
+    EXPECT_NO_THROW(changed = flows.reresolve());
+    EXPECT_EQ(changed, 1u);
+    EXPECT_EQ(flows.reconfigured(), 1u);
+    EXPECT_EQ(flows.spec_of(dead)->name, "one-null");
+    EXPECT_EQ(flows.spec_of(live)->name, "two-null");
+    EXPECT_EQ(flows.find(live)->size(), 2u);
+
+    flows.push(live, testing::make_stamped_packet(2, 0, 64));
+    ASSERT_TRUE(sink2->wait_for(1));
+    EXPECT_EQ(sink2->packets()[0], testing::make_stamped_packet(2, 0, 64));
+    flows.shutdown_all();
   }
   pool.stop();
 }

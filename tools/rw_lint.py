@@ -46,7 +46,9 @@ Rules
          virtual-time layer (src/sim/ and src/util/clock.cpp), the
          observability snapshot/render paths (src/obs/), the
          control-protocol dispatch code
-         (src/core/control.*), the worker loop and pool, the filter
+         (src/core/control.*), the detachable streams
+         (src/core/detachable_stream.*, which every drive on every worker
+         calls), the worker loop and pool, the filter
          library (src/filters/, whose drives run on a worker every chain
          hosted there shares) and the adaptation raplets (src/raplets/,
          ticked by whoever owns the control cadence) must not join
@@ -392,7 +394,7 @@ def check_rw007() -> None:
 # RW008: no blocking calls in run-to-completion dispatch contexts
 
 RW008_CONTEXTS = ("src/sim/", "src/util/clock.cpp", "src/obs/",
-                  "src/core/control.",
+                  "src/core/control.", "src/core/detachable_stream.",
                   "src/core/event_loop.", "src/core/worker_pool.",
                   "src/filters/", "src/raplets/")
 RW008_RE = re.compile(
