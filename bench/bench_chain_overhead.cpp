@@ -4,12 +4,14 @@
 // framework must stay "lightweight" (Section 6's contrast with
 // cluster-based proxies).
 //
-// What a row prices: core::NullFilter is a ByteFilter, so each hop moves
-// the framed stream in chunks of up to 32 KiB without looking at frames.
-// That is not the per-frame hop every production PacketFilter pays (read
-// one frame, on_packet, write it whole). On small frames a byte hop
-// carries many frames per chunk and runs well ahead of a packet hop
-// (EXPERIMENTS.md, "What bench_chain_overhead prices").
+// What a row prices: core::NullFilter is the byte hop, so each hop moves
+// runs of whole frames of up to 32 KiB per write without decoding them
+// into packets. That is not the per-frame hop every production
+// PacketFilter pays (read one frame, on_packet, write it whole). On small
+// frames a byte hop carries many frames per write and runs well ahead of
+// a packet hop; a frame larger than the 64 KiB ring waits for an empty
+// ring at every hop, as at a packet hop (EXPERIMENTS.md, "What
+// bench_chain_overhead prices").
 //
 // Every row first checks packet conservation: the sink must receive
 // exactly the packets pushed, or the bench reports the row and exits

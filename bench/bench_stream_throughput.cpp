@@ -15,7 +15,8 @@
 // Rows:
 //   * memcpy           — the floor: move bytes with no stream
 //   * pipe             — try_write_some chunks, drained by poll_read_borrow
-//                        into a reused buffer (a ByteFilter hop)
+//                        into a reused buffer (a raw byte pipe: no chain
+//                        stage writes partial frames)
 //   * framed           — one try_write_frame per frame, drained by
 //                        util::FrameReader::poll (a PacketFilter hop)
 //   * framed_wbatch8   — 8 frames per try_write_vec transaction, same reader
@@ -159,8 +160,9 @@ Rate bench_pipe(std::size_t chunk, std::int64_t total_chunks,
 /// Framed transport: `batch` frames per writer transaction (batch == 1 is
 /// one try_write_frame per frame; batch > 1 packs [header, payload] pairs
 /// into a single try_write_vec, which the stream commits atomically). The
-/// reader recycles each payload through its own pool, as a pass-through
-/// PacketFilter returns it to its worker's arena.
+/// reader recycles each payload through its own pool, installed as the
+/// thread's arena, as a pass-through PacketFilter returns it to its
+/// worker's arena.
 Rate bench_framed(const std::string& series, std::size_t payload,
                   std::int64_t total_frames, std::size_t batch,
                   const Sizing& sizing, double* batching_factor) {
@@ -181,7 +183,8 @@ Rate bench_framed(const std::string& series, std::size_t payload,
     header[5] = static_cast<std::uint8_t>((len >> 24) & 0xff);
     std::vector<util::ByteSpan> segments;
     util::BufferPool pool;
-    util::FrameReader fr(dis, pool);
+    util::BufferPool* const outer = util::BufferPool::install_local(&pool);
+    util::FrameReader fr(dis);
     std::int64_t written = 0;
     std::int64_t delivered = 0;
     // The downstream stage's turn: decode until would-block (or EOF: true).
@@ -217,6 +220,7 @@ Rate bench_framed(const std::string& series, std::size_t payload,
     dos.close();
     while (!drain()) {
     }
+    util::BufferPool::install_local(outer);
     if (fr.refills() > 0) {
       *batching_factor = static_cast<double>(fr.frames()) /
                          static_cast<double>(fr.refills());

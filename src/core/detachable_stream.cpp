@@ -146,9 +146,10 @@ bool DetachableOutputStream::try_write_vec(
     throw BrokenPipe("DOS::try_write: stream closed during write");
   }
   if (total > st->ring.capacity()) {
-    // A frame larger than the ring can never fit beside other bytes: wait
-    // for the reader to drain the ring, then grow it once to the frame's
-    // size so the frame still lands whole (never torn across a splice).
+    // A write larger than the ring (a big frame, or a null hop's run of
+    // frames) can never fit beside other bytes: wait for the reader to
+    // drain the ring, then grow it once to the write's size so it still
+    // lands whole (never torn across a splice).
     if (total > util::kMaxFrameSize + util::kFrameHeaderSize) {
       throw StreamError("DOS::try_write_vec: write larger than a frame");
     }

@@ -203,8 +203,8 @@ class DetachableOutputStream final : public util::ByteSink {
   /// sink). Because mu_ is held across the whole transaction, a concurrent
   /// pause() can never splice between segments: a frame's header and
   /// payload always land in one sink. A write larger than the sink ring (a
-  /// big frame) waits for the ring to drain, which then raises its bound to
-  /// the write's size.
+  /// big frame, or a null hop's run of frames) waits for the ring to drain,
+  /// which then raises its bound to the write's size.
   /// Throws BrokenPipe once this DOS or the sink's reader has closed;
   /// throws StreamError for a write larger than the largest frame
   /// (util::kMaxFrameSize plus its header).
@@ -212,8 +212,9 @@ class DetachableOutputStream final : public util::ByteSink {
 
   /// Non-blocking partial write: accepts what fits now, returns the count,
   /// and arms the writable watcher on any shortfall. Byte chunks may split
-  /// across a reconnect (order is still preserved); framed data must use
-  /// try_write_vec. ByteFilter's drive is the one caller.
+  /// across a reconnect (order is still preserved), so no chain stage calls
+  /// it: framed data must use try_write_vec. Raw byte pipes (the bare-pipe
+  /// stress and bench rows, stream unit tests) write with it.
   std::size_t try_write_some(util::ByteSpan in);
 
   /// Installs (or removes) the watcher fired when an armed try_write_*

@@ -10,8 +10,8 @@
 // This one endpoint pair carries every chain: the proxy's socket legs (the
 // paper's EndPointSocketReader/Writer, built on these classes in
 // src/proxy), the per-flow queue legs, the benches, the examples and the
-// stress harness (src/testing). Byte stages in between (ByteFilter) may
-// cut frames anywhere; the writer endpoint's FrameReader reassembles them.
+// stress harness (src/testing). Whatever runs in between writes whole
+// frames, so the writer endpoint's FrameReader decodes every refill whole.
 #pragma once
 
 #include <deque>

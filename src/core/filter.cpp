@@ -1,6 +1,7 @@
 #include "core/filter.h"
 
 #include <cstring>
+#include <span>
 
 #include "core/event_loop.h"
 #include "util/buffer_pool.h"
@@ -183,68 +184,40 @@ void Filter::register_metrics(obs::Scope scope) {
   });
 }
 
-void ByteFilter::event_start() {
-  ev_buf_ = util::BufferPool::local().acquire(kChunk);
-  ev_out_.clear();
-  ev_out_off_ = 0;
+void NullFilter::event_start() {
+  ev_chunk_ = util::BufferPool::local().acquire(kChunk);
+  ev_parked_ = false;
 }
 
-void ByteFilter::event_stop() {
-  util::BufferPool::local().release(std::move(ev_buf_));
-  ev_out_.clear();
-  ev_out_off_ = 0;
+void NullFilter::event_stop() {
+  // A drive that died with a chunk parked lost it; drop it with the run.
+  util::BufferPool::local().release(std::move(ev_chunk_));
+  ev_parked_ = false;
 }
 
-bool ByteFilter::flush_ev_out() {
-  while (!ev_out_.empty()) {
-    util::Bytes& front = ev_out_.front();
-    const std::size_t w =
-        dos().try_write_some(util::ByteSpan(front).subspan(ev_out_off_));
-    ev_out_off_ += w;
-    if (ev_out_off_ < front.size()) return false;  // writable watcher armed
-    util::BufferPool::local().release(std::move(front));
-    ev_out_.pop_front();
-    ev_out_off_ = 0;
-  }
-  return true;
-}
-
-Filter::Drive ByteFilter::on_ready() {
-  if (!flush_ev_out()) return Drive::kIdle;
+Filter::Drive NullFilter::on_ready() {
   for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool end = false;
-    ev_buf_.resize(kChunk);
-    const std::size_t n = dis().poll_read_borrow(
-        kChunk,
-        [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          // One copy, into the recycled chunk buffer.
-          std::memcpy(ev_buf_.data(), a.data(), a.size());
-          if (!b.empty()) {
-            std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
-          }
-          return a.size() + b.size();
-        },
-        &end);
-    if (n == 0) {
-      ev_buf_.clear();
-      // Nothing is parked here (a park returns kIdle at once), so EOF ends
-      // the run; otherwise the readable watcher is armed.
-      return end ? Drive::kDone : Drive::kIdle;
+    if (!ev_parked_) {
+      bool end = false;
+      const std::size_t n = dis().poll_read_borrow(
+          0,
+          [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
+            // Whole frames only, with one copy into the recycled chunk.
+            const std::size_t len = util::whole_frames(a, b, kChunk);
+            ev_chunk_.resize(len);
+            util::copy_spans(a, b, 0, ev_chunk_);
+            return len;
+          },
+          &end);
+      // Nothing is parked here, so EOF ends the run; otherwise the
+      // readable watcher is armed.
+      if (n == 0) return end ? Drive::kDone : Drive::kIdle;
     }
-    ev_buf_.resize(n);
-    util::Bytes out = process(std::move(ev_buf_));
-    if (!out.empty()) {
-      const std::size_t w = dos().try_write_some(out);
-      if (w < out.size()) {
-        // Parked behind backpressure: keep the unwritten suffix, stop
-        // reading input until the writable callback drains it.
-        ev_out_.push_back(std::move(out));
-        ev_out_off_ = w;
-        ev_buf_ = util::BufferPool::local().acquire(kChunk);
-        return Drive::kIdle;
-      }
-    }
-    ev_buf_ = std::move(out);  // recycle the returned capacity
+    const util::ByteSpan chunk(ev_chunk_);
+    ev_parked_ = !dos().try_write_vec(std::span(&chunk, 1));
+    // Parked: no input is read until the writable watcher's re-drive
+    // lands the chunk whole.
+    if (ev_parked_) return Drive::kIdle;
   }
   return Drive::kMore;
 }

@@ -9,16 +9,17 @@
 // calls on_ready() whenever an armed poll could now make progress, so an
 // idle filter holds no thread at all.
 //
-// Two processing styles:
-//   * PacketFilter — on_packet() handles whole length-prefixed frames
-//     (util::framing), which is how stream-type-specific insertion points
-//     ("frame boundaries", Section 3) are honoured. Every production
-//     filter is one, and so are the endpoints (core/endpoint.h), which
-//     swap where packets come from (poll_input) or go (try_output) and
-//     keep the one drive, parking FIFO and packets_in/packets_out;
-//   * ByteFilter   — process() transforms raw byte chunks, cutting the
-//     framed stream at arbitrary byte offsets: NullFilter and the stress
-//     harness's pass-through stages.
+// Every write into a chain stream is whole length-prefixed frames
+// (util::framing) in one all-or-nothing transaction, so every splice falls
+// at a frame boundary, as the paper's stream-type-specific insertion points
+// require (Section 3). Two drives keep that discipline:
+//   * PacketFilter — on_packet() handles one frame's payload at a time.
+//     Every production filter is one, and so are the endpoints
+//     (core/endpoint.h), which swap where packets come from (poll_input)
+//     or go (try_output) and keep the one drive, parking FIFO and
+//     packets_in/packets_out;
+//   * NullFilter   — the byte hop: moves runs of whole frames untouched,
+//     without decoding them into packets.
 //
 // Removal protocol: the chain marks the filter's DIS with a soft EOF; the
 // drive reads what is buffered, observes end-of-stream, calls the flush
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -189,41 +189,6 @@ class Filter {
   std::atomic<std::uint64_t> failures_{0};
 };
 
-/// Transforms raw byte chunks. It never looks at frame boundaries: a chunk
-/// may end mid-header, and the next packet stage downstream (at the latest
-/// the writer endpoint) reassembles the frames with its FrameReader.
-class ByteFilter : public Filter {
- public:
-  using Filter::Filter;
-
- protected:
-  /// The drive: fed by poll_read_borrow, drained by try_write_some. A chunk
-  /// that does not fit downstream is parked in ev_out_ and retried on the
-  /// writable callback; input is not read while output is parked, so the
-  /// parked backlog is bounded by one process() result.
-  Drive on_ready() override;
-  void event_start() override;
-  void event_stop() override;
-
-  /// Transforms `in`; whatever it returns is written downstream. The default
-  /// passes data through unchanged.
-  virtual util::Bytes process(util::Bytes in) { return in; }
-
-  /// Chunk size for reads. Sized to drain a default 64 KiB stream buffer
-  /// in a couple of reads: every read is a lock acquisition, so bigger
-  /// chunks directly cut per-byte synchronization on pass-through hops.
-  static constexpr std::size_t kChunk = 32768;
-
- private:
-  bool flush_ev_out();
-
-  // Run state; touched only on the loop thread between event_start() and
-  // the final drive.
-  util::Bytes ev_buf_;                 // recycled read/process buffer
-  std::deque<util::Bytes> ev_out_;     // output parked behind backpressure
-  std::size_t ev_out_off_ = 0;         // bytes of ev_out_.front() written
-};
-
 /// Transforms whole framed packets; may emit zero or more packets per input.
 /// Packets come from poll_input() and leave through try_output(): by
 /// default the frames of dis() and dos(). The endpoints (core/endpoint.h)
@@ -305,12 +270,36 @@ class PacketFilter : public Filter {
   bool ev_flushed_ = false;              // on_flush() already ran this run
 };
 
-/// The "null" filter: forwards bytes untouched. Two EndPoints plus a null
-/// filter (or none) form the paper's null proxy.
-class NullFilter final : public ByteFilter {
+/// The "null" filter: forwards the framed stream untouched. Two EndPoints
+/// plus a null filter (or none) form the paper's null proxy. Its drive is
+/// the byte hop: a read takes the whole frames at the front of the ring, up
+/// to kChunk bytes (or one frame alone when that is larger), with one copy,
+/// and writes them downstream as one all-or-nothing try_write_vec. A chunk
+/// the output refuses is parked whole and retried whole before more input
+/// is read, so a splice on either side falls between frames. A bad header
+/// or a torn frame (util::SerialError) ends the run as a failure, and
+/// nothing of that read is forwarded.
+class NullFilter final : public Filter {
  public:
-  NullFilter() : ByteFilter("null") {}
-  explicit NullFilter(std::string name) : ByteFilter(std::move(name)) {}
+  NullFilter() : NullFilter("null") {}
+  explicit NullFilter(std::string name) : Filter(std::move(name)) {}
+
+  /// Bytes one read takes at most, unless its first frame is larger. Half
+  /// a default 64 KiB ring: every read is a lock acquisition, so big chunks
+  /// cut per-byte synchronization, and a chunk never grows a default ring
+  /// (DOS::try_write_vec grows only for a write larger than the ring).
+  static constexpr std::size_t kChunk = 32768;
+
+ protected:
+  Drive on_ready() override;
+  void event_start() override;
+  void event_stop() override;
+
+ private:
+  // Run state; touched only on the loop thread between event_start() and
+  // the final drive.
+  util::Bytes ev_chunk_;    // the last read, recycled across reads
+  bool ev_parked_ = false;  // ev_chunk_ was refused downstream
 };
 
 }  // namespace rapidware::core

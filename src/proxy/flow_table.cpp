@@ -251,15 +251,6 @@ std::size_t FlowTable::size() const {
   return flows_.load(std::memory_order_relaxed);
 }
 
-std::vector<core::FlowKey> FlowTable::keys() const {
-  std::vector<core::FlowKey> out;
-  for (const auto& shard : shards_) {
-    rw::MutexLock lk(shard->mu);
-    for (const auto& [key, flow] : shard->flows) out.push_back(key);
-  }
-  return out;
-}
-
 std::uint64_t FlowTable::created() const {
   return created_.load(std::memory_order_relaxed);
 }

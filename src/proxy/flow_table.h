@@ -111,7 +111,6 @@ class FlowTable {
   std::size_t reresolve();
 
   std::size_t size() const;
-  std::vector<core::FlowKey> keys() const;
 
   /// Lifetime counters (also published by bind_metrics).
   std::uint64_t created() const;

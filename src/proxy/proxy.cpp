@@ -85,10 +85,6 @@ void Proxy::flow_push(const core::FlowKey& key, util::Bytes packet) {
   flows_->push(key, std::move(packet));
 }
 
-bool Proxy::expire_flow(const core::FlowKey& key) {
-  return flows_->expire(key);
-}
-
 void Proxy::retarget_egress(net::Address dst) {
   egress_sink_->set_destination(dst);
   if (m_retargets_) m_retargets_->add();

@@ -52,7 +52,6 @@ class Proxy {
   void shutdown();
 
   core::FilterChain& chain() { return *chain_; }
-  std::shared_ptr<core::FilterChain> chain_ptr() { return chain_; }
 
   // --- Per-flow chains (docs/flow_classification.md) ---------------------
   // The classifier's rule table maps FlowKeys to interned chain specs; the
@@ -72,10 +71,6 @@ class Proxy {
   /// instantiating it from the resolved spec on first use. Output shares
   /// the proxy's egress socket and destination.
   void flow_push(const core::FlowKey& key, util::Bytes packet);
-
-  /// Shuts one flow's chain down, delivering what is in flight (flow
-  /// expiry). False if the flow was never seen.
-  bool expire_flow(const core::FlowKey& key);
 
   /// Redirects the data egress to a new destination — device handoff: the
   /// stream follows the user from laptop to palmtop without restarting the

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "core/detachable_stream.h"
-
 namespace rapidware::testing {
 
 FaultInjector::FaultInjector(std::uint64_t seed, FaultPlan plan)
@@ -14,12 +12,6 @@ bool FaultInjector::roll(double p) {
   if (p <= 0.0) return false;
   rw::MutexLock lk(mu_);
   return rng_.chance(p);
-}
-
-std::size_t FaultInjector::cut(std::size_t n) {
-  if (n <= 1) return n;
-  rw::MutexLock lk(mu_);
-  return static_cast<std::size_t>(rng_.next_below(n)) + 1;
 }
 
 void FaultInjector::maybe_delay() {
@@ -45,34 +37,6 @@ bool FaultInjector::inject_throw() {
   if (!roll(plan_.throw_p)) return false;
   throws_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// FaultyByteSource
-
-FaultyByteSource::FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
-                                   std::shared_ptr<FaultInjector> faults)
-    : inner_(std::move(inner)), faults_(std::move(faults)) {}
-
-std::size_t FaultyByteSource::poll_read_borrow(std::size_t max,
-                                               util::SpanVisitor visit,
-                                               bool* end) {
-  faults_->maybe_delay();
-  if (faults_->roll(faults_->plan().throw_p)) {
-    faults_->throws_.fetch_add(1, std::memory_order_relaxed);
-    throw core::StreamError("FaultyByteSource: injected read failure");
-  }
-  return inner_->poll_read_borrow(
-      max,
-      [&](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-        const std::size_t offered = a.size() + b.size();
-        if (!faults_->roll(faults_->plan().short_read_p)) return visit(a, b);
-        faults_->short_reads_.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t n = faults_->cut(offered);
-        if (n <= a.size()) return visit(a.first(n), {});
-        return visit(a, b.first(n - a.size()));
-      },
-      end);
 }
 
 // ---------------------------------------------------------------------------

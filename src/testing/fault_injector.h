@@ -3,13 +3,13 @@
 // The paper's central guarantee — a DIS/DOS pair can be paused,
 // disconnected, reconnected, and restarted on a live stream without losing,
 // duplicating, or reordering a byte — only means something if it holds on
-// hostile schedules: short reads, threads descheduled at the worst moment,
-// peers that throw mid-transfer, and links that drop or reorder packets.
-// FaultInjector is the single seeded policy object that decides when each
-// of those faults fires. The wrappers below apply it to a util::ByteSource
-// and to the channel layer (net::LossModel); the chain stress harness's
-// packet source and sink (testing/sequence_stream.h) consult it for delays
-// and throws on the endpoints' worker.
+// hostile schedules: threads descheduled at the worst moment, peers that
+// throw mid-transfer, and links that drop or reorder packets. FaultInjector
+// is the single seeded policy object that decides when each of those faults
+// fires. LinkFaults applies it to the channel layer (net::LossModel); the
+// chain stress harness's packet source, sink and stages
+// (testing/sequence_stream.h, testing/stress.cpp) consult it for delays and
+// throws on the endpoints' and stages' worker.
 //
 // Everything is driven by util::Rng from one seed: a failing schedule is
 // replayed exactly by re-running with the same seed. Wall-clock sleeps are
@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "net/loss.h"
-#include "util/io.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -31,12 +30,10 @@
 namespace rapidware::testing {
 
 /// Tunable fault probabilities, all in [0, 1]. The defaults describe a
-/// "mean but survivable" environment: plenty of short I/O and scheduling
-/// noise, no thrown errors (those are opt-in because they legitimately
-/// truncate a stream).
+/// "mean but survivable" environment: plenty of scheduling noise, no
+/// thrown errors (those are opt-in because they legitimately truncate a
+/// stream).
 struct FaultPlan {
-  /// P(a read is truncated to a random shorter length).
-  double short_read_p = 0.5;
   /// P(a yield/sleep is inserted before an I/O call or control op), to
   /// perturb the thread schedule ("delayed wakeup").
   double delay_p = 0.25;
@@ -75,10 +72,6 @@ class FaultInjector {
   /// One Bernoulli draw with probability p.
   bool roll(double p);
 
-  /// Uniform value in [1, n] (n >= 1); used to pick truncation lengths and
-  /// fragment sizes.
-  std::size_t cut(std::size_t n);
-
   /// Maybe yield or sleep (plan.delay_p / plan.max_delay_us).
   void maybe_delay();
 
@@ -87,13 +80,11 @@ class FaultInjector {
   bool inject_throw();
 
   // Fired-fault counters.
-  std::uint64_t short_reads() const noexcept { return short_reads_.load(); }
   std::uint64_t delays() const noexcept { return delays_.load(); }
   std::uint64_t throws() const noexcept { return throws_.load(); }
   std::uint64_t link_drops() const noexcept { return link_drops_.load(); }
 
  private:
-  friend class FaultyByteSource;
   friend class LinkFaults;
 
   rw::Mutex mu_{"testing/fault_injector", rw::lockrank::kFaultInjector};
@@ -101,28 +92,9 @@ class FaultInjector {
   const FaultPlan plan_;
   const std::uint64_t seed_;
 
-  std::atomic<std::uint64_t> short_reads_{0};
   std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> throws_{0};
   std::atomic<std::uint64_t> link_drops_{0};
-};
-
-/// Wraps a ByteSource: offers the visitor a shortened prefix of what the
-/// inner source holds (a short read), injects delays, and (if armed)
-/// throws core::StreamError. Would-block and EOF from the inner source
-/// always pass through untouched, so wrapping never changes stream length
-/// by itself.
-class FaultyByteSource final : public util::ByteSource {
- public:
-  FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
-                   std::shared_ptr<FaultInjector> faults);
-
-  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
-                               bool* end) override;
-
- private:
-  std::shared_ptr<util::ByteSource> inner_;
-  std::shared_ptr<FaultInjector> faults_;
 };
 
 /// Wraps a net::LossModel for use in a net::ChannelConfig: adds forced

@@ -10,7 +10,7 @@
 // stream into packets for the reader endpoint and SequencePacketSink feeds
 // what the writer endpoint delivers into a SequenceChecker; equality of
 // (bytes delivered, bytes expected) plus a clean checker proves end-to-end
-// integrity, however the byte stages in between cut the frames.
+// integrity, whatever stages run in between.
 //
 // For packet (datagram) paths, where loss is legitimate, StampedPacket /
 // PacketLedger do the per-packet equivalent: each packet carries its

@@ -18,19 +18,18 @@ namespace rapidware::testing {
 
 namespace {
 
-/// Byte pass-through filter with a small, configurable input ring and
-/// injected scheduling noise in its processing loop. Its chunks follow the
-/// ring, not the frames, so it splits frames at arbitrary byte offsets.
-class StressFilter final : public core::ByteFilter {
+/// Packet pass-through stage with a small, configurable input ring and
+/// injected scheduling noise on every packet.
+class StressFilter final : public core::PacketFilter {
  public:
   StressFilter(std::string name, std::size_t capacity,
                std::shared_ptr<FaultInjector> faults)
-      : ByteFilter(std::move(name), capacity), faults_(std::move(faults)) {}
+      : PacketFilter(std::move(name), capacity), faults_(std::move(faults)) {}
 
  protected:
-  util::Bytes process(util::Bytes in) override {
+  void on_packet(util::Bytes packet) override {
     faults_->maybe_delay();
-    return in;
+    emit(std::move(packet));
   }
 
  private:
@@ -228,9 +227,17 @@ ScheduleResult StressDriver::run_schedule(std::uint64_t schedule_seed) {
           } else {
             const std::size_t cap = std::size_t{256}
                                     << ctl.next_below(3);  // 256/512/1024
-            f = std::make_shared<StressFilter>(
-                "sf" + std::to_string(created),
-                cap, make_injector(0xf117e4ULL + std::uint64_t(created)));
+            // Every other new stage is a null byte hop. The kind follows
+            // from `created` and adds no draw, so a seed replays the op
+            // schedule it always had.
+            if (created % 2 == 1) {
+              f = std::make_shared<core::NullFilter>(
+                  "nf" + std::to_string(created));
+            } else {
+              f = std::make_shared<StressFilter>(
+                  "sf" + std::to_string(created), cap,
+                  make_injector(0xf117e4ULL + std::uint64_t(created)));
+            }
             ++created;
           }
           const std::size_t pos = ctl.next_below(size + 1);
@@ -268,7 +275,7 @@ ScheduleResult StressDriver::run_schedule(std::uint64_t schedule_seed) {
           record("splice");
           break;
         }
-        default: {  // set_param (StressFilter ignores it; exercises the path)
+        default: {  // set_param (no stage kind takes it; exercises the path)
           if (size == 0) {
             record("skip-param");
             break;

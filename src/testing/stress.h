@@ -12,9 +12,10 @@
 //    real chain runs: a SequencePacketSource slices the sequence-stamped
 //    stream into packets of seed-drawn sizes, a SequencePacketSink checks
 //    what the writer endpoint delivers, and each consults its own fault
-//    injector. In between run small-ring byte pass-through filters, which
-//    cut the frames at arbitrary byte offsets. While data flows, the
-//    control thread executes a random schedule of insert / remove /
+//    injector. In between run both stage kinds: small-ring packet
+//    pass-through stages that inject delays, and null byte hops
+//    (core::NullFilter) that move runs of whole frames. While data flows,
+//    the control thread executes a random schedule of insert / remove /
 //    reorder / pause+reconnect / set_param operations, then the chain is
 //    drained and the checker proves the delivered stream is byte-exact.
 //
@@ -75,9 +76,9 @@ struct StressOptions {
   /// Control operations attempted per schedule.
   int ops_per_schedule = 10;
   std::uint64_t bytes_per_schedule = 8 * 1024;
-  /// Ring capacity of the tail endpoint (the pass-through filters draw
-  /// 256, 512 or 1024 bytes); small so every pipe in the chain exercises
-  /// its backpressure paths.
+  /// Ring capacity of the tail endpoint (the packet pass-through stages
+  /// draw 256, 512 or 1024 bytes; a null hop keeps the default 64 KiB);
+  /// small so every pipe in the chain exercises its backpressure paths.
   std::size_t ring_capacity = 768;
   std::size_t max_filters = 4;
   FaultPlan faults;

@@ -1,14 +1,13 @@
 // Batched frame decoder over a ByteSource.
 //
 // poll() drains whatever the source has buffered in ONE poll_read_borrow()
-// call, parses every complete frame in that batch directly out of the
-// stream's ring spans (payload is memcpy'd exactly once, into a pooled
-// buffer), and hands the frames out of its ready queue on subsequent
-// poll() calls without touching the stream. A frame split across refills
-// (a byte stage upstream cuts frames at arbitrary offsets) is stashed and
-// completed by the next refill. Under load, a chain hop pays ~1/k of a lock
-// acquisition per frame, where k is however many frames the writer batched
-// ahead.
+// call, parses every frame in that batch directly out of the stream's ring
+// spans (payload is memcpy'd exactly once, into a pooled buffer), and hands
+// the frames out of its ready queue on subsequent poll() calls without
+// touching the stream. Every writer lands whole frames (util/framing.h), so
+// a refill ends on a frame boundary; one that does not is a torn stream and
+// throws. Under load, a chain hop pays ~1/k of a lock acquisition per
+// frame, where k is however many frames the writer batched ahead.
 //
 // Not thread-safe: a FrameReader belongs to the stream's single consumer
 // (the same one-reader contract the stream itself has).
@@ -18,7 +17,6 @@
 #include <optional>
 #include <vector>
 
-#include "util/buffer_pool.h"
 #include "util/bytes.h"
 #include "util/io.h"
 
@@ -34,15 +32,12 @@ class FrameReader {
   /// frames along (PacketFilter::emit(Bytes&&)) keep the capacity cycling.
   explicit FrameReader(ByteSource& source);
 
-  /// Pins every acquire to `pool` regardless of thread (tests, and
-  /// thread-dispatch paths that want the process pool explicitly).
-  FrameReader(ByteSource& source, BufferPool& pool);
-
   /// Returns the next frame payload without blocking. nullopt with
   /// *end == false means would-block (the source armed its read
   /// scheduler — re-drive from the callback); nullopt with *end == true is
-  /// clean end-of-stream at a frame boundary. Throws SerialError on bad
-  /// magic, oversized length, or a stream that ends mid-frame (torn frame).
+  /// end-of-stream, and stays so. Throws SerialError on bad magic, an
+  /// oversized length, or a refill that ends mid-frame (torn frame); what
+  /// the source throws propagates. A reader that threw is done.
   std::optional<Bytes> poll(bool* end);
 
   /// Frames decoded so far.
@@ -54,22 +49,10 @@ class FrameReader {
   std::uint64_t refills() const noexcept { return refills_; }
 
  private:
-  /// Parses every complete frame in stash_ + a + b; the incomplete tail (if
-  /// any) becomes the new stash_. Consumes all offered bytes.
+  /// Decodes every frame in a + b into ready_.
   void ingest(ByteSpan a, ByteSpan b);
 
-  std::optional<Bytes> take_ready();
-  [[noreturn]] void throw_torn() const;
-
-  /// The thread-appropriate arena for this refill (pinned pool, or the
-  /// calling thread's BufferPool::local()).
-  BufferPool& arena() const noexcept {
-    return pool_ != nullptr ? *pool_ : BufferPool::local();
-  }
-
   ByteSource& source_;
-  BufferPool* const pool_;  // nullptr = dynamic (thread-local) resolution
-  Bytes stash_;  // partial frame carried across refills (header-first bytes)
   std::vector<Bytes> ready_;  // decoded frames, FIFO via ready_pos_
   std::size_t ready_pos_ = 0;
   bool eof_ = false;

@@ -851,10 +851,10 @@ TEST(DetachableStream, FramesSurviveSplicesBatchedReader) {
 }
 
 // ---------------------------------------------------------------------------
-// Torn-frame EOF regression: a soft EOF that lands inside a frame must
-// surface as a deterministic SerialError, never as a silent short read or
-// a clean-looking EOF. (Only a byte stage, which cuts frames at arbitrary
-// offsets, can leave a partial frame in a ring.)
+// Torn-frame regression: a ring that ends inside a frame must surface as a
+// deterministic SerialError at the refill that meets it, never as a silent
+// short read or a clean-looking EOF. (No chain stage writes part of a
+// frame; a raw try_write_some writer can.)
 
 TEST(DetachableStream, SoftEofBetweenHeaderAndPayloadThrows) {
   DetachableInputStream dis;
@@ -900,9 +900,8 @@ TEST(DetachableStream, SoftEofMidPayloadThrowsFromFrameReader) {
 
   util::FrameReader frames(dis);
   bool end = false;
-  auto first = frames.poll(&end);
-  ASSERT_TRUE(first.has_value());  // the complete frame is still delivered
-  EXPECT_EQ(to_string(*first), "whole frame");
+  // The refill takes the whole frame and the torn one: it throws, and
+  // hands out no part of that read.
   EXPECT_THROW(frames.poll(&end), util::SerialError);
 }
 

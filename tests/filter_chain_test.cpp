@@ -124,20 +124,6 @@ class PacedFilter final : public PacketFilter {
   bool owed_ = false;  // loop thread only
 };
 
-/// Byte filter that uppercases ASCII.
-class UppercaseFilter final : public ByteFilter {
- public:
-  UppercaseFilter() : ByteFilter("upper") {}
-
- protected:
-  Bytes process(Bytes in) override {
-    for (auto& b : in) {
-      if (b >= 'a' && b <= 'z') b = static_cast<std::uint8_t>(b - 'a' + 'A');
-    }
-    return in;
-  }
-};
-
 Bytes numbered_packet(std::uint32_t n, std::size_t extra = 0) {
   util::Writer w;
   w.u32(n);
@@ -455,23 +441,137 @@ TEST(FilterChain, ReorderSwapsTraversalOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte filters in chains
+// The null byte hop moves whole frames: a splice at its output never hands
+// the two halves of one frame to different readers, and a stream it cannot
+// parse kills it without forwarding any of the read.
 
-TEST(FilterChain, ByteFilterTransformsStream) {
-  // A byte stage between the packet endpoints transforms the framed stream,
-  // frame headers included. The headers come through unchanged: the magic
-  // is "WR" (0x57 0x52), and a payload shorter than 97 bytes has no length
-  // byte in 'a'..'z'. Inserting before the push splices the filter in
-  // before any data flows.
-  Harness h;
-  h.chain->start();
-  h.chain->insert(std::make_shared<UppercaseFilter>(), 0);
-  h.source->push(to_bytes("hello rapidware"));
+/// Ends the stream and checks, with bounded waits, that the sink saw the
+/// end and got packets 0..count-1 once each, in order.
+void expect_whole_stream(Harness& h, std::uint32_t count) {
   h.source->finish();
-  h.chain->shutdown();
+  h.chain->begin_shutdown();
+  EXPECT_TRUE(h.sink->wait_end()) << "the sink never saw the end";
   const auto packets = h.sink->packets();
-  ASSERT_EQ(packets.size(), 1u);
-  EXPECT_EQ(to_string(packets[0]), "HELLO RAPIDWARE");
+  EXPECT_EQ(packets.size(), count);
+  for (std::uint32_t i = 0; i < std::min<std::size_t>(packets.size(), count);
+       ++i) {
+    ASSERT_EQ(packet_number(packets[i]), i) << "at packet " << i;
+  }
+  h.chain->shutdown();
+}
+
+/// head -> null -> paced -> tail with 300 frames of 1010 bytes queued: the
+/// paced stage's 64 KiB ring fills, and the null stage's output backs up
+/// behind it with a chunk refused.
+struct BackedUpNull : Harness {
+  static constexpr std::uint32_t kPackets = 300;
+  std::shared_ptr<PacedFilter> paced;
+
+  explicit BackedUpNull(util::Micros gap)
+      : paced(std::make_shared<PacedFilter>(gap)) {
+    chain->append(std::make_shared<NullFilter>());
+    chain->append(paced);
+    chain->start();
+    for (std::uint32_t i = 0; i < kPackets; ++i) {
+      source->push(numbered_packet(i, 1000));
+    }
+  }
+
+  bool wait_backed_up() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (paced->dis().available() < 60'000) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+};
+
+TEST(FilterChain, InsertAfterABackedUpNullStageKeepsFramesWhole) {
+  BackedUpNull h(20'000);  // 50 packets/s
+  ASSERT_TRUE(h.wait_backed_up());
+  h.chain->insert(std::make_shared<PassThroughPacketFilter>(), 1);
+  h.paced->release();
+  expect_whole_stream(h, BackedUpNull::kPackets);
+}
+
+TEST(FilterChain, RemoveAfterABackedUpNullStageKeepsFramesWhole) {
+  BackedUpNull h(5'000);  // 200 packets/s: the removal drains in ~0.3 s
+  ASSERT_TRUE(h.wait_backed_up());
+  h.chain->remove(1);
+  expect_whole_stream(h, BackedUpNull::kPackets);
+}
+
+TEST(NullFilter, BadHeaderOrTornFrameKillsItWithoutForwarding) {
+  util::Writer bad_magic;
+  bad_magic.u16(0x1234);
+  bad_magic.u32(4);
+  bad_magic.u32(7);
+  util::Writer oversized;
+  oversized.u16(util::kFrameMagic);
+  oversized.u32(util::kMaxFrameSize + 1);
+  util::Writer torn;
+  torn.u16(util::kFrameMagic);
+  torn.u32(100);
+  torn.str("short");
+  for (const Bytes& bad : {bad_magic.take(), oversized.take(), torn.take()}) {
+    WorkerPool pool(1);
+    obs::Registry registry;
+    NullFilter null;
+    const obs::Scope scope(registry, "t/null");
+    null.register_metrics(scope);
+    DetachableInputStream downstream;
+    null.dos().connect(downstream);
+    DetachableOutputStream upstream;
+    upstream.connect(null.dis());
+    // A whole frame ahead of the bad bytes, in the same read: none of that
+    // read goes downstream.
+    ASSERT_TRUE(util::try_write_frame(upstream, to_bytes("whole")));
+    ASSERT_EQ(upstream.try_write_some(bad), bad.size());
+    null.start(pool.worker(0));
+    null.join();
+    EXPECT_EQ(downstream.available(), 0u);
+    const std::string stats = obs::render(registry.snapshot("t/null"));
+    EXPECT_NE(stats.find("t/null/failures=1"), std::string::npos) << stats;
+    scope.drop();
+  }
+}
+
+// Runs of small frames fill a chunk, a frame larger than the chunk moves
+// alone, and one larger than the 64 KiB ring waits for an empty ring: none
+// is torn, lost or reordered through null hops spliced in and out live.
+TEST(NullFilter, MovesEveryFrameSizeWholeAcrossSplices) {
+  const std::uint64_t seed = 0x4e11ULL;
+  const std::size_t sizes[] = {1,      320,    NullFilter::kChunk - 6,
+                               NullFilter::kChunk - 5, 40'000, 70'000, 100};
+  Harness h;
+  h.chain->append(std::make_shared<NullFilter>("n0"));
+  h.chain->append(std::make_shared<NullFilter>("n1"));
+  h.chain->start();
+  std::uint32_t pushed = 0;
+  const auto push_all = [&] {
+    for (const std::size_t size : sizes) {
+      for (int rep = 0; rep < 4; ++rep) {
+        h.source->push(testing::make_stamped_packet(seed, pushed++, size));
+      }
+    }
+  };
+  push_all();
+  h.chain->insert(std::make_shared<NullFilter>("n2"), 1);
+  push_all();
+  h.chain->remove(0);
+  push_all();
+  h.source->finish();
+  ASSERT_TRUE(h.sink->wait_for(pushed, /*timeout_ms=*/30'000));
+  h.chain->shutdown();
+
+  testing::PacketLedger ledger(seed, pushed);
+  for (const auto& packet : h.sink->packets()) ledger.record(packet);
+  EXPECT_EQ(h.sink->count(), pushed);
+  EXPECT_EQ(ledger.ok(), pushed);
+  EXPECT_EQ(ledger.corrupt(), 0u);
+  EXPECT_EQ(ledger.reordered(), 0u);
 }
 
 // ---------------------------------------------------------------------------

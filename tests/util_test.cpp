@@ -357,10 +357,9 @@ TEST(Serial, LittleEndianLayout) {
 // ---------------------------------------------------------------------------
 // Framing
 
-/// ByteSource/ByteSink over an in-memory vector, for framing tests.
-/// In-memory ByteSource + ByteSink. try_write_vec appends; poll_read_borrow
-/// offers the unread bytes, at most `chunk` per poll when set. Once every
-/// byte is read it reports end-of-stream, or would-block while `open`.
+/// In-memory ByteSource + ByteSink, for framing tests. try_write_vec
+/// appends; poll_read_borrow offers the unread bytes. Once every byte is
+/// read it reports end-of-stream, or would-block while `open`.
 class MemoryStream final : public ByteSource, public ByteSink {
  public:
   bool try_write_vec(std::span<const ByteSpan> segments) override {
@@ -371,7 +370,6 @@ class MemoryStream final : public ByteSource, public ByteSink {
                                bool* end) override {
     std::size_t n = data_.size() - pos_;
     if (max != 0) n = std::min(n, max);
-    if (chunk != 0) n = std::min(n, chunk);
     *end = n == 0 && !open;
     if (n == 0) return 0;
     const std::size_t took = visit(ByteSpan(data_).subspan(pos_, n), {});
@@ -381,7 +379,6 @@ class MemoryStream final : public ByteSource, public ByteSink {
   /// Raw bytes, framed or not (torn and corrupt frames).
   void append(ByteSpan in) { data_.insert(data_.end(), in.begin(), in.end()); }
 
-  std::size_t chunk = 0;
   bool open = false;
   Bytes data_;
   std::size_t pos_ = 0;
@@ -396,13 +393,11 @@ std::optional<Bytes> poll_frame(FrameReader& reader, bool* end = nullptr) {
   return frame;
 }
 
-// Framing: the wire format try_write_frame produces, read back by a
-// FrameReader that is offered ONE byte per poll, so every header and
-// payload is reassembled across refills.
+// Framing: the wire format try_write_frame produces, and the frame walk
+// the null hop and FrameReader share, read back by a FrameReader.
 
 TEST(Framing, RoundTripsSingleFrame) {
   MemoryStream s;
-  s.chunk = 1;
   ASSERT_TRUE(try_write_frame(s, to_bytes("hello frame")));
   // magic (u16 LE) | length (u32 LE) | payload
   ASSERT_EQ(s.data_.size(), kFrameHeaderSize + 11);
@@ -421,7 +416,6 @@ TEST(Framing, RoundTripsSingleFrame) {
 
 TEST(Framing, RoundTripsManyFramesInOrder) {
   MemoryStream s;
-  s.chunk = 1;
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(try_write_frame(s, to_bytes("frame " + std::to_string(i))));
   }
@@ -436,7 +430,6 @@ TEST(Framing, RoundTripsManyFramesInOrder) {
 
 TEST(Framing, EmptyPayloadAllowed) {
   MemoryStream s;
-  s.chunk = 1;
   ASSERT_TRUE(try_write_frame(s, {}));
   EXPECT_EQ(s.data_.size(), kFrameHeaderSize);
   FrameReader fr(s);
@@ -447,7 +440,6 @@ TEST(Framing, EmptyPayloadAllowed) {
 
 TEST(Framing, BadMagicThrows) {
   MemoryStream s;
-  s.chunk = 1;
   s.append(to_bytes("garbage data here"));
   FrameReader fr(s);
   EXPECT_THROW(poll_frame(fr), SerialError);
@@ -455,7 +447,6 @@ TEST(Framing, BadMagicThrows) {
 
 TEST(Framing, TruncatedHeaderThrows) {
   MemoryStream s;
-  s.chunk = 1;
   Writer w;
   w.u16(kFrameMagic);
   w.u8(1);  // header cut short
@@ -466,7 +457,6 @@ TEST(Framing, TruncatedHeaderThrows) {
 
 TEST(Framing, TruncatedPayloadThrows) {
   MemoryStream s;
-  s.chunk = 1;
   Writer w;
   w.u16(kFrameMagic);
   w.u32(100);
@@ -478,13 +468,35 @@ TEST(Framing, TruncatedPayloadThrows) {
 
 TEST(Framing, OversizedFrameRejected) {
   MemoryStream s;
-  s.chunk = 1;
   Writer w;
   w.u16(kFrameMagic);
   w.u32(kMaxFrameSize + 1);
   s.append(w.bytes());
   FrameReader fr(s);
   EXPECT_THROW(poll_frame(fr), SerialError);
+}
+
+// The walk the null hop reads with: whole frames across a ring's two borrow
+// spans, up to a byte limit, but always the first frame.
+TEST(Framing, WholeFramesWalksAcrossTheWrapUpToTheLimit) {
+  MemoryStream s;
+  for (const std::size_t len : {10, 20, 30}) {
+    ASSERT_TRUE(try_write_frame(s, Bytes(len, 0x42)));
+  }
+  const ByteSpan wire(s.data_);  // frames of 16, 26 and 36 bytes
+  for (std::size_t at = 0; at <= wire.size(); ++at) {
+    SCOPED_TRACE(::testing::Message() << "split at " << at);
+    const ByteSpan a = wire.first(at);
+    const ByteSpan b = wire.subspan(at);
+    EXPECT_EQ(whole_frames(a, b, 1000), 78u);
+    EXPECT_EQ(whole_frames(a, b, 42), 42u);
+    EXPECT_EQ(whole_frames(a, b, 41), 16u);
+    EXPECT_EQ(whole_frames(a, b, 1), 16u);
+  }
+  // A torn last frame throws, unless the limit stops the walk before it.
+  EXPECT_THROW(whole_frames(wire.first(77), {}, 1000), SerialError);
+  EXPECT_EQ(whole_frames(wire.first(77), {}, 42), 42u);
+  EXPECT_THROW(whole_frames(to_bytes("garbage data"), {}, 1000), SerialError);
 }
 
 // ---------------------------------------------------------------------------
@@ -775,29 +787,30 @@ TEST(FrameReader, BatchesManyFramesPerRefill) {
   EXPECT_LT(fr.refills(), 16u);
 }
 
-// While the stream is open, a partial frame is stashed and the poll
-// reports would-block; the bytes that complete it complete the frame.
-TEST(FrameReader, PartialFrameWaitsForTheRestWhileTheStreamIsOpen) {
-  MemoryStream s;
-  s.open = true;
+// Every writer lands whole frames, so a refill that ends mid-frame has met
+// a torn stream: it throws a SerialError that names the tail, even while
+// the stream is still open.
+TEST(FrameReader, RefillEndingMidFrameThrows) {
   MemoryStream whole;
   ASSERT_TRUE(try_write_frame(whole, to_bytes("split across polls")));
   const ByteSpan wire(whole.data_);
-  FrameReader fr(s);
-  bool end = true;
-  s.append(wire.first(4));  // part of the header
-  EXPECT_FALSE(poll_frame(fr, &end).has_value());
-  EXPECT_FALSE(end);
-  s.append(wire.subspan(4, 8));  // the rest of it and part of the payload
-  EXPECT_FALSE(poll_frame(fr, &end).has_value());
-  EXPECT_FALSE(end);
-  s.append(wire.subspan(12));
-  auto frame = poll_frame(fr, &end);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(to_string(*frame), "split across polls");
-  s.open = false;
-  EXPECT_FALSE(poll_frame(fr, &end).has_value());
-  EXPECT_TRUE(end);
+  for (const std::size_t cut : {std::size_t{4}, std::size_t{12}}) {
+    MemoryStream s;
+    s.open = true;
+    ASSERT_TRUE(try_write_frame(s, to_bytes("whole")));
+    s.append(wire.first(cut));
+    FrameReader fr(s);
+    try {
+      poll_frame(fr);
+      ADD_FAILURE() << "a refill ending " << cut << " bytes into a frame";
+    } catch (const SerialError& e) {
+      EXPECT_NE(std::string(e.what()).find("mid-frame"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::to_string(cut) + " byte"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FrameReader, EmptyPayloadAllowed) {
@@ -836,9 +849,8 @@ TEST(FrameReader, TornPayloadThrows) {
   w.str("short");  // far fewer than 100 bytes, then EOF
   s.append(w.bytes());
   FrameReader fr(s);
-  auto frame = poll_frame(fr);
-  ASSERT_TRUE(frame.has_value());  // the complete frame still arrives
-  EXPECT_EQ(to_string(*frame), "complete");
+  // The refill that takes the complete frame also takes the torn one, and
+  // a reader never hands out part of a read that tore.
   EXPECT_THROW(poll_frame(fr), SerialError);
 }
 
